@@ -67,6 +67,13 @@ def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
     return out
 
 
+def _thetas(args, model) -> List[Tuple[float, ...]]:
+    """--theta parsed against the model; its zero vector when absent."""
+    if args.theta is None:
+        return [(0.0,) * model.stat_dim]
+    return _parse_theta_list(args.theta, model.stat_dim)
+
+
 def _resolve_model(value: Optional[str]):
     value = value or "bernoulli"
     if value in _models.BUILTIN_MODELS:
@@ -88,6 +95,11 @@ def _resolve_grid(args, model) -> _qtypes.Grid:
     return _qtypes.Grid(side=side, origin=origin)
 
 
+# Setting any flag of a mutually exclusive group on the command line keeps the
+# config from setting the others.
+_EXCLUSIVE_FLAGS = (("exact", "mc"), ("formula", "iterative"))
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given."""
     path = getattr(args, "config", None)
@@ -97,9 +109,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
+    explicit = {attr for attr, value in vars(args).items() if value is not None}
+    for group in _EXCLUSIVE_FLAGS:
+        if explicit.intersection(group):
+            explicit.update(group)
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
+        if attr not in explicit:
             setattr(args, attr, value)
     return args
 
@@ -148,8 +164,7 @@ def cmd_build_dict(args) -> int:
 
 def cmd_tunstall(args) -> int:
     model = _resolve_model(args.model)
-    thetas = _parse_theta_list(args.theta if args.theta is not None else "0",
-                               model.stat_dim)
+    thetas = _thetas(args, model)
     m_values = _parse_int_list(args.M) if args.M is not None else None
     if not m_values or len(m_values) != 1:
         raise CliError("tunstall needs exactly one --M value")
@@ -230,48 +245,42 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _resolve_model(args.model)
-    grid = _resolve_grid(args, model)
-    thetas = _parse_theta_list(args.theta if args.theta is not None else "0",
-                               model.stat_dim)
+    dictionary = _dict.load_dictionary(args.dict) if args.dict else None
+    model = dictionary.model if dictionary is not None else _resolve_model(args.model)
+    thetas = _thetas(args, model)
     eps_values = _parse_float_list(args.eps) if args.eps is not None else [0.1]
     seed = int(args.seed or 0)
     trials = int(args.trials or 10000)
     mode = "mc" if args.mc else "exact"
     pred_mode = "iterative" if args.iterative else "formula"
 
-    if args.dict:
-        dictionary = _dict.load_dictionary(args.dict)
-        model = dictionary.model
+    if dictionary is not None:
         m = dictionary.m_target
-        dists = {}
-        for theta in thetas:
-            if mode == "mc":
-                dists[theta] = _rates.mc_rate_distribution(
-                    dictionary, theta, trials,
-                    _rates.task_seed(seed, "evaluate", theta))
-            else:
-                dists[theta] = _rates.exact_rate_distribution(dictionary, theta)
     else:
         m_values = _parse_int_list(args.M) if args.M is not None else None
         if not m_values or len(m_values) != 1:
             raise CliError("evaluate needs --dict or exactly one --M value")
         m = m_values[0]
+        grid = _resolve_grid(args, model)
         if mode == "mc":
             _, dictionary = _dict.choose_gamma(model, grid, m)
-            dists = {theta: _rates.mc_rate_distribution(
-                dictionary, theta, trials,
-                _rates.task_seed(seed, "evaluate", theta)) for theta in thetas}
         else:
             _, profile = _dict.choose_gamma_profile(model, grid, m)
-            dists = {theta: _rates.profile_rate_distribution(profile, model, theta, m)
-                     for theta in thetas}
+
+    def distribution(theta):
+        if mode == "mc":
+            return _rates.mc_rate_distribution(
+                dictionary, theta, trials, _rates.task_seed(seed, "evaluate", theta))
+        if dictionary is not None:
+            return _rates.exact_rate_distribution(dictionary, theta)
+        return _rates.profile_rate_distribution(profile, model, theta, m)
 
     rows = []
     for theta in thetas:
+        dist = distribution(theta)
         entropy, var = entropy_varentropy(model, theta)
         for eps in eps_values:
-            est = _rates.eps_coding_rate(dists[theta], eps)
+            est = _rates.eps_coding_rate(dist, eps)
             pred = _rates.predicted_rate(entropy, math.sqrt(var), model.stat_dim,
                                          m, eps, mode=pred_mode)
             rows.append({
@@ -293,8 +302,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     model = _resolve_model(args.model)
     grid = _resolve_grid(args, model)
-    thetas = _parse_theta_list(args.theta if args.theta is not None else "0",
-                               model.stat_dim)
+    thetas = _thetas(args, model)
     m_values = _parse_int_list(args.M) if args.M is not None else None
     eps_values = _parse_float_list(args.eps) if args.eps is not None else None
     if not m_values or not eps_values:
@@ -312,7 +320,7 @@ def cmd_sweep(args) -> int:
                 done.add((row["theta"], int(row["M"]), float(row["eps"])))
         log.info("resuming sweep: %d rows already present", len(done))
 
-    write_header = not done
+    write_header = not os.path.exists(out) or os.path.getsize(out) == 0
     counter = _qtypes.TypeCounter(model, grid)
     with open(out, "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_rates.SWEEP_COLUMNS)
@@ -335,39 +343,18 @@ def cmd_sweep(args) -> int:
                 mc_dict = _dict.build_tc_dictionary(model, grid, gamma,
                                                     leaf_cap=m, m_target=m,
                                                     counter=counter)
-            logm = math.log2(m)
             for theta, eps in wanted:
-                dist = _rates.profile_rate_distribution(profile, model, theta, m)
-                est = _rates.eps_coding_rate(dist, eps)
-                entropy, var = entropy_varentropy(model, theta)
-                sigma = math.sqrt(var)
-                second = (sigma * math.sqrt(entropy / logm)
-                          * _rates.gaussian_quantile(eps))
-                third = entropy * 0.5 * model.stat_dim * math.log2(logm) / logm
-                mc_rate, ci = "", ""
+                row = _rates.sweep_row(model, theta, m, eps, gamma, profile)
                 if mc_dict is not None:
                     mc_est = _rates.eps_coding_rate(
                         _rates.mc_rate_distribution(
                             mc_dict, theta, trials,
                             _rates.task_seed(seed, theta, m, eps)), eps)
-                    mc_rate, ci = "%.12g" % mc_est.rate, "%.12g" % (mc_est.ci_halfwidth or 0)
-                writer.writerow({
-                    "model_id": model.name,
-                    "theta": ",".join("%.12g" % t for t in theta),
-                    "M": m,
-                    "eps": eps,
-                    "gamma": "%.12g" % gamma,
-                    "dict_size": profile.leaf_count,
-                    "exact_rate": "%.12g" % est.rate,
-                    "mc_rate": mc_rate,
-                    "ci": ci,
-                    "predicted_first": "%.12g" % entropy,
-                    "predicted_second": "%.12g" % second,
-                    "predicted_third": "%.12g" % third,
-                    "residual": "%.12g" % (est.rate - entropy - second - third),
-                    "residual_scaled": "%.12g" % (
-                        (est.rate - entropy - second) * logm / math.log2(logm)),
-                })
+                    row["mc_rate"], row["ci"] = mc_est.rate, mc_est.ci_halfwidth or 0.0
+                # Computed floats print as %.12g; eps is echoed as given.
+                writer.writerow({key: "%.12g" % value
+                                 if isinstance(value, float) and key != "eps" else value
+                                 for key, value in row.items()})
                 fh.flush()
     return 0
 
@@ -379,8 +366,7 @@ def cmd_converse_check(args) -> int:
     n_values = _parse_int_list(args.n) if args.n is not None else None
     if not n_values:
         raise CliError("converse-check needs --n")
-    thetas = _parse_theta_list(args.theta if args.theta is not None else "0",
-                               dictionary.model.stat_dim)
+    thetas = _thetas(args, dictionary.model)
     reports = []
     ok = True
     for n in sorted(n_values):
@@ -416,8 +402,7 @@ def cmd_converse_check(args) -> int:
 
 def cmd_normality(args) -> int:
     model = _resolve_model(args.model)
-    thetas = _parse_theta_list(args.theta if args.theta is not None else "0",
-                               model.stat_dim)
+    thetas = _thetas(args, model)
     ell_values = _parse_int_list(args.n) if args.n is not None else [16, 64, 256]
     rows = []
     for theta in thetas:
@@ -455,6 +440,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                       help="closed-form three-term prediction")
     pred.add_argument("--iterative", action="store_true",
                       help="self-consistent fixed-point prediction")
+    # Unset boolean flags read None, not False, so a config can set them.
+    p.set_defaults(**{flag: None for group in _EXCLUSIVE_FLAGS for flag in group})
 
 
 _COMMANDS = {
@@ -491,7 +478,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _merge_config(args)
         return _COMMANDS[args.command](args)
     except (CliError, _models.ModelError, _dict.DictionaryError,
-            _qtypes.CountingCapError, OSError, ValueError) as exc:
+            _dict.DepthCapExceeded, _qtypes.CountingCapError, OSError,
+            ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dictionary import Dictionary, DictionaryError, Segment
-from .models import ExpFamilyModel, counts_log_prob, sample_stream
+from .dictionary import (Dictionary, DictionaryError, Segment, build_trie,
+                         leaf_classes_of, length_masses)
+from .models import ExpFamilyModel, sample_stream
 
 
 @dataclass
@@ -37,13 +38,7 @@ class FVCode:
 
     def trie(self) -> dict:
         if self._trie is None:
-            root: dict = {}
-            for index, seg in enumerate(self.pruned_segments):
-                node = root
-                for letter in seg[:-1]:
-                    node = node.setdefault(letter, {})
-                node[seg[-1]] = index
-            self._trie = root
+            self._trie = build_trie(self.pruned_segments)
         return self._trie
 
     def parse_depth(self, word) -> Tuple[int, int]:
@@ -107,25 +102,16 @@ def vf_parse_shorter_than(dictionary: Dictionary, word) -> bool:
 
 
 def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:
-    """P(first segment shorter than n) under p_theta, from the leaf masses."""
-    return math.fsum(
-        2.0 ** dictionary.segment_log_prob(theta, seg)
-        for seg in dictionary.segments if len(seg) < n
-    )
+    """P(first segment shorter than n) under p_theta, from the leaf classes."""
+    short = [c for c in dictionary.leaf_classes() if c[0] < n]
+    return math.fsum(length_masses(dictionary.model, short, theta).values())
 
 
-def fv_overflow_mass(code: FVCode, theta, base_width: Optional[int] = None) -> float:
-    """P(codeword longer than base_width bits) under p_theta."""
-    width = code.base_width if base_width is None else base_width
-    total = []
-    for seg in code.pruned_segments:
-        length = width + (code.n - len(seg)) * code.per_letter_suffix_bits
-        if length > width:
-            counts = [0] * code.model.alphabet_size
-            for x in seg:
-                counts[x] += 1
-            total.append(2.0 ** counts_log_prob(code.model, theta, counts))
-    return math.fsum(total)
+def fv_overflow_mass(code: FVCode, theta) -> float:
+    """P(codeword longer than base_width bits) under p_theta: the mass of the
+    pruned leaves shorter than n, the only ones followed by suffix letters."""
+    short = [c for c in leaf_classes_of(code.model, code.pruned_segments) if c[0] < code.n]
+    return math.fsum(length_masses(code.model, short, theta).values())
 
 
 @dataclass

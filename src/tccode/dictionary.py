@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .models import ExpFamilyModel, counts_log_prob
 from .qtypes import Grid, TypeCounter
 
 Segment = Tuple[int, ...]
+# (segment length, letter counts, number of segments with both).
+LeafClass = Tuple[int, Tuple[int, ...], int]
 
 
 class DictionaryError(ValueError):
@@ -61,6 +63,8 @@ class Dictionary:
     kind: str = "tc"
     monotone_mismatches: int = 0
     _trie: Optional[dict] = field(default=None, repr=False, compare=False)
+    _leaf_classes: Optional[List[LeafClass]] = field(default=None, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         self.segments = tuple(tuple(int(x) for x in s) for s in self.segments)
@@ -77,16 +81,18 @@ class Dictionary:
 
     def trie(self) -> dict:
         if self._trie is None:
-            root: dict = {}
-            for index, seg in enumerate(self.segments):
-                node = root
-                for letter in seg[:-1]:
-                    node = node.setdefault(letter, {})
-                if seg[-1] in node:
-                    raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
-                node[seg[-1]] = index
-            self._trie = root
+            self._trie = build_trie(self.segments)
         return self._trie
+
+    def leaf_classes(self) -> List[LeafClass]:
+        """Sorted (length, letter counts, multiplicity) classes of the segments.
+
+        The same aggregation TCProfile.leaf_classes holds for a threshold
+        build; every probability mass of the dictionary is computed from it.
+        """
+        if self._leaf_classes is None:
+            self._leaf_classes = leaf_classes_of(self.model, self.segments)
+        return self._leaf_classes
 
     def check_structure(self) -> None:
         """Raise unless the segment set forms a complete proper k-ary tree."""
@@ -128,29 +134,69 @@ class Dictionary:
         return self.segments[index]
 
     def max_segment_length(self) -> int:
-        return max(len(s) for s in self.segments)
+        return self.leaf_classes()[-1][0]
 
     def segment_length_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for s in self.segments:
-            hist[len(s)] = hist.get(len(s), 0) + 1
-        return dict(sorted(hist.items()))
-
-    def segment_log_prob(self, theta, segment: Segment) -> float:
-        counts = [0] * self.model.alphabet_size
-        for x in segment:
-            counts[x] += 1
-        return counts_log_prob(self.model, theta, counts)
+        return length_histogram(self.leaf_classes())
 
     def leaf_mass(self, theta) -> float:
-        return math.fsum(
-            2.0 ** self.segment_log_prob(theta, s) for s in self.segments
-        )
+        return math.fsum(length_masses(self.model, self.leaf_classes(), theta).values())
 
     def expected_length(self, theta) -> float:
-        return math.fsum(
-            len(s) * 2.0 ** self.segment_log_prob(theta, s) for s in self.segments
-        )
+        masses = length_masses(self.model, self.leaf_classes(), theta)
+        return math.fsum(ell * p for ell, p in masses.items())
+
+
+def build_trie(segments: Iterable[Segment]) -> dict:
+    """Nested letter -> child maps; a leaf holds its segment's index."""
+    root: dict = {}
+    for index, seg in enumerate(segments):
+        node = root
+        for letter in seg[:-1]:
+            node = node.setdefault(letter, {})
+        if seg[-1] in node:
+            raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
+        node[seg[-1]] = index
+    return root
+
+
+# ---------------------------------------------------------------------------
+# Leaf classes, kept sorted: p_theta of a segment depends only on its length
+# and letter counts, so every mass over a leaf set is a sum over its classes.
+
+def _merge_classes(rows: Iterable[LeafClass]) -> List[LeafClass]:
+    """Sum the multiplicities of equal (length, counts) rows; sorted."""
+    merged: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    for ell, counts, mult in rows:
+        merged[(ell, counts)] = merged.get((ell, counts), 0) + mult
+    return sorted((ell, counts, mult) for (ell, counts), mult in merged.items())
+
+
+def leaf_classes_of(model: ExpFamilyModel, segments: Iterable[Segment]
+                    ) -> List[LeafClass]:
+    """Leaf classes of an explicit segment list."""
+    return _merge_classes((len(s), _models._counts_of(model, s), 1) for s in segments)
+
+
+def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
+                  theta) -> Dict[int, float]:
+    """Probability mass per segment length under p_theta.
+
+    The one mass routine of the package: each class adds
+    mult * p_theta(counts), and the terms are summed exactly per length.
+    """
+    by_len: Dict[int, List[float]] = {}
+    for ell, counts, mult in leaf_classes:
+        lp = counts_log_prob(model, theta, counts)
+        by_len.setdefault(ell, []).append(mult * 2.0 ** lp)
+    return {ell: math.fsum(ps) for ell, ps in by_len.items()}
+
+
+def length_histogram(leaf_classes: Iterable[LeafClass]) -> Dict[int, int]:
+    hist: Dict[int, int] = {}
+    for ell, _, mult in leaf_classes:
+        hist[ell] = hist.get(ell, 0) + mult
+    return dict(sorted(hist.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +262,7 @@ class TCProfile:
     """
 
     gamma: float
-    leaf_classes: List[Tuple[int, Tuple[int, ...], int]]
+    leaf_classes: List[LeafClass]
     max_internal_value: float
     monotone_mismatch_leaves: int
 
@@ -225,13 +271,10 @@ class TCProfile:
         return sum(m for _, _, m in self.leaf_classes)
 
     def length_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for ell, _, mult in self.leaf_classes:
-            hist[ell] = hist.get(ell, 0) + mult
-        return dict(sorted(hist.items()))
+        return length_histogram(self.leaf_classes)
 
     def max_length(self) -> int:
-        return max(ell for ell, _, _ in self.leaf_classes)
+        return self.leaf_classes[-1][0]
 
 
 def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
@@ -246,7 +289,7 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     # frontier: counts -> [clean multiplicity, dipped multiplicity]
     frontier: Dict[Tuple[int, ...], List[int]] = {(0,) * k: [1, 0]}
     values: Dict[Tuple[int, ...], float] = {(0,) * k: float("-inf")}
-    leaf_classes: List[Tuple[int, Tuple[int, ...], int]] = []
+    leaf_classes: List[LeafClass] = []
     leaf_total = 0
     mismatch_total = 0
     max_internal = float("-inf")
@@ -287,11 +330,8 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
         values = nxt_values
         depth += 1
     # Merge duplicate (ell, counts) rows produced by leaf-vs-internal bookkeeping.
-    merged: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for ell, counts, mult in leaf_classes:
-        merged[(ell, counts)] = merged.get((ell, counts), 0) + mult
-    classes = sorted((ell, counts, mult) for (ell, counts), mult in merged.items())
-    return TCProfile(float(gamma), classes, max_internal, mismatch_total)
+    return TCProfile(float(gamma), _merge_classes(leaf_classes), max_internal,
+                     mismatch_total)
 
 
 def gamma_reference(m: int, stat_dim: int) -> float:
@@ -391,54 +431,6 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
         model=model, grid=grid or Grid(), segments=segments, m_target=m,
         gamma=None, kind="tunstall",
     )
-
-
-def enumerate_complete_trees(k: int, max_leaves: int) -> Iterator[Tuple[Segment, ...]]:
-    """All complete proper k-ary segment sets with at most max_leaves leaves.
-
-    Exponential; intended as a small-instance oracle for optimality tests.
-    """
-
-    def trees(budget: int) -> Iterator[Tuple[Segment, ...]]:
-        # A tree is either a single leaf (the empty segment) or k subtrees.
-        yield ((),)
-        if budget < k:
-            return
-        # Split the budget across k children, each getting at least one leaf.
-        def splits(remaining: int, parts: int) -> Iterator[Tuple[int, ...]]:
-            if parts == 1:
-                yield (remaining,)
-                return
-            for first in range(1, remaining - parts + 2):
-                for rest in splits(remaining - first, parts - 1):
-                    yield (first,) + rest
-
-        seen = set()
-        for total in range(k, budget + 1):
-            for split in splits(total, k):
-                child_options = [list(trees(b)) for b in split]
-                for combo in _product(child_options):
-                    if any(len(c) != s for c, s in zip(combo, split)):
-                        continue
-                    segs = tuple(sorted(
-                        (x,) + seg for x, child in enumerate(combo) for seg in child
-                    ))
-                    if segs not in seen:
-                        seen.add(segs)
-                        yield segs
-
-    for segs in trees(max_leaves):
-        if segs != ((),):  # the bare root is not a valid dictionary
-            yield segs
-
-
-def _product(option_lists):
-    if not option_lists:
-        yield ()
-        return
-    for head in option_lists[0]:
-        for rest in _product(option_lists[1:]):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

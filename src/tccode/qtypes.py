@@ -18,6 +18,8 @@ from typing import Dict, Iterator, Optional, Tuple
 from .models import (
     ExpFamilyModel,
     ModelError,
+    _as_fraction,
+    _counts_of,
     ml_code_length,
     suff_stat_of_counts,
     validate_sequence,
@@ -28,10 +30,6 @@ CellIndex = Tuple[int, ...]
 
 class CountingCapError(RuntimeError):
     """Composition enumeration would exceed the configured resource cap."""
-
-
-def _as_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,7 @@ class TypeCounter:
 
     def size_of_sequence(self, seq) -> int:
         seq = validate_sequence(self.model, seq)
-        counts = [0] * self.model.alphabet_size
-        for x in seq:
-            counts[x] += 1
-        return self.size_for_counts(tuple(counts))
+        return self.size_for_counts(_counts_of(self.model, seq))
 
 
 def type_class_size(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex,
@@ -211,10 +206,7 @@ def log_type_size_core(model: ExpFamilyModel, seq) -> float:
     """-log2 p_{theta_hat}(x^l) - (d/2) log2 l, the common core of the
     two-sided type-class size bounds."""
     seq = validate_sequence(model, seq)
-    counts = [0] * model.alphabet_size
-    for x in seq:
-        counts[x] += 1
-    return log_type_size_core_counts(model, tuple(counts))
+    return log_type_size_core_counts(model, _counts_of(model, seq))
 
 
 def log_type_size_core_counts(model: ExpFamilyModel, counts) -> float:
@@ -230,10 +222,7 @@ def info_increment(model: ExpFamilyModel, seq, letter: int) -> float:
     seq = validate_sequence(model, seq)
     if not seq:
         raise ModelError("ell must be at least 1")
-    counts = [0] * model.alphabet_size
-    for x in seq:
-        counts[x] += 1
-    return info_increment_counts(model, tuple(counts), letter)
+    return info_increment_counts(model, _counts_of(model, seq), letter)
 
 
 def info_increment_counts(model: ExpFamilyModel, counts, letter: int) -> float:

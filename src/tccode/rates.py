@@ -10,11 +10,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dictionary import Dictionary, TCProfile, choose_gamma_profile
+from .dictionary import Dictionary, TCProfile, choose_gamma_profile, length_masses
 from .models import (
     ExpFamilyModel,
     ModelError,
-    counts_log_prob,
     entropy_varentropy,
     letter_log_probs,
     sample_stream,
@@ -69,24 +68,18 @@ class RateEstimate:
 
 def exact_rate_distribution(dictionary: Dictionary, theta,
                             m_for_rate: Optional[int] = None) -> RateDistribution:
-    """Aggregate the exact leaf masses of a materialized dictionary by length."""
-    by_len: Dict[int, List[float]] = {}
-    for seg in dictionary.segments:
-        by_len.setdefault(len(seg), []).append(
-            2.0 ** dictionary.segment_log_prob(theta, seg))
-    masses = {ell: math.fsum(ps) for ell, ps in by_len.items()}
-    return RateDistribution(masses, m_for_rate or dictionary.m_target)
+    """Exact length distribution of a materialized dictionary, from its leaf
+    classes."""
+    return RateDistribution(
+        length_masses(dictionary.model, dictionary.leaf_classes(), theta),
+        m_for_rate or dictionary.m_target)
 
 
 def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
                               m_for_rate: int) -> RateDistribution:
     """Exact length distribution from the aggregated leaf-class profile."""
-    by_len: Dict[int, List[float]] = {}
-    for ell, counts, mult in profile.leaf_classes:
-        lp = counts_log_prob(model, theta, counts)
-        by_len.setdefault(ell, []).append(mult * 2.0 ** lp)
-    masses = {ell: math.fsum(ps) for ell, ps in by_len.items()}
-    return RateDistribution(masses, m_for_rate)
+    return RateDistribution(length_masses(model, profile.leaf_classes, theta),
+                            m_for_rate)
 
 
 def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
@@ -181,19 +174,22 @@ def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
         raise ValueError("require H > 0, sigma >= 0, M >= 4, eps in (0, 1)")
     logm = math.log2(m)
     qinv = gaussian_quantile(eps)
-    first = entropy
-    second = sigma * math.sqrt(entropy / logm) * qinv
-    third = entropy * 0.5 * stat_dim * math.log2(logm) / logm
+
+    def terms(rate: float) -> Tuple[float, float]:
+        """Second and third terms, with the rate in place of H."""
+        return (sigma * math.sqrt(rate / logm) * qinv,
+                rate * 0.5 * stat_dim * math.log2(logm) / logm)
+
+    second, third = terms(entropy)
     pred = AsymptoticPrediction(entropy, sigma, stat_dim, m, eps,
-                                first, second, third, mode)
+                                entropy, second, third, mode)
     if mode == "iterative":
         r = entropy
         for iteration in range(1, 10001):
             if r <= 0:
                 raise RuntimeError("fixed-point iteration left the positive axis")
-            nxt = (entropy + sigma * math.sqrt(r / logm) * qinv
-                   + r * 0.5 * stat_dim * math.log2(logm) / logm
-                   + extra_constant / logm)
+            second_r, third_r = terms(r)
+            nxt = entropy + second_r + third_r + extra_constant / logm
             if abs(nxt - r) < 1e-12:
                 pred.iterative_rate = nxt
                 pred.iterations = iteration
@@ -249,45 +245,43 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int,
     return worst
 
 
-def sup_residual(model: ExpFamilyModel, grid: Grid, thetas, m: int, eps: float,
-                 counter: Optional[TypeCounter] = None,
-                 mc_samples: Optional[int] = None, seed: int = 0) -> List[dict]:
-    """One row per true parameter: exact rate against the three-term prediction.
+def sweep_row(model: ExpFamilyModel, theta, m: int, eps: float, gamma: float,
+              profile: TCProfile) -> dict:
+    """One SWEEP_COLUMNS row of numbers; mc_rate and ci are left empty.
 
     residual subtracts all three predicted terms; residual_scaled is the
     model-cost view (rate minus the first two terms) times log2 M / log2 log2 M,
     whose limit is H d/2.
     """
+    est = eps_coding_rate(profile_rate_distribution(profile, model, theta, m), eps)
+    entropy, var = entropy_varentropy(model, theta)
+    pred = predicted_rate(entropy, math.sqrt(var), model.stat_dim, m, eps)
+    logm = math.log2(m)
+    return {
+        "model_id": model.name,
+        "theta": ",".join("%.12g" % t for t in theta),
+        "M": m,
+        "eps": eps,
+        "gamma": gamma,
+        "dict_size": profile.leaf_count,
+        "exact_rate": est.rate,
+        "mc_rate": "",
+        "ci": "",
+        "predicted_first": pred.first,
+        "predicted_second": pred.second,
+        "predicted_third": pred.third,
+        "residual": est.rate - pred.first - pred.second - pred.third,
+        "residual_scaled": (est.rate - pred.first - pred.second) * logm / math.log2(logm),
+    }
+
+
+def sup_residual(model: ExpFamilyModel, grid: Grid, thetas, m: int, eps: float,
+                 counter: Optional[TypeCounter] = None) -> List[dict]:
+    """One sweep_row per true parameter, on one threshold dictionary of size m."""
     counter = counter or TypeCounter(model, grid)
     gamma, profile = choose_gamma_profile(model, grid, m, counter=counter)
-    logm = math.log2(m)
-    rows = []
-    for theta in thetas:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        dist = profile_rate_distribution(profile, model, theta, m)
-        est = eps_coding_rate(dist, eps)
-        entropy, var = entropy_varentropy(model, theta)
-        sigma = math.sqrt(var)
-        second = sigma * math.sqrt(entropy / logm) * gaussian_quantile(eps)
-        third = entropy * 0.5 * model.stat_dim * math.log2(logm) / logm
-        row = {
-            "model_id": model.name,
-            "theta": ",".join("%.12g" % t for t in theta),
-            "M": m,
-            "eps": eps,
-            "gamma": gamma,
-            "dict_size": profile.leaf_count,
-            "exact_rate": est.rate,
-            "mc_rate": "",
-            "ci": "",
-            "predicted_first": entropy,
-            "predicted_second": second,
-            "predicted_third": third,
-            "residual": est.rate - entropy - second - third,
-            "residual_scaled": (est.rate - entropy - second) * logm / math.log2(logm),
-        }
-        rows.append(row)
-    return rows
+    return [sweep_row(model, np.atleast_1d(np.asarray(theta, dtype=float)), m, eps,
+                      gamma, profile) for theta in thetas]
 
 
 SWEEP_COLUMNS = [

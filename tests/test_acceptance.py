@@ -19,6 +19,8 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
+from oracles import enumerate_complete_trees
+
 
 BERN = M.bernoulli()
 TERN = M.ternary()
@@ -147,7 +149,7 @@ def test_07_tunstall_optimality(verdict):
     for theta in ([-2.0], [0.85]):
         for m in (2, 3, 4, 5):
             best = D.build_tunstall(BERN, theta, m).expected_length(theta)
-            for segs in D.enumerate_complete_trees(2, m):
+            for segs in enumerate_complete_trees(2, m):
                 rival = D.Dictionary(model=BERN, grid=GRID, segments=segs,
                                      m_target=m)
                 worst = max(worst, rival.expected_length(theta) - best)

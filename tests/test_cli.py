@@ -190,3 +190,56 @@ def test_custom_model_file(tmp_path, capsys):
                        "--theta", "0.3", "--M", "64", "--eps", "0.1")
     assert code == 0
     assert json.loads(out)["model"] == "ternary"
+
+
+def test_sweep_rejects_small_m(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                       "--M", "2", "--eps", "0.1", "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert "M >= 4" in json.loads(err)["error"]
+
+
+def test_depth_cap_is_reported(tmp_path, capsys, monkeypatch):
+    from tccode import dictionary as D
+
+    def capped(*args, **kwargs):
+        raise D.DepthCapExceeded("no threshold crossing within depth 1")
+
+    monkeypatch.setattr(D, "choose_gamma", capped)
+    code, _, err = run(capsys, "build-dict", "--model", "bernoulli", "--M", "64",
+                       "--out", str(tmp_path / "d.txt"))
+    assert code == 2
+    assert "depth" in json.loads(err)["error"]
+
+
+def test_config_sets_boolean_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": "bernoulli", "theta": "-2", "M": "64", "eps": "0.1",
+        "mc": True, "trials": 500,
+    }))
+    code, out, _ = run(capsys, "evaluate", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["results"][0]["mode"] == "mc"
+    # An explicit flag of the same group still wins over the config.
+    code, out, _ = run(capsys, "evaluate", "--config", str(config), "--exact")
+    assert code == 0
+    assert json.loads(out)["results"][0]["mode"] == "exact"
+
+
+def test_dict_commands_use_the_dictionary_model(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "64",
+                     "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "evaluate", "--dict", str(path),
+                       "--theta=0.5,-1", "--eps", "0.1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["model"] == "quaternary"
+    assert report["results"][0]["theta"] == [0.5, -1.0]
+    code, out, _ = run(capsys, "converse-check", "--dict", str(path), "--n", "2,3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"]
+    assert report["reports"][0]["mass_identity"][0]["theta"] == [0.0, 0.0]

@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tccode import converse as C
 from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
+from tccode import rates as R
+
+from oracles import enumerate_complete_trees, segment_length_masses
 
 
 BERN = M.bernoulli()
 TERN = M.ternary()
+QUAT = M.quaternary()
 GRID = Q.construction_grid()
 
 
@@ -49,6 +54,7 @@ def test_profile_matches_explicit_build():
         assert profile.length_histogram() == explicit.segment_length_histogram()
         assert profile.monotone_mismatch_leaves == explicit.monotone_mismatches
         assert profile.max_length() == explicit.max_segment_length()
+        assert profile.leaf_classes == explicit.leaf_classes()
 
 
 def test_profile_matches_explicit_build_ternary():
@@ -58,6 +64,7 @@ def test_profile_matches_explicit_build_ternary():
     profile = D.tc_leaf_profile(TERN, GRID, 4.0, counter=counter)
     assert profile.leaf_count == explicit.size
     assert profile.length_histogram() == explicit.segment_length_histogram()
+    assert profile.leaf_classes == explicit.leaf_classes()
 
 
 def test_leaf_mass_normalizes():
@@ -152,14 +159,14 @@ def test_tunstall_optimal_among_complete_trees():
     theta = [-2.0]
     for m in (3, 4, 5):
         best = D.build_tunstall(BERN, theta, m).expected_length(theta)
-        for segs in D.enumerate_complete_trees(2, m):
+        for segs in enumerate_complete_trees(2, m):
             rival = D.Dictionary(model=BERN, grid=GRID, segments=segs, m_target=m)
             assert best >= rival.expected_length(theta) - 1e-12
 
 
 def test_enumerate_complete_trees_count():
     # Full binary trees with 2..5 leaves: 1 + 2 + 5 + 14.
-    trees = set(D.enumerate_complete_trees(2, 5))
+    trees = set(enumerate_complete_trees(2, 5))
     assert len(trees) == 22
     for segs in trees:
         D.Dictionary(model=BERN, grid=GRID, segments=segs,
@@ -173,6 +180,40 @@ def test_tunstall_mass_and_structure(theta, m):
     d.check_structure()
     assert d.size <= m
     assert d.leaf_mass([theta]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _assert_masses_match_segment_oracle(d, theta, n):
+    oracle = segment_length_masses(d, theta)
+    exact = R.exact_rate_distribution(d, theta).masses
+    assert sorted(exact) == sorted(oracle)
+    for ell, p in oracle.items():
+        assert exact[ell] == pytest.approx(p, abs=1e-12)
+    assert d.leaf_mass(theta) == pytest.approx(math.fsum(oracle.values()), abs=1e-12)
+    assert d.expected_length(theta) == pytest.approx(
+        math.fsum(ell * p for ell, p in oracle.items()), abs=1e-12)
+    assert C.vf_short_mass(d, theta, n) == pytest.approx(
+        math.fsum(p for ell, p in oracle.items() if ell < n), abs=1e-12)
+
+
+_THETAS = st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([BERN, TERN, QUAT]), _THETAS,
+       st.integers(min_value=4, max_value=200), st.integers(min_value=1, max_value=12))
+def test_leaf_class_masses_match_segments_tunstall(model, theta, m, n):
+    theta = theta[:model.stat_dim]
+    d = D.build_tunstall(model, theta, m)
+    _assert_masses_match_segment_oracle(d, theta, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([BERN, TERN, QUAT]), st.sampled_from([1.0, 2.5, 4.0, 5.5]),
+       _THETAS, st.integers(min_value=1, max_value=12))
+def test_leaf_class_masses_match_segments_threshold(model, gamma, theta, n):
+    theta = theta[:model.stat_dim]
+    d = D.build_tc_dictionary(model, GRID, gamma, leaf_cap=10 ** 6)
+    _assert_masses_match_segment_oracle(d, theta, n)
 
 
 def test_serialization_round_trip(tmp_path):
