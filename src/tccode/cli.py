@@ -477,9 +477,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _merge_config(args)
         return _COMMANDS[args.command](args)
-    except (CliError, _models.ModelError, _dict.DictionaryError,
-            _dict.DepthCapExceeded, _qtypes.CountingCapError, OSError,
-            ValueError) as exc:
+    except (CliError, _models.ModelError, _models.MLEError,
+            _dict.DictionaryError, _dict.DepthCapExceeded,
+            _qtypes.CountingCapError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

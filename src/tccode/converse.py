@@ -27,7 +27,6 @@ class FVCode:
     model: ExpFamilyModel
     n: int
     base_width: int
-    base_width_ideal: float
     per_letter_suffix_bits: int
     pruned_segments: Tuple[Segment, ...]
     _trie: Optional[dict] = field(default=None, repr=False, compare=False)
@@ -66,7 +65,6 @@ def vf_to_fv(dictionary: Dictionary, n: int) -> FVCode:
         model=dictionary.model,
         n=n,
         base_width=max(1, math.ceil(math.log2(dictionary.m_target))),
-        base_width_ideal=math.log2(dictionary.m_target),
         per_letter_suffix_bits=max(1, math.ceil(math.log2(k))),
         pruned_segments=tuple(pruned),
     )

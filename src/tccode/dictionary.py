@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import models as _models
-from .models import ExpFamilyModel, counts_log_prob
+from .models import ExpFamilyModel, counts_log_prob_at
 from .qtypes import Grid, TypeCounter
 
 Segment = Tuple[int, ...]
@@ -185,9 +185,11 @@ def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
     The one mass routine of the package: each class adds
     mult * p_theta(counts), and the terms are summed exactly per length.
     """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    psi = _models.log_partition(model, theta)
     by_len: Dict[int, List[float]] = {}
     for ell, counts, mult in leaf_classes:
-        lp = counts_log_prob(model, theta, counts)
+        lp = counts_log_prob_at(model, theta, psi, counts)
         by_len.setdefault(ell, []).append(mult * 2.0 ** lp)
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
@@ -200,7 +202,29 @@ def length_histogram(leaf_classes: Iterable[LeafClass]) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Threshold construction.
+# Threshold construction.  Class sizes are exact integers, so the threshold
+# gamma is turned once into an integer limit and every decision compares
+# integers.
+
+def size_limit(gamma: float) -> int:
+    """Largest n >= 0 with math.log2(n) <= gamma, reading log2(0) as -inf.
+
+    A class size exceeds the limit exactly when its log2 exceeds gamma.
+    """
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
+    if gamma < 0:
+        return 0
+    # log2 is exact on powers of two: log2(lo) <= gamma < log2(hi).
+    lo, hi = 1 << int(gamma), 1 << (int(gamma) + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.log2(mid) <= gamma:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
 
 def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, gamma: float,
                         leaf_cap: int, m_target: Optional[int] = None,
@@ -209,29 +233,30 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, gamma: float,
     """Explicit depth-first construction of the threshold dictionary.
 
     A node becomes a leaf at the first depth where the log class size exceeds
-    gamma.  Aborts with LeafCapExceeded once the leaf count passes leaf_cap.
+    gamma, i.e. where the class size exceeds size_limit(gamma).  Aborts with
+    LeafCapExceeded once the leaf count passes leaf_cap.
     """
     if leaf_cap < model.alphabet_size:
         raise DictionaryError("leaf_cap must be at least the alphabet size")
     counter = counter or TypeCounter(model, grid)
+    limit = size_limit(gamma)
     k = model.alphabet_size
     segments: List[Segment] = []
     mismatches = 0
     root_counts = (0,) * k
-    # Stack entries: (path, counts, parent_value, dipped); letters pushed in
+    # Stack entries: (path, counts, parent_size, dipped); letters pushed in
     # reverse so segments emerge in lexicographic order.
-    stack = [((x,), _bump(root_counts, x), float("-inf"), False)
-             for x in reversed(range(k))]
+    stack = [((x,), _bump(root_counts, x), 0, False) for x in reversed(range(k))]
     while stack:
-        path, counts, parent_value, dipped = stack.pop()
+        path, counts, parent_size, dipped = stack.pop()
         if len(path) > max_depth:
             raise DepthCapExceeded(
                 "no threshold crossing within depth %d at gamma=%.6g; "
                 "the grid likely isolates an extreme statistic" % (max_depth, gamma)
             )
-        value = counter.log2_size_for_counts(counts)
-        dipped = dipped or value < parent_value - 1e-12
-        if value > gamma:
+        size = counter.size_for_counts(counts)
+        dipped = dipped or size < parent_size
+        if size > limit:
             segments.append(path)
             if dipped:
                 mismatches += 1
@@ -239,7 +264,7 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, gamma: float,
                 raise LeafCapExceeded(leaf_cap)
         else:
             for x in reversed(range(k)):
-                stack.append((path + (x,), _bump(counts, x), value, dipped))
+                stack.append((path + (x,), _bump(counts, x), size, dipped))
     return Dictionary(
         model=model, grid=grid, segments=tuple(sorted(segments)),
         m_target=m_target if m_target is not None else len(segments),
@@ -259,12 +284,26 @@ class TCProfile:
     first-passage rule once path feasibility is accounted for, so the leaf set
     aggregates exactly into (length, counts, multiplicity) classes.  This is
     what makes size-2^20 dictionaries evaluable without materializing them.
+    The dictionary is the same for every gamma whose size_limit lies in
+    [max_internal_size, min_leaf_size); above that, it changes only where
+    the limit reaches one of leaf_sizes.
     """
 
     gamma: float
     leaf_classes: List[LeafClass]
-    max_internal_value: float
+    max_internal_size: int
+    leaf_sizes: Tuple[int, ...]  # distinct leaf class sizes, ascending
     monotone_mismatch_leaves: int
+
+    @property
+    def min_leaf_size(self) -> int:
+        return self.leaf_sizes[0]
+
+    @property
+    def max_internal_value(self) -> float:
+        """log2 of the largest internal class size; -inf with no internal node."""
+        n = self.max_internal_size
+        return math.log2(n) if n else float("-inf")
 
     @property
     def leaf_count(self) -> int:
@@ -285,14 +324,16 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     depth-first build (verified in the test suite) but linear in the number of
     reachable count classes rather than in the number of segments."""
     counter = counter or TypeCounter(model, grid)
+    limit = size_limit(gamma)
     k = model.alphabet_size
     # frontier: counts -> [clean multiplicity, dipped multiplicity]
     frontier: Dict[Tuple[int, ...], List[int]] = {(0,) * k: [1, 0]}
-    values: Dict[Tuple[int, ...], float] = {(0,) * k: float("-inf")}
+    sizes: Dict[Tuple[int, ...], int] = {(0,) * k: 0}
     leaf_classes: List[LeafClass] = []
     leaf_total = 0
     mismatch_total = 0
-    max_internal = float("-inf")
+    max_internal = 0
+    leaf_sizes = set()
     depth = 0
     while frontier:
         if depth > max_depth:
@@ -301,37 +342,38 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                 "the grid likely isolates an extreme statistic" % (max_depth, gamma)
             )
         nxt: Dict[Tuple[int, ...], List[int]] = {}
-        nxt_values: Dict[Tuple[int, ...], float] = {}
+        nxt_sizes: Dict[Tuple[int, ...], int] = {}
         for counts, (clean, dipped) in frontier.items():
-            parent_value = values[counts]
+            parent_size = sizes[counts]
             for x in range(k):
                 child = _bump(counts, x)
-                cv = nxt_values.get(child)
-                if cv is None:
-                    cv = counter.log2_size_for_counts(child)
-                    nxt_values[child] = cv
-                child_dips = cv < parent_value - 1e-12
+                size = nxt_sizes.get(child)
+                if size is None:
+                    size = counter.size_for_counts(child)
+                    nxt_sizes[child] = size
+                child_dips = size < parent_size
                 c_clean = 0 if child_dips else clean
                 c_dipped = dipped + (clean if child_dips else 0)
-                if cv > gamma:
+                if size > limit:
                     mult = clean + dipped
                     leaf_classes.append((depth + 1, child, mult))
                     leaf_total += mult
                     mismatch_total += c_dipped
                     if leaf_cap is not None and leaf_total > leaf_cap:
                         raise LeafCapExceeded(leaf_cap)
+                    leaf_sizes.add(size)
                 else:
                     slot = nxt.setdefault(child, [0, 0])
                     slot[0] += c_clean
                     slot[1] += c_dipped
-                    if cv > max_internal:
-                        max_internal = cv
+                    if size > max_internal:
+                        max_internal = size
         frontier = nxt
-        values = nxt_values
+        sizes = nxt_sizes
         depth += 1
     # Merge duplicate (ell, counts) rows produced by leaf-vs-internal bookkeeping.
     return TCProfile(float(gamma), _merge_classes(leaf_classes), max_internal,
-                     mismatch_total)
+                     tuple(sorted(leaf_sizes)), mismatch_total)
 
 
 def gamma_reference(m: int, stat_dim: int) -> float:
@@ -345,49 +387,43 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
                          max_depth: int = 50000) -> Tuple[float, TCProfile]:
     """Largest observed-crossing threshold whose dictionary has at most m leaves.
 
-    The leaf count is a nondecreasing step function of gamma whose jumps sit
-    on achievable log class sizes, so a real-valued bisection followed by a
-    snap to the largest internal value observed in the feasible build returns
-    an exact step boundary.
+    The dictionary depends on gamma only through its integer limit
+    size_limit(gamma): the internal nodes are the paths whose class sizes all
+    stay within the limit, a set that grows with it, and there are
+    1 + (k-1) * #internal leaves.  The search narrows [lo, hi): limits below
+    lo, the smallest leaf size of the best feasible dictionary, give no larger
+    dictionary, and limits from hi on give more than m leaves.  hi starts at
+    m: every node of depth at most log_k(m) has class size at most m, which
+    makes more than m leaves.  Each probe, at gamma = log2(n), takes for n the
+    best dictionary's leaf size nearest the geometric middle of [lo, hi) (the
+    geometric middle itself before any probe was feasible): a leaf splits
+    once the limit reaches its size.  The returned gamma is log2 of the
+    largest internal class size, the smallest threshold with the same
+    dictionary.
     """
     if m < model.alphabet_size:
         raise DictionaryError("m must be at least the alphabet size")
     counter = counter or TypeCounter(model, grid)
-
-    def feasible(g: float) -> Optional[TCProfile]:
-        try:
-            return tc_leaf_profile(model, grid, g, leaf_cap=m, counter=counter,
-                                   max_depth=max_depth)
-        except LeafCapExceeded:
-            return None
-
-    lo = -1.0
-    prof = feasible(lo)
-    if prof is None:
-        raise DictionaryError("even the single-letter dictionary exceeds m")
-    hi = max(gamma_reference(m, model.stat_dim) + 2.0, 4.0)
-    gap = 4.0
-    while True:
-        cand = feasible(hi)
-        if cand is None:
-            break
-        prof, lo = cand, hi
-        hi += gap
-        gap *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = feasible(mid)
-        if cand is None:
-            hi = mid
+    best: Optional[TCProfile] = None
+    lo, hi = 1, m
+    while lo < hi:
+        if best is None:
+            n = math.isqrt(lo * hi)
         else:
-            prof, lo = cand, mid
-        if hi - lo < 1e-12:
-            break
-    gamma = prof.max_internal_value if math.isfinite(prof.max_internal_value) else -1.0
-    if gamma != lo:
-        prof = tc_leaf_profile(model, grid, gamma, leaf_cap=m, counter=counter,
+            mid = 0.5 * (math.log(lo) + math.log(hi))
+            n = min((v for v in best.leaf_sizes if v < hi),
+                    key=lambda v: abs(math.log(v) - mid))
+        try:
+            best = tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
+                                   counter=counter, max_depth=max_depth)
+            lo = best.min_leaf_size
+        except LeafCapExceeded:
+            hi = n
+    if best is None:
+        best = tc_leaf_profile(model, grid, -1.0, counter=counter,
                                max_depth=max_depth)
-    return gamma, prof
+    best.gamma = best.max_internal_value if best.max_internal_size else -1.0
+    return best.gamma, best
 
 
 def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,

@@ -183,13 +183,19 @@ def sequence_log_prob(model: ExpFamilyModel, theta, seq) -> float:
 
 def counts_log_prob(model: ExpFamilyModel, theta, counts) -> float:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return counts_log_prob_at(model, theta, log_partition(model, theta), counts)
+
+
+def counts_log_prob_at(model: ExpFamilyModel, theta: np.ndarray, psi: float,
+                       counts) -> float:
+    """counts_log_prob with theta already an array and psi = psi(theta) given."""
     counts = tuple(int(c) for c in counts)
     ell = sum(counts)
     if ell == 0:
         raise ModelError("sequence must be nonempty")
     stat = suff_stat_of_counts(model, counts)
     dot = float(sum(float(s) * t for s, t in zip(stat, theta)))
-    return ell * (dot - log_partition(model, theta))
+    return ell * (dot - psi)
 
 
 def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:

@@ -2,15 +2,17 @@
 
 Sequences of length l share a quantized type class when their average
 sufficient statistics fall in the same cuboid of side W/l.  Cells are
-lower-open and upper-closed in every coordinate, and all membership tests run
-in exact rational arithmetic so that boundary points classify
-deterministically.  Class sizes are exact big-integer counts obtained by
-enumerating letter compositions.
+lower-open and upper-closed in every coordinate, and all membership tests are
+exact so that boundary points classify deterministically: cell_of works in
+rational arithmetic, TypeCounter on an integer lattice of statistic sums.
+Class sizes are exact big-integer counts, obtained by convolving the number
+of sequences per statistic sum one letter at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
@@ -29,7 +31,8 @@ CellIndex = Tuple[int, ...]
 
 
 class CountingCapError(RuntimeError):
-    """Composition enumeration would exceed the configured resource cap."""
+    """The length asked for has more letter compositions than the
+    configured resource cap."""
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,15 @@ def multinomial(counts) -> int:
 class TypeCounter:
     """Exact quantized-type-class sizes for one (model, grid) pair.
 
-    Sizes for all cells at a given length are computed in one sweep over the
-    letter compositions of that length and memoized.  The memo may be read
-    concurrently once construction-time writes have finished.
+    The letter statistics and the grid origin are scaled by one common
+    denominator D, so a letter's statistic is an integer vector a_x and a
+    sequence's statistic sum an integer vector A.  The number of sequences per
+    sum at length l comes from the table at l - 1 by one convolution step (one
+    big-int add per letter per sum), and a sum lies in cell
+    j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, by integer
+    floor division.  Only the latest sum table is kept; the cell rows of every
+    length passed are memoized, and may be read concurrently once
+    construction-time writes have finished.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid,
@@ -147,7 +156,28 @@ class TypeCounter:
         self.model = model
         self.grid = grid
         self.max_compositions = max_compositions
+        d = model.stat_dim
+        origin = [grid.origin_at(i) for i in range(d)]
+        scale = math.lcm(*(v.denominator for row in model.tau for v in row),
+                         *(o.denominator for o in origin))
+        self._letter_stats = tuple(tuple(int(v * scale) for v in row)
+                                   for row in model.tau)
+        self._origin = tuple(int(o * scale) for o in origin)
+        # Cell width D*W = cell_den / cell_num in units of the integer sums.
+        self._cell_num = grid.side.denominator
+        self._cell_den = scale * grid.side.numerator
         self._rows: Dict[int, Dict[CellIndex, int]] = {}
+        self._sums: Dict[Tuple[int, ...], int] = {(0,) * d: 1}
+        self._sums_len = 0
+
+    def _cell(self, ell: int, stat_sum) -> CellIndex:
+        # ceil(p / q) - 1 == (p - 1) // q for integer p and q > 0.
+        return tuple(((a - o * ell) * self._cell_num - 1) // self._cell_den
+                     for a, o in zip(stat_sum, self._origin))
+
+    def _stat_sum(self, counts) -> Tuple[int, ...]:
+        return tuple(sum(c * a[i] for c, a in zip(counts, self._letter_stats))
+                     for i in range(self.model.stat_dim))
 
     def row(self, ell: int) -> Dict[CellIndex, int]:
         """Mapping cell index -> exact class size, over occupied cells."""
@@ -163,13 +193,25 @@ class TypeCounter:
                 "use a smaller ell or alphabet"
                 % (ell, composition_count(ell, k), self.max_compositions)
             )
+        while self._sums_len < ell:
+            self._extend()
+        return self._rows[ell]
+
+    def _extend(self) -> None:
+        """Advance the sum table by one letter and memoize that length's row."""
+        add = operator.add
+        sums: Dict[Tuple[int, ...], int] = {}
+        for stat_sum, n in self._sums.items():
+            for a in self._letter_stats:
+                key = tuple(map(add, stat_sum, a))
+                sums[key] = sums.get(key, 0) + n
+        self._sums = sums
+        self._sums_len += 1
         row: Dict[CellIndex, int] = {}
-        for counts in compositions(ell, k):
-            stat = suff_stat_of_counts(self.model, counts)
-            idx, _ = cell_of(self.model, self.grid, ell, stat)
-            row[idx] = row.get(idx, 0) + multinomial(counts)
-        self._rows[ell] = row
-        return row
+        for stat_sum, n in sums.items():
+            idx = self._cell(self._sums_len, stat_sum)
+            row[idx] = row.get(idx, 0) + n
+        self._rows[self._sums_len] = row
 
     def size(self, ell: int, idx: CellIndex) -> int:
         return self.row(ell).get(tuple(idx), 0)
@@ -179,9 +221,9 @@ class TypeCounter:
         return math.log2(n) if n else float("-inf")
 
     def cell_for_counts(self, counts) -> CellIndex:
-        stat = suff_stat_of_counts(self.model, counts)
-        idx, _ = cell_of(self.model, self.grid, sum(counts), stat)
-        return idx
+        if len(counts) != self.model.alphabet_size or min(counts) < 0:
+            raise ModelError("counts must be nonnegative, one per letter")
+        return self._cell(sum(counts), self._stat_sum(counts))
 
     def size_for_counts(self, counts) -> int:
         return self.size(sum(counts), self.cell_for_counts(counts))

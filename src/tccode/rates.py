@@ -116,23 +116,38 @@ def eps_coding_rate(dist: RateDistribution, eps: float) -> RateEstimate:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly inside (0, 1)")
     support = dist.rate_support()
-    exceeding = [v for v in support if dist.tail_at_rate(v) > eps]
-    if exceeding:
-        rate, attained = max(exceeding), False
-    else:
-        rate, attained = min(support), True
+    if not support:
+        raise ValueError("empty rate distribution")
+    rate, attained = _largest_exceeding(dist, support, eps)
     ci = None
     if dist.mode == "mc":
         n = dist.n_samples or 1
         half = 1.96 * math.sqrt(eps * (1.0 - eps) / n)
         lo_eps = max(eps - half, 1e-12)
         hi_eps = min(eps + half, 1.0 - 1e-12)
-        bounds = []
-        for e in (lo_eps, hi_eps):
-            exceeding = [v for v in support if dist.tail_at_rate(v) > e]
-            bounds.append(max(exceeding) if exceeding else min(support))
+        bounds = [_largest_exceeding(dist, support, e)[0] for e in (lo_eps, hi_eps)]
         ci = max(abs(b - rate) for b in bounds)
     return RateEstimate(eps, rate, attained, dist.mode, ci)
+
+
+def _largest_exceeding(dist: RateDistribution, support: List[float],
+                       eps: float) -> Tuple[float, bool]:
+    """(largest support rate whose tail exceeds eps, False), or
+    (smallest support rate, True) when no tail exceeds eps.
+
+    The tail only grows along the descending support, so the rates whose
+    tail exceeds eps form a suffix of it; bisection finds where it starts.
+    """
+    lo, hi = 0, len(support)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dist.tail_at_rate(support[mid]) > eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < len(support):
+        return support[lo], False
+    return support[-1], True
 
 
 @dataclass

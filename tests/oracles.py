@@ -5,6 +5,7 @@ import math
 from typing import Dict, Iterator, Tuple
 
 from tccode import models as M
+from tccode import qtypes as Q
 
 Segment = Tuple[int, ...]
 
@@ -52,3 +53,56 @@ def segment_length_masses(dictionary, theta) -> Dict[int, float]:
         by_len.setdefault(len(seg), []).append(
             2.0 ** M.sequence_log_prob(dictionary.model, theta, seg))
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
+
+
+def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
+    """Cell -> class size at length ell, enumerating letter compositions and
+    placing each with the rational cell_of."""
+    row: Dict[Tuple[int, ...], int] = {}
+    for counts in Q.compositions(ell, model.alphabet_size):
+        idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
+        row[idx] = row.get(idx, 0) + Q.multinomial(counts)
+    return row
+
+
+def first_passage_oracle(model, grid, gamma: float, max_depth: int = 12,
+                         max_nodes: int = 2000):
+    """(segments, dipped-leaf count) of the threshold dictionary from its
+    definition: a path stops at the first length whose class size, from
+    composition_row and rational cells, has log2 above gamma; a leaf is
+    dipped when some class size on its path is smaller than the one before.
+    None when a path runs past max_depth or the tree has more than max_nodes
+    nodes."""
+    rows: Dict[int, Dict[Tuple[int, ...], int]] = {}
+
+    def size(seq) -> int:
+        ell = len(seq)
+        if ell not in rows:
+            rows[ell] = composition_row(model, grid, ell)
+        idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_avg(model, seq))
+        return rows[ell][idx]
+
+    segments, dipped, nodes = [], 0, 0
+    stack = [((x,), 0, False) for x in reversed(range(model.alphabet_size))]
+    while stack:
+        seq, parent, dip = stack.pop()
+        nodes += 1
+        if len(seq) > max_depth or nodes > max_nodes:
+            return None
+        n = size(seq)
+        dip = dip or n < parent
+        if math.log2(n) > gamma:
+            segments.append(seq)
+            dipped += dip
+        else:
+            stack.extend((seq + (x,), n, dip)
+                         for x in reversed(range(model.alphabet_size)))
+    return tuple(segments), dipped
+
+
+def eps_rate_scan(dist, eps: float):
+    """(rate, attained) of eps_coding_rate, testing the tail at every support
+    point."""
+    support = dist.rate_support()
+    exceeding = [v for v in support if dist.tail_at_rate(v) > eps]
+    return (max(exceeding), False) if exceeding else (min(support), True)

@@ -212,6 +212,22 @@ def test_depth_cap_is_reported(tmp_path, capsys, monkeypatch):
     assert "depth" in json.loads(err)["error"]
 
 
+def test_mle_failure_is_reported(tmp_path, capsys, monkeypatch):
+    from tccode import dictionary as D
+    from tccode import models as M
+
+    def diverging(*args, **kwargs):
+        raise M.MLEError("MLE did not converge")
+
+    monkeypatch.setattr(D, "choose_gamma", diverging)
+    code, out, err = run(capsys, "build-dict", "--model", "bernoulli", "--M", "64",
+                         "--out", str(tmp_path / "d.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "MLE" in json.loads(err)["error"]
+
+
 def test_config_sets_boolean_flags(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tccode import converse as C
@@ -10,7 +11,8 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import enumerate_complete_trees, segment_length_masses
+from oracles import (enumerate_complete_trees, first_passage_oracle,
+                     segment_length_masses)
 
 
 BERN = M.bernoulli()
@@ -67,6 +69,28 @@ def test_profile_matches_explicit_build_ternary():
     assert profile.leaf_classes == explicit.leaf_classes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT]),
+       side=st.builds(Fraction, st.integers(8, 30), st.integers(1, 7)),
+       origin=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+       gamma=st.floats(min_value=-0.5, max_value=5.0))
+def test_threshold_builds_match_definition(model, side, origin, gamma):
+    # Integer limits and integer dip checks reproduce the definition (float
+    # log2 against gamma, strict size decrease) on random rational grids.
+    grid = Q.Grid(side=side, origin=origin)
+    oracle = first_passage_oracle(model, grid, gamma)
+    assume(oracle is not None)
+    segments, dipped = oracle
+    counter = Q.TypeCounter(model, grid)
+    explicit = D.build_tc_dictionary(model, grid, gamma, leaf_cap=10 ** 6,
+                                     counter=counter)
+    assert explicit.segments == segments
+    assert explicit.monotone_mismatches == dipped
+    profile = D.tc_leaf_profile(model, grid, gamma, counter=counter)
+    assert profile.leaf_classes == explicit.leaf_classes()
+    assert profile.monotone_mismatch_leaves == dipped
+
+
 def test_leaf_mass_normalizes():
     _, dictionary = tc64()
     for theta in (-2.0, 0.0, 1.3):
@@ -88,6 +112,66 @@ def test_choose_gamma_is_maximal_step():
     gamma, profile = D.choose_gamma_profile(BERN, GRID, 64, counter=counter)
     bigger = D.tc_leaf_profile(BERN, GRID, gamma + 1e-9, counter=counter)
     assert bigger.leaf_count > 64 or bigger.leaf_count == profile.leaf_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=2 ** 70),
+       st.floats(min_value=-2.0, max_value=80.0), st.booleans())
+def test_size_limit_matches_log2(size, gamma, on_size):
+    if on_size:
+        gamma = math.log2(size)  # gamma exactly at an achievable log size
+    limit = D.size_limit(gamma)
+    assert limit == 0 or math.log2(limit) <= gamma < math.log2(limit + 1)
+    for n in (size, limit - 1, limit, limit + 1, limit + 2):
+        if n >= 1:
+            assert (n > limit) == (math.log2(n) > gamma)
+
+
+def _exhaustive_gamma_profile(model, m, counter):
+    """The profile of the largest integer limit with at most m leaves, trying
+    every limit below m."""
+    best = D.tc_leaf_profile(model, GRID, -1.0, counter=counter)
+    for n in range(1, m):
+        profile = D.tc_leaf_profile(model, GRID, math.log2(n), counter=counter)
+        if profile.leaf_count <= m:
+            best = profile
+    return best
+
+
+@pytest.mark.parametrize("model,m", [(BERN, 16), (BERN, 64), (BERN, 200),
+                                     (TERN, 40), (TERN, 150), (QUAT, 100)])
+def test_choose_gamma_matches_exhaustive_search(model, m):
+    counter = Q.TypeCounter(model, GRID)
+    gamma, profile = D.choose_gamma_profile(model, GRID, m, counter=counter)
+    best = _exhaustive_gamma_profile(model, m, counter)
+    assert profile.leaf_classes == best.leaf_classes
+    # gamma is log2 of the largest internal size, and reproduces the profile.
+    assert gamma == (best.max_internal_value if best.max_internal_size else -1.0)
+    again = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+    assert again.leaf_classes == profile.leaf_classes
+
+
+@pytest.mark.parametrize("model,m", [(BERN, 64), (BERN, 4096), (TERN, 500),
+                                     (QUAT, 1000)])
+def test_next_size_above_gamma_exceeds_m(model, m):
+    # The next class size the dictionary can change at is its smallest leaf
+    # size; a threshold there must blow past the leaf budget.
+    counter = Q.TypeCounter(model, GRID)
+    gamma, profile = D.choose_gamma_profile(model, GRID, m, counter=counter)
+    leaf_sizes = {counter.size_for_counts(c) for _, c, _ in profile.leaf_classes}
+    assert tuple(sorted(leaf_sizes)) == profile.leaf_sizes
+    nxt = profile.min_leaf_size
+    assert math.log2(nxt) > gamma
+    assert D.tc_leaf_profile(model, GRID, math.log2(nxt),
+                             counter=counter).leaf_count > m
+
+
+def test_ternary_gamma_at_scale():
+    # Out of reach for composition enumeration with rational cells.
+    gamma, profile = D.choose_gamma_profile(TERN, GRID, 2 ** 14)
+    assert gamma == 8.88264304936184
+    assert profile.leaf_count == 14519
+    assert profile.max_length() == 474
 
 
 def test_depth_cap_on_aligned_grid():

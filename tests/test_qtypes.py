@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 from tccode import models as M
 from tccode import qtypes as Q
 
+from oracles import composition_row
+
 
 BERN = M.bernoulli()
 TERN = M.ternary()
+QUAT = M.quaternary()
+# Fractional letter statistics: the integer lattice needs a common denominator.
+FRAC = M.ExpFamilyModel(
+    alphabet_size=3, stat_dim=1,
+    tau=((Fraction(1, 2),), (Fraction(3, 4),), (Fraction(-2),)),
+    theta_box=((-1.0, 1.0),), name="fractional",
+)
 
 
 def test_cell_of_oracle_values():
@@ -152,3 +161,26 @@ def test_band_cell_count_basic():
     # An empty band counts none.
     assert Q.band_cell_count(BERN, Q.default_grid(), 16, 8.0, 5.0, 5.0,
                              counter=counter) == 0
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+       side=st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)),
+       origin=st.lists(_RATIONALS, min_size=1, max_size=2),
+       ells=st.lists(st.integers(1, 9), min_size=1, max_size=3))
+def test_row_matches_composition_oracle(model, side, origin, ells):
+    # Rows come from integer convolution over statistic sums in any order of
+    # lengths; cells from integer floor division.  Both must agree with the
+    # rational cell_of over enumerated compositions, on any rational grid.
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    counter = Q.TypeCounter(model, grid)
+    for ell in ells:
+        row = counter.row(ell)
+        assert row == composition_row(model, grid, ell)
+        for counts in Q.compositions(ell, model.alphabet_size):
+            idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
+            assert counter.cell_for_counts(counts) == idx
+            assert counter.size_for_counts(counts) == row[idx]

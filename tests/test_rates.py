@@ -11,6 +11,8 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
+from oracles import eps_rate_scan
+
 
 BERN = M.bernoulli()
 GRID = Q.construction_grid()
@@ -67,6 +69,32 @@ def test_eps_coding_rate_validates_eps():
     dist = R.exact_rate_distribution(d, [0.0])
     with pytest.raises(ValueError):
         R.eps_coding_rate(dist, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 1000), min_size=1,
+                       max_size=25),
+       st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(0, 30))
+def test_eps_coding_rate_matches_support_scan(weights, eps, n_samples, at):
+    # Bisection over the descending support agrees with testing every point,
+    # for the rate and for both Monte-Carlo confidence bounds, also when eps
+    # equals a tail value.
+    total = sum(weights.values())
+    masses = {ell: w / total for ell, w in weights.items()}
+    support = R.RateDistribution(masses, 1024).rate_support()
+    tail = R.RateDistribution(masses, 1024).tail_at_rate(support[at % len(support)])
+    if at % 2 and 0.0 < tail < 1.0:
+        eps = tail
+    for mode in ("exact", "mc"):
+        dist = R.RateDistribution(masses, 1024, mode=mode, n_samples=n_samples)
+        est = R.eps_coding_rate(dist, eps)
+        assert (est.rate, est.attained) == eps_rate_scan(dist, eps)
+        if mode == "mc":
+            half = 1.96 * math.sqrt(eps * (1.0 - eps) / n_samples)
+            bounds = [eps_rate_scan(dist, e)[0]
+                      for e in (max(eps - half, 1e-12), min(eps + half, 1.0 - 1e-12))]
+            assert est.ci_halfwidth == max(abs(b - est.rate) for b in bounds)
 
 
 def test_profile_matches_exact_distribution():
