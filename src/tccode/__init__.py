@@ -11,7 +11,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .qtypes import Grid, TypeCounter, CountingCapError, cell_of, type_class_size
+from .qtypes import Grid, TypeCounter, CountingCapError, cell_of
 from .dictionary import (
     Dictionary,
     DictionaryError,

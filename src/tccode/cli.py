@@ -198,14 +198,15 @@ def cmd_encode(args) -> int:
     if not args.dict:
         raise CliError("encode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    letters = _read_letters(args.input)
+    letters = _models.validate_sequence(dictionary.model, _read_letters(args.input))
+    stream = iter(letters)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         pos = 0
         emitted = 0
         while pos < len(letters):
             try:
-                result = dictionary.parse_one(iter(letters[pos:]))
+                result = dictionary.parse_one(stream)
             except _dict.DictionaryError:
                 log.warning("trailing %d letters do not complete a segment",
                             len(letters) - pos)
@@ -340,9 +341,8 @@ def cmd_sweep(args) -> int:
                                                         counter=counter)
             mc_dict = None
             if trials:
-                mc_dict = _dict.build_tc_dictionary(model, grid, gamma,
-                                                    leaf_cap=m, m_target=m,
-                                                    counter=counter)
+                mc_dict = _dict.build_tc_dictionary(model, grid, profile,
+                                                    m_target=m)
             for theta, eps in wanted:
                 row = _rates.sweep_row(model, theta, m, eps, gamma, profile)
                 if mc_dict is not None:

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dictionary import (Dictionary, DictionaryError, Segment, build_trie,
-                         leaf_classes_of, length_masses)
+                         leaf_classes_of, length_masses, walk)
 from .models import ExpFamilyModel, sample_stream
 
 
@@ -45,14 +45,10 @@ class FVCode:
         word = tuple(int(x) for x in word)
         if len(word) != self.n:
             raise DictionaryError("input must have length %d" % self.n)
-        node = self.trie()
-        for depth, letter in enumerate(word, start=1):
-            child = node[letter]
-            if isinstance(child, dict):
-                node = child
-            else:
-                return child, depth
-        raise DictionaryError("pruned tree deeper than n")  # pragma: no cover
+        index, depth = walk(self.trie(), word)
+        if index is None:
+            raise DictionaryError("pruned tree deeper than n")  # pragma: no cover
+        return index, depth
 
 
 def vf_to_fv(dictionary: Dictionary, n: int) -> FVCode:
@@ -89,14 +85,8 @@ def fv_codeword(code: FVCode, word) -> str:
 def vf_parse_shorter_than(dictionary: Dictionary, word) -> bool:
     """Whether the first parsed segment of word-extended-arbitrarily is
     strictly shorter than len(word)."""
-    node = dictionary.trie()
-    for depth, letter in enumerate(word, start=1):
-        child = node[int(letter)]
-        if isinstance(child, dict):
-            node = child
-        else:
-            return depth < len(word)
-    return False  # segment length >= len(word)
+    index, depth = walk(dictionary.trie(), word)
+    return index is not None and depth < len(word)
 
 
 def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:

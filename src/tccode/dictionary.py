@@ -5,6 +5,8 @@ where the log quantized-type-class size exceeds gamma (first-passage rule).
 This is equivalent to the two-condition membership rule whenever the log size
 is monotone along the path, and it guarantees a complete, proper parse tree
 unconditionally; paths on which monotonicity failed are counted and reported.
+The rule is applied in one place, tc_leaf_profile, over letter-count classes;
+build_tc_dictionary expands that profile into explicit segments.
 """
 
 from __future__ import annotations
@@ -114,19 +116,10 @@ class Dictionary:
 
     def parse_one(self, stream: Iterable[int]) -> ParseResult:
         """Consume letters until a segment is identified; fixed-width output."""
-        node = self.trie()
-        length = 0
-        for letter in stream:
-            length += 1
-            try:
-                child = node[int(letter)]
-            except KeyError:
-                raise DictionaryError("letter %r not parseable at depth %d" % (letter, length))
-            if isinstance(child, dict):
-                node = child
-            else:
-                return ParseResult(child, length, format(child, "0%db" % self.codeword_width))
-        raise DictionaryError("stream exhausted before a segment was identified")
+        index, length = walk(self.trie(), stream)
+        if index is None:
+            raise DictionaryError("stream exhausted before a segment was identified")
+        return ParseResult(index, length, format(index, "0%db" % self.codeword_width))
 
     def decode(self, index: int) -> Segment:
         if not 0 <= index < self.size:
@@ -158,6 +151,27 @@ def build_trie(segments: Iterable[Segment]) -> dict:
             raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
         node[seg[-1]] = index
     return root
+
+
+def walk(trie: dict, letters: Iterable[int]) -> Tuple[Optional[int], int]:
+    """Descend the trie along the letters, reading no more than needed.
+
+    Returns (leaf index, depth) at the first leaf reached, or (None, letters
+    read) when the letters run out first.  A letter with no child raises
+    DictionaryError.
+    """
+    node = trie
+    depth = 0
+    for letter in letters:
+        depth += 1
+        try:
+            node = node[letter]
+        except KeyError:
+            raise DictionaryError("letter %r not parseable at depth %d"
+                                  % (letter, depth)) from None
+        if not isinstance(node, dict):
+            return node, depth
+    return None, depth
 
 
 # ---------------------------------------------------------------------------
@@ -226,52 +240,6 @@ def size_limit(gamma: float) -> int:
     return lo
 
 
-def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, gamma: float,
-                        leaf_cap: int, m_target: Optional[int] = None,
-                        counter: Optional[TypeCounter] = None,
-                        max_depth: int = 50000) -> Dictionary:
-    """Explicit depth-first construction of the threshold dictionary.
-
-    A node becomes a leaf at the first depth where the log class size exceeds
-    gamma, i.e. where the class size exceeds size_limit(gamma).  Aborts with
-    LeafCapExceeded once the leaf count passes leaf_cap.
-    """
-    if leaf_cap < model.alphabet_size:
-        raise DictionaryError("leaf_cap must be at least the alphabet size")
-    counter = counter or TypeCounter(model, grid)
-    limit = size_limit(gamma)
-    k = model.alphabet_size
-    segments: List[Segment] = []
-    mismatches = 0
-    root_counts = (0,) * k
-    # Stack entries: (path, counts, parent_size, dipped); letters pushed in
-    # reverse so segments emerge in lexicographic order.
-    stack = [((x,), _bump(root_counts, x), 0, False) for x in reversed(range(k))]
-    while stack:
-        path, counts, parent_size, dipped = stack.pop()
-        if len(path) > max_depth:
-            raise DepthCapExceeded(
-                "no threshold crossing within depth %d at gamma=%.6g; "
-                "the grid likely isolates an extreme statistic" % (max_depth, gamma)
-            )
-        size = counter.size_for_counts(counts)
-        dipped = dipped or size < parent_size
-        if size > limit:
-            segments.append(path)
-            if dipped:
-                mismatches += 1
-            if len(segments) > leaf_cap:
-                raise LeafCapExceeded(leaf_cap)
-        else:
-            for x in reversed(range(k)):
-                stack.append((path + (x,), _bump(counts, x), size, dipped))
-    return Dictionary(
-        model=model, grid=grid, segments=tuple(sorted(segments)),
-        m_target=m_target if m_target is not None else len(segments),
-        gamma=float(gamma), kind="tc", monotone_mismatches=mismatches,
-    )
-
-
 def _bump(counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return counts[:x] + (counts[x] + 1,) + counts[x + 1:]
 
@@ -320,9 +288,9 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                     leaf_cap: Optional[int] = None,
                     counter: Optional[TypeCounter] = None,
                     max_depth: int = 50000) -> TCProfile:
-    """Dynamic program over letter-count classes; equivalent to the explicit
-    depth-first build (verified in the test suite) but linear in the number of
-    reachable count classes rather than in the number of segments."""
+    """The first-passage rule as a dynamic program over letter-count classes,
+    linear in the number of reachable count classes rather than in the number
+    of segments; the test suite checks it against a per-sequence oracle."""
     counter = counter or TypeCounter(model, grid)
     limit = size_limit(gamma)
     k = model.alphabet_size
@@ -374,6 +342,39 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     # Merge duplicate (ell, counts) rows produced by leaf-vs-internal bookkeeping.
     return TCProfile(float(gamma), _merge_classes(leaf_classes), max_internal,
                      tuple(sorted(leaf_sizes)), mismatch_total)
+
+
+def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
+                        m_target: Optional[int] = None) -> Dictionary:
+    """The threshold dictionary whose leaf classes the profile holds.
+
+    A node is a leaf or internal according to its letter counts alone, so
+    the dictionary is the profile expanded: descending from the root, a node
+    whose counts are those of a leaf class is a segment, and any other node
+    is expanded.  Segments emerge in lexicographic order.  gamma and the
+    mismatch count are the profile's.
+    """
+    leaf_counts = {counts for _, counts, _ in profile.leaf_classes}
+    max_length = profile.max_length()
+    k = model.alphabet_size
+    segments: List[Segment] = []
+    stack = [((), (0,) * k)]
+    while stack:
+        path, counts = stack.pop()
+        if counts in leaf_counts:
+            segments.append(path)
+        elif len(path) < max_length:
+            # Letters pushed in reverse so the smallest is expanded first.
+            stack.extend((path + (x,), _bump(counts, x)) for x in reversed(range(k)))
+        else:
+            raise DictionaryError("profile does not describe a parse tree of "
+                                  "model %s" % model.name)
+    return Dictionary(
+        model=model, grid=grid, segments=tuple(segments),
+        m_target=m_target if m_target is not None else len(segments),
+        gamma=profile.gamma, kind="tc",
+        monotone_mismatches=profile.monotone_mismatch_leaves,
+    )
 
 
 def gamma_reference(m: int, stat_dim: int) -> float:
@@ -430,13 +431,9 @@ def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,
                  counter: Optional[TypeCounter] = None,
                  max_depth: int = 50000) -> Tuple[float, Dictionary]:
     """As choose_gamma_profile, but materializes the dictionary."""
-    counter = counter or TypeCounter(model, grid)
-    gamma, _ = choose_gamma_profile(model, grid, m, counter=counter,
-                                    max_depth=max_depth)
-    dictionary = build_tc_dictionary(model, grid, gamma, leaf_cap=m,
-                                     m_target=m, counter=counter,
-                                     max_depth=max_depth)
-    return gamma, dictionary
+    gamma, profile = choose_gamma_profile(model, grid, m, counter=counter,
+                                          max_depth=max_depth)
+    return gamma, build_tc_dictionary(model, grid, profile, m_target=m)
 
 
 # ---------------------------------------------------------------------------

@@ -237,13 +237,6 @@ class TypeCounter:
         return self.size_for_counts(_counts_of(self.model, seq))
 
 
-def type_class_size(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex,
-                    counter: Optional[TypeCounter] = None) -> int:
-    """Exact number of length-ell sequences whose statistic lies in the cell."""
-    counter = counter or TypeCounter(model, grid)
-    return counter.size(ell, idx)
-
-
 def log_type_size_core(model: ExpFamilyModel, seq) -> float:
     """-log2 p_{theta_hat}(x^l) - (d/2) log2 l, the common core of the
     two-sided type-class size bounds."""

@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dictionary import Dictionary, TCProfile, choose_gamma_profile, length_masses
+from .dictionary import (Dictionary, TCProfile, choose_gamma_profile, length_masses,
+                         walk)
 from .models import (
     ExpFamilyModel,
     ModelError,
@@ -98,14 +99,8 @@ def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
         block = min(chunk, n_samples - start)
         letters = rng.choice(model.alphabet_size, size=(block, max_len), p=p)
         for row in letters:
-            node = root
-            for depth in range(max_len):
-                child = node[int(row[depth])]
-                if isinstance(child, dict):
-                    node = child
-                else:
-                    counts[depth + 1] = counts.get(depth + 1, 0) + 1
-                    break
+            _, depth = walk(root, row.tolist())
+            counts[depth] = counts.get(depth, 0) + 1
     masses = {ell: c / n_samples for ell, c in counts.items()}
     return RateDistribution(masses, m_for_rate or dictionary.m_target,
                             mode="mc", n_samples=n_samples)

@@ -57,6 +57,45 @@ def test_encode_decode_round_trip(tmp_path, capsys):
     assert len(recovered) >= len(original) - 32
 
 
+def test_encode_rejects_out_of_range_letter(tmp_path, capsys):
+    dict_path = tmp_path / "d.txt"
+    run(capsys, "build-dict", "--model", "bernoulli", "--M", "32",
+        "--out", str(dict_path))
+    letters = tmp_path / "in.txt"
+    letters.write_text("0 1 0 0 1 7 0 1 0 0 0 0 1 0 1 1 0 0\n")
+    bits = tmp_path / "bits.txt"
+    code, out, err = run(capsys, "encode", "--dict", str(dict_path),
+                         "--input", str(letters), "--out", str(bits))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "out of range" in json.loads(err)["error"]
+    assert not bits.exists()
+
+
+def test_encode_parses_through_one_stream(tmp_path, capsys, monkeypatch):
+    from tccode import dictionary as D
+
+    dict_path = tmp_path / "d.txt"
+    run(capsys, "build-dict", "--model", "bernoulli", "--M", "32",
+        "--out", str(dict_path))
+    letters = tmp_path / "in.txt"
+    letters.write_text("0 1 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0 " * 20 + "\n")
+    streams = []
+    parse_one = D.Dictionary.parse_one
+
+    def recording(self, stream):
+        streams.append(stream)
+        return parse_one(self, stream)
+
+    monkeypatch.setattr(D.Dictionary, "parse_one", recording)
+    code, _, _ = run(capsys, "encode", "--dict", str(dict_path),
+                     "--input", str(letters), "--out", str(tmp_path / "bits.txt"))
+    assert code == 0
+    assert len(streams) > 1
+    assert all(stream is streams[0] for stream in streams)
+
+
 def test_evaluate_json(tmp_path, capsys):
     code, out, _ = run(capsys, "evaluate", "--model", "bernoulli",
                        "--theta", "-2", "--M", "256", "--eps", "0.1,0.2")

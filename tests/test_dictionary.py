@@ -46,27 +46,33 @@ def test_tc_first_passage_semantics():
                 (seg[:cut].count(0), seg[:cut].count(1))) <= gamma + 1e-12
 
 
+def _assert_expansion_matches_oracle(model, gamma, counter):
+    # The explicit dictionary, expanded from the profile, equals the
+    # first-passage definition segment by segment, dips included.
+    oracle = first_passage_oracle(model, GRID, gamma, max_depth=200,
+                                  max_nodes=10 ** 5)
+    assert oracle is not None
+    segments, dipped = oracle
+    profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+    explicit = D.build_tc_dictionary(model, GRID, profile)
+    assert explicit.segments == segments
+    assert explicit.monotone_mismatches == dipped
+    assert explicit.gamma == gamma
+    assert profile.leaf_count == explicit.size
+    assert profile.length_histogram() == explicit.segment_length_histogram()
+    assert profile.monotone_mismatch_leaves == dipped
+    assert profile.max_length() == explicit.max_segment_length()
+    assert profile.leaf_classes == explicit.leaf_classes()
+
+
 def test_profile_matches_explicit_build():
     counter = Q.TypeCounter(BERN, GRID)
-    for gamma in (2.0, 3.5, 5.0):
-        explicit = D.build_tc_dictionary(BERN, GRID, gamma, leaf_cap=10 ** 6,
-                                         counter=counter)
-        profile = D.tc_leaf_profile(BERN, GRID, gamma, counter=counter)
-        assert profile.leaf_count == explicit.size
-        assert profile.length_histogram() == explicit.segment_length_histogram()
-        assert profile.monotone_mismatch_leaves == explicit.monotone_mismatches
-        assert profile.max_length() == explicit.max_segment_length()
-        assert profile.leaf_classes == explicit.leaf_classes()
+    for gamma in (2.0, 3.5, 5.0, 8.0):
+        _assert_expansion_matches_oracle(BERN, gamma, counter)
 
 
 def test_profile_matches_explicit_build_ternary():
-    counter = Q.TypeCounter(TERN, GRID)
-    explicit = D.build_tc_dictionary(TERN, GRID, 4.0, leaf_cap=10 ** 6,
-                                     counter=counter)
-    profile = D.tc_leaf_profile(TERN, GRID, 4.0, counter=counter)
-    assert profile.leaf_count == explicit.size
-    assert profile.length_histogram() == explicit.segment_length_histogram()
-    assert profile.leaf_classes == explicit.leaf_classes()
+    _assert_expansion_matches_oracle(TERN, 4.0, Q.TypeCounter(TERN, GRID))
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,12 +87,10 @@ def test_threshold_builds_match_definition(model, side, origin, gamma):
     oracle = first_passage_oracle(model, grid, gamma)
     assume(oracle is not None)
     segments, dipped = oracle
-    counter = Q.TypeCounter(model, grid)
-    explicit = D.build_tc_dictionary(model, grid, gamma, leaf_cap=10 ** 6,
-                                     counter=counter)
+    profile = D.tc_leaf_profile(model, grid, gamma)
+    explicit = D.build_tc_dictionary(model, grid, profile)
     assert explicit.segments == segments
     assert explicit.monotone_mismatches == dipped
-    profile = D.tc_leaf_profile(model, grid, gamma, counter=counter)
     assert profile.leaf_classes == explicit.leaf_classes()
     assert profile.monotone_mismatch_leaves == dipped
 
@@ -177,17 +181,20 @@ def test_ternary_gamma_at_scale():
 def test_depth_cap_on_aligned_grid():
     # The aligned W=1 grid pins the all-zeros path at class size 1 forever.
     with pytest.raises(D.DepthCapExceeded):
-        D.build_tc_dictionary(BERN, Q.default_grid(), 2.0, leaf_cap=10 ** 6,
-                              max_depth=200)
-    with pytest.raises(D.DepthCapExceeded):
         D.tc_leaf_profile(BERN, Q.default_grid(), 2.0, max_depth=200)
 
 
 def test_leaf_cap():
     with pytest.raises(D.LeafCapExceeded):
-        D.build_tc_dictionary(BERN, GRID, 8.0, leaf_cap=16)
-    with pytest.raises(D.LeafCapExceeded):
         D.tc_leaf_profile(BERN, GRID, 8.0, leaf_cap=16)
+
+
+def test_expansion_rejects_a_foreign_profile():
+    # A ternary node never has a bernoulli leaf's counts, so the expansion
+    # stops at the profile's longest segment instead of descending forever.
+    profile = D.tc_leaf_profile(BERN, GRID, 3.5)
+    with pytest.raises(D.DictionaryError):
+        D.build_tc_dictionary(TERN, GRID, profile)
 
 
 def test_parse_and_decode_round_trip():
@@ -296,7 +303,7 @@ def test_leaf_class_masses_match_segments_tunstall(model, theta, m, n):
        _THETAS, st.integers(min_value=1, max_value=12))
 def test_leaf_class_masses_match_segments_threshold(model, gamma, theta, n):
     theta = theta[:model.stat_dim]
-    d = D.build_tc_dictionary(model, GRID, gamma, leaf_cap=10 ** 6)
+    d = D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
     _assert_masses_match_segment_oracle(d, theta, n)
 
 
