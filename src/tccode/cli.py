@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
@@ -231,14 +232,18 @@ def cmd_decode(args) -> int:
     finally:
         if args.input:
             fh.close()
+    width = dictionary.codeword_width
+    for word in words:
+        if len(word) != width or word.strip("01"):
+            raise CliError("codeword %r is not %d bits" % (word, width))
+    indices = [int(word, 2) for word in words]
+    if indices and max(indices) >= dictionary.size:
+        # Raises DictionaryError for the first index out of range.
+        dictionary.decode(next(i for i in indices if i >= dictionary.size))
+    lines = [" ".join(map(str, seg)) + "\n" for seg in dictionary.segments]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for word in words:
-            if len(word) != dictionary.codeword_width or set(word) - {"0", "1"}:
-                raise CliError("codeword %r is not %d bits"
-                               % (word, dictionary.codeword_width))
-            segment = dictionary.decode(int(word, 2))
-            out.write(" ".join(str(x) for x in segment) + "\n")
+        out.writelines(lines[i] for i in indices)
     finally:
         if args.out:
             out.close()
@@ -343,19 +348,22 @@ def cmd_sweep(args) -> int:
             if trials:
                 mc_dict = _dict.build_tc_dictionary(model, grid, profile,
                                                     m_target=m)
-            for theta, eps in wanted:
-                row = _rates.sweep_row(model, theta, m, eps, gamma, profile)
-                if mc_dict is not None:
-                    mc_est = _rates.eps_coding_rate(
-                        _rates.mc_rate_distribution(
-                            mc_dict, theta, trials,
-                            _rates.task_seed(seed, theta, m, eps)), eps)
-                    row["mc_rate"], row["ci"] = mc_est.rate, mc_est.ci_halfwidth or 0.0
-                # Computed floats print as %.12g; eps is echoed as given.
-                writer.writerow({key: "%.12g" % value
-                                 if isinstance(value, float) and key != "eps" else value
-                                 for key, value in row.items()})
-                fh.flush()
+            for theta, group in itertools.groupby(wanted, key=lambda pair: pair[0]):
+                eps_wanted = [eps for _, eps in group]
+                rows = _rates.sweep_rows(model, theta, m, eps_wanted, gamma, profile)
+                for eps, row in zip(eps_wanted, rows):
+                    if mc_dict is not None:
+                        mc_est = _rates.eps_coding_rate(
+                            _rates.mc_rate_distribution(
+                                mc_dict, theta, trials,
+                                _rates.task_seed(seed, theta, m, eps)), eps)
+                        row["mc_rate"], row["ci"] = (mc_est.rate,
+                                                     mc_est.ci_halfwidth or 0.0)
+                    # Computed floats print as %.12g; eps is echoed as given.
+                    writer.writerow({key: "%.12g" % value
+                                     if isinstance(value, float) and key != "eps"
+                                     else value for key, value in row.items()})
+                    fh.flush()
     return 0
 
 

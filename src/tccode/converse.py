@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dictionary import (Dictionary, DictionaryError, Segment, build_trie,
-                         leaf_classes_of, length_masses, walk)
+from .dictionary import (Dictionary, DictionaryError, Segment, Trie, build_trie,
+                         leaf_classes_of, length_masses, walk, walk_block)
 from .models import ExpFamilyModel, sample_stream
 
 
@@ -29,15 +29,15 @@ class FVCode:
     base_width: int
     per_letter_suffix_bits: int
     pruned_segments: Tuple[Segment, ...]
-    _trie: Optional[dict] = field(default=None, repr=False, compare=False)
+    _trie: Optional[Trie] = field(default=None, repr=False, compare=False)
 
     @property
     def leaf_count(self) -> int:
         return len(self.pruned_segments)
 
-    def trie(self) -> dict:
+    def trie(self) -> Trie:
         if self._trie is None:
-            self._trie = build_trie(self.pruned_segments)
+            self._trie = build_trie(self.pruned_segments, self.model.alphabet_size)
         return self._trie
 
     def parse_depth(self, word) -> Tuple[int, int]:
@@ -115,6 +115,11 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
+# Words are checked in blocks of this many rows, which keeps the bulk walk's
+# arrays small.
+_BLOCK = 4096
+
+
 def check_event_equivalence(dictionary: Dictionary, n: int,
                             base_width: Optional[int] = None,
                             exhaustive_cap: int = 10 ** 7,
@@ -122,7 +127,8 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
                             theta=None, seed: int = 0) -> EquivalenceReport:
     """Verify {VF parse length < n} iff {FV codeword length > base_width}.
 
-    Exhaustive over all k^n words when affordable, sampled otherwise.
+    Exhaustive over all k^n words, in lexicographic order, when affordable;
+    sampled otherwise.  Counterexamples are listed in the order checked.
     """
     code = vf_to_fv(dictionary, n)
     width = code.base_width if base_width is None else int(base_width)
@@ -130,29 +136,29 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
     counterexamples: List[Tuple[Segment, bool, bool]] = []
     exhaustive = k ** n <= exhaustive_cap
 
-    def check(word) -> None:
-        vf_event = vf_parse_shorter_than(dictionary, word)
-        fv_event = fv_length(code, word) > width
-        if vf_event != fv_event:
-            counterexamples.append((tuple(word), vf_event, fv_event))
+    def check(words: np.ndarray) -> None:
+        """Compare the two events on every row of a (rows, n) word block:
+        vf_parse_shorter_than and fv_length > width, walked in bulk."""
+        vf_index, vf_depth = walk_block(dictionary.trie(), words)
+        vf_event = (vf_index >= 0) & (vf_depth < n)
+        _, fv_depth = walk_block(code.trie(), words)
+        fv_event = code.base_width + (n - fv_depth) * code.per_letter_suffix_bits > width
+        for row in np.flatnonzero(vf_event != fv_event):
+            counterexamples.append((tuple(words[row].tolist()), bool(vf_event[row]),
+                                    bool(fv_event[row])))
 
     if exhaustive:
         checked = k ** n
-        word = [0] * n
-        while True:
-            check(word)
-            i = n - 1
-            while i >= 0 and word[i] == k - 1:
-                word[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            word[i] += 1
+        # Word i spells i in base k, most significant letter first.
+        powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for start in range(0, checked, _BLOCK):
+            ids = np.arange(start, min(start + _BLOCK, checked), dtype=np.int64)
+            check(ids[:, None] // powers % k)
     else:
         checked = sample_budget
         if theta is None:
             theta = np.zeros(dictionary.model.stat_dim)
-        for trial in range(sample_budget):
-            word = sample_stream(dictionary.model, theta, seed + trial, n)
-            check(tuple(int(x) for x in word))
+        for start in range(0, sample_budget, _BLOCK):
+            check(np.array([sample_stream(dictionary.model, theta, seed + trial, n)
+                            for trial in range(start, min(start + _BLOCK, sample_budget))]))
     return EquivalenceReport(n, width, checked, exhaustive, counterexamples)

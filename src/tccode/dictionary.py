@@ -64,26 +64,26 @@ class Dictionary:
     gamma: Optional[float] = None
     kind: str = "tc"
     monotone_mismatches: int = 0
-    _trie: Optional[dict] = field(default=None, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    codeword_width: int = field(init=False, repr=False, compare=False)
+    _trie: Optional[Trie] = field(default=None, repr=False, compare=False)
     _leaf_classes: Optional[List[LeafClass]] = field(default=None, repr=False,
                                                      compare=False)
 
     def __post_init__(self):
-        self.segments = tuple(tuple(int(x) for x in s) for s in self.segments)
-        if list(self.segments) != sorted(self.segments):
+        # Letters are checked against the alphabet when the trie is built.
+        self.segments = tuple(map(tuple, self.segments))
+        segs = self.segments
+        if any(a > b for a, b in zip(segs, segs[1:])):
             raise DictionaryError("segments must be in lexicographic order")
+        self.size = len(segs)
+        # ceil(log2(size)), at least one bit.
+        self.codeword_width = max(1, (self.size - 1).bit_length())
+        self._codeword_format = "0%db" % self.codeword_width
 
-    @property
-    def size(self) -> int:
-        return len(self.segments)
-
-    @property
-    def codeword_width(self) -> int:
-        return max(1, math.ceil(math.log2(self.size)))
-
-    def trie(self) -> dict:
+    def trie(self) -> Trie:
         if self._trie is None:
-            self._trie = build_trie(self.segments)
+            self._trie = build_trie(self.segments, self.model.alphabet_size)
         return self._trie
 
     def leaf_classes(self) -> List[LeafClass]:
@@ -100,26 +100,22 @@ class Dictionary:
         """Raise unless the segment set forms a complete proper k-ary tree."""
         if not self.segments:
             raise DictionaryError("empty dictionary")
-        if len(set(self.segments)) != len(self.segments):
-            raise DictionaryError("duplicate segments")
         if self.size > self.m_target:
             raise DictionaryError("dictionary exceeds its target size")
+        # build_trie rejects duplicates, prefix conflicts and foreign letters;
+        # what is left to check is that no internal node lacks a child.
         k = self.model.alphabet_size
-        stack = [self.trie()]
-        while stack:
-            node = stack.pop()
-            if len(node) != k:
-                raise DictionaryError("internal node with %d != %d children" % (len(node), k))
-            for child in node.values():
-                if isinstance(child, dict):
-                    stack.append(child)
+        for row in self.trie().rows:
+            if 0 in row:
+                raise DictionaryError("internal node with %d != %d children"
+                                      % (k - row.count(0), k))
 
     def parse_one(self, stream: Iterable[int]) -> ParseResult:
         """Consume letters until a segment is identified; fixed-width output."""
         index, length = walk(self.trie(), stream)
         if index is None:
             raise DictionaryError("stream exhausted before a segment was identified")
-        return ParseResult(index, length, format(index, "0%db" % self.codeword_width))
+        return ParseResult(index, length, format(index, self._codeword_format))
 
     def decode(self, index: int) -> Segment:
         if not 0 <= index < self.size:
@@ -140,38 +136,116 @@ class Dictionary:
         return math.fsum(ell * p for ell, p in masses.items())
 
 
-def build_trie(segments: Iterable[Segment]) -> dict:
-    """Nested letter -> child maps; a leaf holds its segment's index."""
-    root: dict = {}
+# ---------------------------------------------------------------------------
+# The parse tree as one integer transition table.  Row 0 is the root; row r
+# holds one entry per letter: an entry >= 1 is the child's row, ~index (< 0)
+# is the leaf of segment `index`, and 0 is a missing child (no row points
+# back to the root).  `walk` descends it one stream at a time, `walk_block`
+# descends a block of rows of letters at once.
+
+class Trie:
+    """Integer transition table of a parse tree over the letters 0..k-1."""
+
+    def __init__(self, rows: List[List[int]], k: int):
+        self.rows = rows  # the table as lists, for the scalar walk
+        self.k = k
+        self._table: Optional[np.ndarray] = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """The table as a (rows, k) array, for the bulk walk.  int32 holds
+        it: a dictionary with 2^31 segments would not fit in memory anyway."""
+        if self._table is None:
+            self._table = np.array(self.rows, dtype=np.int32).reshape(-1, self.k)
+        return self._table
+
+
+def build_trie(segments: Iterable[Segment], k: int) -> Trie:
+    """The transition table of the segments, each a leaf of its index.
+
+    Raises DictionaryError on an empty segment, a letter outside 0..k-1, or
+    a segment that repeats or is a prefix of another.
+    """
+    rows = [[0] * k]
     for index, seg in enumerate(segments):
-        node = root
-        for letter in seg[:-1]:
-            node = node.setdefault(letter, {})
-        if seg[-1] in node:
-            raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
-        node[seg[-1]] = index
-    return root
+        if not seg:
+            raise DictionaryError("empty segment at index %d" % index)
+        node = 0
+        last = len(seg) - 1
+        for depth, letter in enumerate(seg):
+            if not 0 <= letter < k:
+                raise DictionaryError("segment %r has letter %r outside [0, %d)"
+                                      % (seg, letter, k))
+            row = rows[node]
+            child = row[letter]
+            if depth == last:
+                if child:
+                    raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
+                row[letter] = ~index
+            elif child > 0:
+                node = child
+            elif child == 0:
+                node = row[letter] = len(rows)
+                rows.append([0] * k)
+            else:
+                raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
+    return Trie(rows, k)
 
 
-def walk(trie: dict, letters: Iterable[int]) -> Tuple[Optional[int], int]:
+def walk(trie: Trie, letters: Iterable[int]) -> Tuple[Optional[int], int]:
     """Descend the trie along the letters, reading no more than needed.
 
     Returns (leaf index, depth) at the first leaf reached, or (None, letters
-    read) when the letters run out first.  A letter with no child raises
-    DictionaryError.
+    read) when the letters run out first.  A letter outside the alphabet or
+    with no child raises DictionaryError.
     """
-    node = trie
+    rows, k = trie.rows, trie.k
+    node = 0
     depth = 0
     for letter in letters:
         depth += 1
-        try:
-            node = node[letter]
-        except KeyError:
+        if not 0 <= letter < k:
             raise DictionaryError("letter %r not parseable at depth %d"
-                                  % (letter, depth)) from None
-        if not isinstance(node, dict):
-            return node, depth
+                                  % (letter, depth))
+        node = rows[node][letter]
+        if node <= 0:
+            if node < 0:
+                return ~node, depth
+            raise DictionaryError("letter %r not parseable at depth %d"
+                                  % (letter, depth))
     return None, depth
+
+
+def walk_block(trie: Trie, letters: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """walk on every row of a (rows, width) letter array at once.
+
+    Returns (leaf index, depth) arrays; a row that reaches no leaf within
+    the width has index -1 and depth width.  Raises DictionaryError where
+    walk would on some row.
+    """
+    letters = np.asarray(letters)
+    n, width = letters.shape
+    if letters.size and (letters.min() < 0 or letters.max() >= trie.k):
+        raise DictionaryError("letter outside [0, %d) in block" % trie.k)
+    table = trie.table
+    index = np.full(n, -1, dtype=np.int64)
+    depth = np.full(n, width, dtype=np.int64)
+    active = np.arange(n)
+    node = np.zeros(n, dtype=table.dtype)
+    for d in range(width):
+        entry = table[node, letters[active, d]]
+        if not entry.all():
+            raise DictionaryError("letter not parseable at depth %d" % (d + 1))
+        leaf = entry < 0
+        done = active[leaf]
+        index[done] = ~entry[leaf]
+        depth[done] = d + 1
+        inner = ~leaf
+        active = active[inner]
+        if not active.size:
+            break
+        node = entry[inner]
+    return index, depth
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +582,14 @@ def load_dictionary(path) -> Dictionary:
 
 
 def dictionary_from_text(text: str) -> Dictionary:
+    """Parse a dictionary file; any malformed content raises DictionaryError."""
     lines = text.splitlines()
     if not lines:
         raise DictionaryError("empty dictionary file")
     try:
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise DictionaryError("header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise DictionaryError("unsupported format version %r" % header.get("format"))
         model = _models.model_from_dict(header["model"])
@@ -530,9 +607,10 @@ def dictionary_from_text(text: str) -> Dictionary:
             kind=str(header["kind"]),
             monotone_mismatches=int(header.get("monotone_mismatches", 0)),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise DictionaryError("malformed dictionary file: %s" % exc)
-    if dictionary.size != int(header["size"]):
+        size = int(header["size"])
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise DictionaryError("malformed dictionary file: %s" % exc) from None
+    if dictionary.size != size:
         raise DictionaryError("segment count disagrees with header")
     dictionary.check_structure()
     return dictionary

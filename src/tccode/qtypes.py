@@ -60,6 +60,8 @@ class Grid:
             origin = (_as_fraction(self.origin),)
         else:
             origin = tuple(_as_fraction(v) for v in self.origin)
+        if not origin:
+            raise ValueError("grid origin needs at least one coordinate")
         object.__setattr__(self, "origin", origin)
 
     def origin_at(self, i: int) -> Fraction:

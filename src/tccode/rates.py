@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dictionary import (Dictionary, TCProfile, choose_gamma_profile, length_masses,
-                         walk)
+                         walk_block)
 from .models import (
     ExpFamilyModel,
     ModelError,
@@ -92,16 +92,15 @@ def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
     p = np.exp2(letter_log_probs(model, theta))
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     max_len = dictionary.max_segment_length()
-    root = dictionary.trie()
-    counts: Dict[int, int] = {}
+    trie = dictionary.trie()
+    counts = np.zeros(max_len + 1, dtype=np.int64)
     chunk = 4096
     for start in range(0, n_samples, chunk):
         block = min(chunk, n_samples - start)
         letters = rng.choice(model.alphabet_size, size=(block, max_len), p=p)
-        for row in letters:
-            _, depth = walk(root, row.tolist())
-            counts[depth] = counts.get(depth, 0) + 1
-    masses = {ell: c / n_samples for ell, c in counts.items()}
+        _, depth = walk_block(trie, letters)
+        counts += np.bincount(depth, minlength=max_len + 1)
+    masses = {ell: int(c) / n_samples for ell, c in enumerate(counts) if c}
     return RateDistribution(masses, m_for_rate or dictionary.m_target,
                             mode="mc", n_samples=n_samples)
 
@@ -255,43 +254,49 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int,
     return worst
 
 
-def sweep_row(model: ExpFamilyModel, theta, m: int, eps: float, gamma: float,
-              profile: TCProfile) -> dict:
-    """One SWEEP_COLUMNS row of numbers; mc_rate and ci are left empty.
+def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float],
+               gamma: float, profile: TCProfile) -> List[dict]:
+    """One SWEEP_COLUMNS row of numbers per eps, all from one exact rate
+    distribution; mc_rate and ci are left empty.
 
     residual subtracts all three predicted terms; residual_scaled is the
     model-cost view (rate minus the first two terms) times log2 M / log2 log2 M,
     whose limit is H d/2.
     """
-    est = eps_coding_rate(profile_rate_distribution(profile, model, theta, m), eps)
+    dist = profile_rate_distribution(profile, model, theta, m)
     entropy, var = entropy_varentropy(model, theta)
-    pred = predicted_rate(entropy, math.sqrt(var), model.stat_dim, m, eps)
     logm = math.log2(m)
-    return {
-        "model_id": model.name,
-        "theta": ",".join("%.12g" % t for t in theta),
-        "M": m,
-        "eps": eps,
-        "gamma": gamma,
-        "dict_size": profile.leaf_count,
-        "exact_rate": est.rate,
-        "mc_rate": "",
-        "ci": "",
-        "predicted_first": pred.first,
-        "predicted_second": pred.second,
-        "predicted_third": pred.third,
-        "residual": est.rate - pred.first - pred.second - pred.third,
-        "residual_scaled": (est.rate - pred.first - pred.second) * logm / math.log2(logm),
-    }
+    rows = []
+    for eps in eps_values:
+        est = eps_coding_rate(dist, eps)
+        pred = predicted_rate(entropy, math.sqrt(var), model.stat_dim, m, eps)
+        rows.append({
+            "model_id": model.name,
+            "theta": ",".join("%.12g" % t for t in theta),
+            "M": m,
+            "eps": eps,
+            "gamma": gamma,
+            "dict_size": profile.leaf_count,
+            "exact_rate": est.rate,
+            "mc_rate": "",
+            "ci": "",
+            "predicted_first": pred.first,
+            "predicted_second": pred.second,
+            "predicted_third": pred.third,
+            "residual": est.rate - pred.first - pred.second - pred.third,
+            "residual_scaled": (est.rate - pred.first - pred.second) * logm
+                               / math.log2(logm),
+        })
+    return rows
 
 
 def sup_residual(model: ExpFamilyModel, grid: Grid, thetas, m: int, eps: float,
                  counter: Optional[TypeCounter] = None) -> List[dict]:
-    """One sweep_row per true parameter, on one threshold dictionary of size m."""
+    """One sweep row per true parameter, on one threshold dictionary of size m."""
     counter = counter or TypeCounter(model, grid)
     gamma, profile = choose_gamma_profile(model, grid, m, counter=counter)
-    return [sweep_row(model, np.atleast_1d(np.asarray(theta, dtype=float)), m, eps,
-                      gamma, profile) for theta in thetas]
+    return [sweep_rows(model, np.atleast_1d(np.asarray(theta, dtype=float)), m, [eps],
+                       gamma, profile)[0] for theta in thetas]
 
 
 SWEEP_COLUMNS = [

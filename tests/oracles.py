@@ -2,8 +2,12 @@
 
 import itertools
 import math
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
+import numpy as np
+
+from tccode import converse as C
+from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
 
@@ -106,3 +110,35 @@ def eps_rate_scan(dist, eps: float):
     support = dist.rate_support()
     exceeding = [v for v in support if dist.tail_at_rate(v) > eps]
     return (max(exceeding), False) if exceeding else (min(support), True)
+
+
+def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, float]:
+    """mc_rate_distribution's masses with one scalar walk per sampled row,
+    drawing the same letters: max_segment_length per row, 4096 rows a draw."""
+    k = dictionary.model.alphabet_size
+    p = np.exp2(M.letter_log_probs(dictionary.model, theta))
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    max_len = dictionary.max_segment_length()
+    counts: Dict[int, int] = {}
+    for start in range(0, n_samples, 4096):
+        block = min(4096, n_samples - start)
+        for row in rng.choice(k, size=(block, max_len), p=p):
+            _, depth = D.walk(dictionary.trie(), row.tolist())
+            counts[depth] = counts.get(depth, 0) + 1
+    return {ell: c / n_samples for ell, c in counts.items()}
+
+
+def event_counterexamples(dictionary, n: int, words: Iterable, base_width=None
+                          ) -> List[Tuple[Tuple[int, ...], bool, bool]]:
+    """check_event_equivalence's counterexamples, word by word with the
+    scalar vf_parse_shorter_than and fv_length."""
+    code = C.vf_to_fv(dictionary, n)
+    width = code.base_width if base_width is None else base_width
+    out = []
+    for word in words:
+        word = tuple(int(x) for x in word)
+        vf = C.vf_parse_shorter_than(dictionary, word)
+        fv = C.fv_length(code, word) > width
+        if vf != fv:
+            out.append((word, vf, fv))
+    return out

@@ -298,3 +298,46 @@ def test_dict_commands_use_the_dictionary_model(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"]
     assert report["reports"][0]["mass_identity"][0]["theta"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda header, lines: [{k: v for k, v in header.items() if k != "size"}] + lines,
+    lambda header, lines: [list(header)] + lines,
+    lambda header, lines: [dict(header, grid=None)] + lines,
+    lambda header, lines: [dict(header, grid={"W": "5/2", "origin": []})] + lines,
+    lambda header, lines: [header, "-1"] + lines[1:],
+    lambda header, lines: [header, " "] + lines[1:],
+], ids=["no-size", "array-header", "null-grid", "empty-origin", "negative-letter",
+        "empty-segment"])
+def test_malformed_dictionary_exits_2(tmp_path, capsys, corrupt):
+    path = tmp_path / "t.txt"
+    run(capsys, "tunstall", "--model", "bernoulli", "--theta", "-1.2",
+        "--M", "5", "--out", str(path))
+    first, *lines = path.read_text().splitlines()
+    header, *rest = corrupt(json.loads(first), lines)
+    path.write_text("\n".join([json.dumps(header)] + rest) + "\n")
+    bits = tmp_path / "bits.txt"
+    bits.write_text("000\n")
+    code, out, err = run(capsys, "decode", "--dict", str(path), "--input", str(bits))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("codeword", ["11", "0_1", "111"])
+def test_decode_rejects_bad_codewords(tmp_path, capsys, codeword):
+    # Five segments: three-bit codewords, of which 101..111 index nothing.
+    path = tmp_path / "t.txt"
+    run(capsys, "tunstall", "--model", "bernoulli", "--theta", "-1.2",
+        "--M", "5", "--out", str(path))
+    bits = tmp_path / "bits.txt"
+    bits.write_text("000\n001\n%s\n010\n" % codeword)
+    decoded = tmp_path / "dec.txt"
+    code, out, err = run(capsys, "decode", "--dict", str(path), "--input", str(bits),
+                         "--out", str(decoded))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+    assert not decoded.exists()

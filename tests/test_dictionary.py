@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -341,3 +342,75 @@ def test_load_rejects_corruption(tmp_path):
 def test_gamma_reference_value():
     assert D.gamma_reference(2 ** 20, 1) == pytest.approx(
         20.0 - math.log2(20.0), abs=1e-12)
+
+
+def test_trie_rejects_foreign_letters():
+    # Three children under the root, but -1 is no ternary letter.
+    d = D.Dictionary(model=TERN, grid=GRID, segments=((-1,), (0,), (1,)), m_target=3)
+    with pytest.raises(D.DictionaryError):
+        d.check_structure()
+    d = D.Dictionary(model=BERN, grid=GRID, segments=((0,), (1,), (2,)), m_target=3)
+    with pytest.raises(D.DictionaryError):
+        d.check_structure()
+    _, dictionary = tc64()
+    with pytest.raises(D.DictionaryError):
+        dictionary.parse_one(iter((-1,)))
+
+
+def test_trie_rejects_duplicates_and_prefixes():
+    for segs in (((0,), (0,), (1,)), ((0,), (0, 1), (1,)), ((),)):
+        d = D.Dictionary(model=BERN, grid=GRID, segments=segs, m_target=3)
+        with pytest.raises(D.DictionaryError):
+            d.check_structure()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_HEADER_KEYS = ["format", "kind", "gamma", "m_target", "size", "codeword_width",
+                "monotone_mismatches", "model", "grid"]
+
+
+@st.composite
+def corrupted_dictionary_texts(draw):
+    """A valid small dictionary file with its header or a segment line broken."""
+    model = draw(st.sampled_from([BERN, TERN]))
+    d = D.build_tunstall(model, [0.5], draw(st.integers(min_value=3, max_value=12)))
+    header_line, *lines = D.dictionary_to_text(d).splitlines()
+    header = json.loads(header_line)
+    how = draw(st.sampled_from(["header", "drop-key", "set-key", "set-nested",
+                                "segment", "letters"]))
+    if how == "header":
+        header_line = json.dumps(draw(_JSON))
+    elif how == "drop-key":
+        del header[draw(st.sampled_from(_HEADER_KEYS))]
+    elif how == "set-key":
+        header[draw(st.sampled_from(_HEADER_KEYS))] = draw(_JSON)
+    elif how == "set-nested":
+        part = draw(st.sampled_from(["model", "grid"]))
+        header[part][draw(st.sampled_from(sorted(header[part])))] = draw(_JSON)
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    if how == "segment":
+        lines[i] = draw(st.text(alphabet=" -0123456789x\t", max_size=8))
+    elif how == "letters":
+        lines[i] = " ".join(map(str, draw(st.lists(st.integers(min_value=-3, max_value=4),
+                                                   max_size=5))))
+    if how in ("drop-key", "set-key", "set-nested"):
+        header_line = json.dumps(header)
+    return "\n".join([header_line] + lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_dictionary_texts())
+def test_corrupted_files_load_or_raise_dictionary_error(text):
+    try:
+        d = D.dictionary_from_text(text)
+    except D.DictionaryError:
+        return
+    # Whatever loads is a usable dictionary.
+    d.check_structure()
+    saved = D.dictionary_to_text(d)
+    assert D.dictionary_to_text(D.dictionary_from_text(saved)) == saved
+    assert d.parse_one(iter(d.segments[0])).index == 0

@@ -1,0 +1,117 @@
+"""The bulk walks (walk_block, Monte-Carlo sampling, the exhaustive and
+sampled converse checks) against the scalar walk, row by row."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tccode import converse as C
+from tccode import dictionary as D
+from tccode import models as M
+from tccode import qtypes as Q
+from tccode import rates as R
+
+from oracles import event_counterexamples, mc_length_masses
+
+
+BERN = M.bernoulli()
+TERN = M.ternary()
+QUAT = M.quaternary()
+GRID = Q.construction_grid()
+
+
+@st.composite
+def dictionaries(draw):
+    """Random Tunstall and threshold dictionaries over k = 2, 3, 4."""
+    model = draw(st.sampled_from([BERN, TERN, QUAT]))
+    if draw(st.booleans()):
+        theta = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                              min_size=model.stat_dim, max_size=model.stat_dim))
+        return D.build_tunstall(model, theta, draw(st.integers(min_value=4,
+                                                               max_value=200)))
+    gamma = draw(st.sampled_from([1.0, 2.5, 4.0, 5.5]))
+    return D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dictionaries(), st.integers(min_value=1, max_value=50),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0))
+def test_walk_block_matches_scalar_walk(d, rows, extra, seed):
+    k = d.model.alphabet_size
+    # Widths below the longest segment leave some rows without a leaf.
+    width = max(1, d.max_segment_length() - 2 + extra)
+    letters = np.random.default_rng(seed).integers(0, k, size=(rows, width))
+    index, depth = D.walk_block(d.trie(), letters)
+    for row, i, ell in zip(letters, index, depth):
+        want_index, want_depth = D.walk(d.trie(), row.tolist())
+        assert (i if i >= 0 else None, ell) == (want_index, want_depth)
+
+
+def test_walk_block_rejects_foreign_letters():
+    d = D.build_tunstall(TERN, [0.3], 20)
+    for bad in (-1, 3):
+        with pytest.raises(D.DictionaryError):
+            D.walk_block(d.trie(), np.array([[0, bad, 0]]))
+        with pytest.raises(D.DictionaryError):
+            D.walk(d.trie(), [bad])
+
+
+def test_walks_reject_a_missing_child():
+    d = D.Dictionary(model=BERN, grid=GRID, segments=((0, 0), (1,)), m_target=3)
+    with pytest.raises(D.DictionaryError):
+        D.walk(d.trie(), [0, 1])
+    with pytest.raises(D.DictionaryError):
+        D.walk_block(d.trie(), np.array([[1, 0], [0, 1]]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(dictionaries(), st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                min_size=2, max_size=2),
+       st.integers(min_value=1, max_value=9000), st.integers(min_value=0, max_value=2 ** 32))
+def test_mc_masses_match_scalar_oracle(d, theta, n_samples, seed):
+    theta = theta[:d.model.stat_dim]
+    dist = R.mc_rate_distribution(d, theta, n_samples, seed)
+    assert dist.masses == dict(sorted(mc_length_masses(d, theta, n_samples, seed).items()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dictionaries(), st.integers(min_value=1, max_value=6), st.booleans())
+def test_exhaustive_counterexamples_match_oracle(d, n, narrow):
+    base_width = C.vf_to_fv(d, n).base_width - 1 if narrow else None
+    words = itertools.product(range(d.model.alphabet_size), repeat=n)
+    report = C.check_event_equivalence(d, n, base_width=base_width)
+    assert report.exhaustive
+    assert report.counterexamples == event_counterexamples(d, n, words, base_width)
+    assert report.passed == (not narrow or report.counterexamples == [])
+
+
+@pytest.mark.parametrize("theta", [-2.0, 2.0])
+@pytest.mark.parametrize("base_width", [None, 2])
+def test_exhaustive_check_over_a_partial_last_block(theta, base_width):
+    # 3^9 = 19683 words: four full blocks of 4096 and a partial one.  The
+    # dictionary has segments up to length 13 along the letter 0 (theta < 0)
+    # or 2 (theta > 0), so a base width below the code's makes the words
+    # parsed at length >= 9, in the first or the last block, counterexamples.
+    d = D.build_tunstall(TERN, [theta], 27)
+    words = itertools.product(range(3), repeat=9)
+    report = C.check_event_equivalence(d, 9, base_width=base_width)
+    assert report.checked == 3 ** 9
+    oracle = event_counterexamples(d, 9, words, base_width)
+    assert report.counterexamples == oracle
+    assert bool(oracle) == (base_width is not None)
+
+
+@pytest.mark.parametrize("base_width", [None, 3])
+def test_sampled_counterexamples_match_oracle(base_width):
+    # Segments reach length 11; at theta = (3, 3) long parses are common.
+    d = D.build_tunstall(QUAT, [3.0, 3.0], 40)
+    report = C.check_event_equivalence(d, 7, base_width=base_width, exhaustive_cap=100,
+                                       sample_budget=5000, theta=[3.0, 3.0], seed=4)
+    assert not report.exhaustive and report.checked == 5000
+    words = (M.sample_stream(QUAT, [3.0, 3.0], 4 + trial, 7) for trial in range(5000))
+    oracle = event_counterexamples(d, 7, words, base_width)
+    assert report.counterexamples == oracle
+    assert bool(oracle) == (base_width is not None)
