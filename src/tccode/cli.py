@@ -26,7 +26,7 @@ from . import dictionary as _dict
 from . import models as _models
 from . import qtypes as _qtypes
 from . import rates as _rates
-from .converse import check_event_equivalence, fv_overflow_mass, vf_short_mass, vf_to_fv
+from .converse import check_event_equivalence, fv_overflow_mass, vf_short_mass
 from .models import entropy_varentropy
 
 log = logging.getLogger("tccode")
@@ -256,9 +256,11 @@ def cmd_evaluate(args) -> int:
     thetas = _thetas(args, model)
     eps_values = _parse_float_list(args.eps) if args.eps is not None else [0.1]
     seed = int(args.seed or 0)
-    trials = int(args.trials or 10000)
+    trials = 10000 if args.trials is None else int(args.trials)
     mode = "mc" if args.mc else "exact"
     pred_mode = "iterative" if args.iterative else "formula"
+    if mode == "mc" and trials < 1:
+        raise CliError("--trials must be positive, got %d" % trials)
 
     if dictionary is not None:
         m = dictionary.m_target
@@ -379,11 +381,10 @@ def cmd_converse_check(args) -> int:
     ok = True
     for n in sorted(n_values):
         report = check_event_equivalence(dictionary, n, seed=int(args.seed or 0))
-        code = vf_to_fv(dictionary, n)
         mass_rows = []
         for theta in thetas:
             short = vf_short_mass(dictionary, theta, n)
-            overflow = fv_overflow_mass(code, theta)
+            overflow = fv_overflow_mass(report.code, theta)
             mass_rows.append({
                 "theta": list(theta),
                 "vf_short_mass": short,
@@ -415,8 +416,7 @@ def cmd_normality(args) -> int:
     rows = []
     for theta in thetas:
         for ell in sorted(ell_values):
-            dev = _rates.normality_deviation(model, theta, ell,
-                                             seed=int(args.seed or 0))
+            dev = _rates.normality_deviation(model, theta, ell)
             rows.append({"theta": list(theta), "ell": ell,
                          "deviation": dev, "scaled": dev * math.sqrt(ell)})
     _emit({"model": model.name, "results": rows}, args.out)

@@ -109,6 +109,7 @@ class EquivalenceReport:
     checked: int
     exhaustive: bool
     counterexamples: List[Tuple[Segment, bool, bool]]
+    code: FVCode
 
     @property
     def passed(self) -> bool:
@@ -161,4 +162,4 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
         for start in range(0, sample_budget, _BLOCK):
             check(np.array([sample_stream(dictionary.model, theta, seed + trial, n)
                             for trial in range(start, min(start + _BLOCK, sample_budget))]))
-    return EquivalenceReport(n, width, checked, exhaustive, counterexamples)
+    return EquivalenceReport(n, width, checked, exhaustive, counterexamples, code)

@@ -6,7 +6,9 @@ lower-open and upper-closed in every coordinate, and all membership tests are
 exact so that boundary points classify deterministically: cell_of works in
 rational arithmetic, TypeCounter on an integer lattice of statistic sums.
 Class sizes are exact big-integer counts, obtained by convolving the number
-of sequences per statistic sum one letter at a time.
+of sequences per statistic sum one letter at a time.  scaled_statistics is
+the one scaling of the rational letter statistics onto that lattice; the
+normality diagnostic in rates convolves float masses over the same sums.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .models import (
     ExpFamilyModel,
@@ -31,8 +33,7 @@ CellIndex = Tuple[int, ...]
 
 
 class CountingCapError(RuntimeError):
-    """The length asked for has more letter compositions than the
-    configured resource cap."""
+    """The length asked for would cost more than a resource cap allows."""
 
 
 @dataclass(frozen=True)
@@ -115,28 +116,21 @@ def cell_center(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex
     )
 
 
-def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def composition_count(total: int, parts: int) -> int:
+    """Number of letter-count vectors of a length-total sequence over parts
+    letters: the measure of TypeCounter's max_compositions cap."""
     return math.comb(total + parts - 1, parts - 1)
 
 
-def multinomial(counts) -> int:
-    """Exact multinomial coefficient l! / prod(counts!)."""
-    out = 1
-    rem = sum(counts)
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
+def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
+                      ) -> Tuple[int, Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """(D, letter statistics times D, origin times D): D is the least common
+    denominator of both, so every statistic sum is an integer vector."""
+    scale = math.lcm(*(v.denominator for row in model.tau for v in row),
+                     *(o.denominator for o in origin))
+    return (scale,
+            tuple(tuple(int(v * scale) for v in row) for row in model.tau),
+            tuple(int(o * scale) for o in origin))
 
 
 class TypeCounter:
@@ -159,12 +153,8 @@ class TypeCounter:
         self.grid = grid
         self.max_compositions = max_compositions
         d = model.stat_dim
-        origin = [grid.origin_at(i) for i in range(d)]
-        scale = math.lcm(*(v.denominator for row in model.tau for v in row),
-                         *(o.denominator for o in origin))
-        self._letter_stats = tuple(tuple(int(v * scale) for v in row)
-                                   for row in model.tau)
-        self._origin = tuple(int(o * scale) for o in origin)
+        scale, self._letter_stats, self._origin = scaled_statistics(
+            model, [grid.origin_at(i) for i in range(d)])
         # Cell width D*W = cell_den / cell_num in units of the integer sums.
         self._cell_num = grid.side.denominator
         self._cell_den = scale * grid.side.numerator

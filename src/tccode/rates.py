@@ -1,6 +1,7 @@
 """Coding-rate evaluation: exact and Monte-Carlo overflow-rate distributions,
 the three-term asymptotic prediction, and a normality diagnostic for the
-information density."""
+information density, exact at every length it accepts: that density depends
+on a sequence only through its integer statistic sum."""
 
 from __future__ import annotations
 
@@ -17,17 +18,10 @@ from .models import (
     ModelError,
     entropy_varentropy,
     letter_log_probs,
-    sample_stream,
+    log_partition,
 )
 from .normal import gaussian_quantile, gaussian_tail
-from .qtypes import (
-    CountingCapError,
-    Grid,
-    TypeCounter,
-    composition_count,
-    compositions,
-    multinomial,
-)
+from .qtypes import CountingCapError, Grid, TypeCounter, scaled_statistics
 
 
 @dataclass
@@ -210,48 +204,58 @@ def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
     return pred
 
 
-def normality_deviation(model: ExpFamilyModel, theta, ell: int,
-                        z_grid: Optional[Sequence[float]] = None,
-                        exact_cap: int = 10 ** 6,
-                        n_samples: int = 10 ** 5, seed: int = 0) -> float:
-    """sup over the z grid of |P(normalized information > z) - Q(z)|.
+# A normality call costs about ell * (mass-table cells) * k float adds; one
+# past either cap fails before it allocates anything.
+NORMALITY_MAX_ADDS = 10 ** 10
+NORMALITY_MAX_CELLS = 2 ** 22
 
-    Exact through composition enumeration when affordable, Monte-Carlo
-    otherwise.  Degenerate (zero-varentropy) sources are rejected.
+
+def _sum_masses(model: ExpFamilyModel, theta, ell: int
+                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(masses, low, D): masses[j] is the probability under p_theta that a
+    length-ell sequence has statistic sum (j + ell * low) / D, with D and
+    the integer letter statistics from qtypes.scaled_statistics.  Each letter
+    adds k shifted, weighted copies: TypeCounter's convolution, in floats."""
+    scale, stats, _ = scaled_statistics(model)
+    low = np.min(stats, axis=0)
+    shifts = np.array(stats) - low
+    span = shifts.max(axis=0).tolist()
+    cells = math.prod(s * ell + 1 for s in span)
+    adds = ell * cells * model.alphabet_size
+    if adds > NORMALITY_MAX_ADDS or cells > NORMALITY_MAX_CELLS:
+        raise CountingCapError(
+            "normality at ell=%d needs %d adds over %d cells (caps %d, %d)"
+            % (ell, adds, cells, NORMALITY_MAX_ADDS, NORMALITY_MAX_CELLS))
+    p = np.exp2(letter_log_probs(model, theta))
+    masses = np.ones((1,) * model.stat_dim)
+    for length in range(1, ell + 1):
+        grown = np.zeros([s * length + 1 for s in span])
+        for px, shift in zip(p, shifts):
+            window = tuple(slice(a, a + n) for a, n in zip(shift, masses.shape))
+            grown[window] += px * masses
+        masses = grown
+    return masses, low, scale
+
+
+def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:
+    """sup over a fixed z grid of |P(normalized information > z) - Q(z)|.
+
+    The information density ell psi - <theta, A>/D of a sequence with
+    integer statistic sum A is read off _sum_masses.  Degenerate
+    (zero-varentropy) sources are rejected.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     entropy, var = entropy_varentropy(model, theta)
     if var <= 1e-14:
         raise ModelError("zero varentropy: the normal approximation is degenerate")
-    sigma = math.sqrt(var)
-    if z_grid is None:
-        z_grid = np.linspace(-3.0, 3.0, 121)
-    k = model.alphabet_size
-    if composition_count(ell, k) <= exact_cap:
-        infos = []
-        masses = []
-        lp = letter_log_probs(model, theta)
-        for counts in compositions(ell, k):
-            logp = float(sum(c * lp[x] for x, c in enumerate(counts)))
-            infos.append(-logp)
-            masses.append(2.0 ** (math.log2(multinomial(counts)) + logp))
-        infos = np.array(infos)
-        masses = np.array(masses)
-    else:
-        rng_infos = []
-        lp = letter_log_probs(model, theta)
-        for trial in range(n_samples):
-            seq = sample_stream(model, theta, seed + trial, ell)
-            rng_infos.append(float(-lp[seq].sum()))
-        infos = np.array(rng_infos)
-        masses = np.full(len(infos), 1.0 / len(infos))
-    z_values = (infos - ell * entropy) / (sigma * math.sqrt(ell))
-    worst = 0.0
-    for z in z_grid:
-        tail = float(masses[z_values > z].sum())
-        worst = max(worst, abs(tail - gaussian_tail(float(z))))
-    return worst
+    masses, low, scale = _sum_masses(model, theta, ell)
+    sums = np.indices(masses.shape) + (ell * low).reshape((-1,) + (1,) * masses.ndim)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    info = ell * log_partition(model, theta) - np.tensordot(theta, sums / scale, axes=1)
+    z_values = (info - ell * entropy) / (math.sqrt(var) * math.sqrt(ell))
+    return max(abs(float(masses[z_values > z].sum()) - gaussian_tail(float(z)))
+               for z in np.linspace(-3.0, 3.0, 121))
 
 
 def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float],

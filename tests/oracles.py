@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -10,8 +11,36 @@ from tccode import converse as C
 from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
+from tccode.normal import gaussian_tail
 
 Segment = Tuple[int, ...]
+
+# Fractional letter statistics: the integer lattice needs a common denominator.
+FRAC = M.ExpFamilyModel(
+    alphabet_size=3, stat_dim=1,
+    tau=((Fraction(1, 2),), (Fraction(3, 4),), (Fraction(-2),)),
+    theta_box=((-1.0, 1.0),), name="fractional",
+)
+
+
+def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    """All nonnegative integer vectors of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def multinomial(counts) -> int:
+    """Exact multinomial coefficient l! / prod(counts!)."""
+    out = 1
+    rem = sum(counts)
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
 
 
 def enumerate_complete_trees(k: int, max_leaves: int) -> Iterator[Tuple[Segment, ...]]:
@@ -63,9 +92,9 @@ def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
     """Cell -> class size at length ell, enumerating letter compositions and
     placing each with the rational cell_of."""
     row: Dict[Tuple[int, ...], int] = {}
-    for counts in Q.compositions(ell, model.alphabet_size):
+    for counts in compositions(ell, model.alphabet_size):
         idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
-        row[idx] = row.get(idx, 0) + Q.multinomial(counts)
+        row[idx] = row.get(idx, 0) + multinomial(counts)
     return row
 
 
@@ -142,3 +171,31 @@ def event_counterexamples(dictionary, n: int, words: Iterable, base_width=None
         if vf != fv:
             out.append((word, vf, fv))
     return out
+
+
+def sum_masses_oracle(model, theta, ell) -> Dict[Tuple[Fraction, ...], float]:
+    """Probability of each rational statistic sum of a length-ell sequence,
+    enumerating letter compositions: multinomial times p_theta of one member."""
+    out: Dict[Tuple[Fraction, ...], float] = {}
+    for counts in compositions(ell, model.alphabet_size):
+        key = tuple(sum(c * row[i] for c, row in zip(counts, model.tau))
+                    for i in range(model.stat_dim))
+        mass = multinomial(counts) * 2.0 ** M.counts_log_prob(model, theta, counts)
+        out[key] = out.get(key, 0.0) + mass
+    return out
+
+
+def normality_oracle(model, theta, ell) -> float:
+    """normality_deviation by enumerating letter compositions, with
+    big-integer multinomials, on the same z grid."""
+    entropy, var = M.entropy_varentropy(model, theta)
+    lp = M.letter_log_probs(model, theta)
+    infos, masses = [], []
+    for counts in compositions(ell, model.alphabet_size):
+        logp = float(sum(c * lp[x] for x, c in enumerate(counts)))
+        infos.append(-logp)
+        masses.append(2.0 ** (math.log2(multinomial(counts)) + logp))
+    z_values = (np.array(infos) - ell * entropy) / (math.sqrt(var) * math.sqrt(ell))
+    masses = np.array(masses)
+    return max(abs(float(masses[z_values > z].sum()) - gaussian_tail(float(z)))
+               for z in np.linspace(-3.0, 3.0, 121))

@@ -19,7 +19,7 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
-from oracles import enumerate_complete_trees
+from oracles import compositions, enumerate_complete_trees
 
 
 BERN = M.bernoulli()
@@ -95,7 +95,7 @@ def test_04_two_sided_size_band(verdict):
     values = []
     for ell in range(4, 11):
         best = -math.inf
-        for counts in Q.compositions(ell, 2):
+        for counts in compositions(ell, 2):
             v = counter.log2_size_for_counts(counts) \
                 - Q.log_type_size_core_counts(BERN, counts)
             values.append(v)
@@ -112,7 +112,7 @@ def test_05_increment_boundedness(verdict):
     by_ell = {}
     for ell in range(1, 12):
         best = -math.inf
-        for counts in Q.compositions(ell, 2):
+        for counts in compositions(ell, 2):
             for x in range(2):
                 best = max(best, Q.info_increment_counts(BERN, counts, x))
         by_ell[ell] = best

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -212,6 +213,51 @@ def test_normality_command(capsys):
     rows = json.loads(out)["results"]
     assert [r["ell"] for r in rows] == [16, 64]
     assert rows[1]["deviation"] < rows[0]["deviation"]
+
+
+def test_normality_over_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normality", "--model", "quaternary",
+                         "--theta=0.5,-1", "--n", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "cap" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_evaluate_mc_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "evaluate", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64", "--eps", "0.1", "--mc", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "trials" in json.loads(err)["error"]
+
+
+def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
+    from tccode import cli
+    from tccode import converse as C
+
+    path = tmp_path / "q.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "64",
+                     "--out", str(path))
+    assert code == 0
+    built = []
+
+    def counting(dictionary, n):
+        built.append(n)
+        return original(dictionary, n)
+
+    original = C.vf_to_fv
+    monkeypatch.setattr(C, "vf_to_fv", counting)
+    # A name cli imported itself would escape the patch above.
+    monkeypatch.setattr(cli, "vf_to_fv", counting, raising=False)
+    code, out, _ = run(capsys, "converse-check", "--dict", str(path), "--n", "2,3")
+    assert code == 0
+    assert json.loads(out)["passed"]
+    assert built == [2, 3]
 
 
 def test_unknown_model_is_reported(capsys):

@@ -9,18 +9,12 @@ from hypothesis import strategies as st
 from tccode import models as M
 from tccode import qtypes as Q
 
-from oracles import composition_row
+from oracles import FRAC, composition_row, compositions, multinomial
 
 
 BERN = M.bernoulli()
 TERN = M.ternary()
 QUAT = M.quaternary()
-# Fractional letter statistics: the integer lattice needs a common denominator.
-FRAC = M.ExpFamilyModel(
-    alphabet_size=3, stat_dim=1,
-    tau=((Fraction(1, 2),), (Fraction(3, 4),), (Fraction(-2),)),
-    theta_box=((-1.0, 1.0),), name="fractional",
-)
 
 
 def test_cell_of_oracle_values():
@@ -57,10 +51,10 @@ def test_grid_validation():
 
 
 def test_multinomial_and_compositions():
-    assert Q.multinomial((2, 2)) == 6
-    assert Q.multinomial((1, 2, 3)) == math.factorial(6) // (1 * 2 * 6)
+    assert multinomial((2, 2)) == 6
+    assert multinomial((1, 2, 3)) == math.factorial(6) // (1 * 2 * 6)
     for total, parts in [(5, 2), (4, 3), (0, 2)]:
-        rows = list(Q.compositions(total, parts))
+        rows = list(compositions(total, parts))
         assert len(rows) == Q.composition_count(total, parts)
         assert len(set(rows)) == len(rows)
         assert all(sum(r) == total for r in rows)
@@ -138,7 +132,7 @@ def test_class_size_at_least_own_type(seq):
     # A quantized class contains at least the exact type of its member.
     counter = Q.TypeCounter(BERN, Q.construction_grid())
     counts = (seq.count(0), seq.count(1))
-    assert counter.size_of_sequence(seq) >= Q.multinomial(counts)
+    assert counter.size_of_sequence(seq) >= multinomial(counts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,7 +174,7 @@ def test_row_matches_composition_oracle(model, side, origin, ells):
     for ell in ells:
         row = counter.row(ell)
         assert row == composition_row(model, grid, ell)
-        for counts in Q.compositions(ell, model.alphabet_size):
+        for counts in compositions(ell, model.alphabet_size):
             idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
             assert counter.cell_for_counts(counts) == idx
             assert counter.size_for_counts(counts) == row[idx]

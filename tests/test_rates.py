@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
-from oracles import eps_rate_scan
+from oracles import FRAC, eps_rate_scan, normality_oracle, sum_masses_oracle
 
 
 BERN = M.bernoulli()
@@ -184,10 +186,62 @@ def test_normality_rejects_degenerate():
         R.normality_deviation(BERN, [0.0], 16)
 
 
-def test_normality_mc_branch():
-    dev = R.normality_deviation(BERN, [-2.0], 32, exact_cap=1,
-                                n_samples=2000, seed=3)
-    assert 0.0 <= dev <= 0.2
+def _model_theta_ell(models, max_ell):
+    """A model, a parameter vector drawn from its box and a length."""
+    return st.sampled_from(models).flatmap(lambda model: st.tuples(
+        st.just(model),
+        st.tuples(*(st.floats(lo, hi) for lo, hi in model.theta_box)),
+        st.integers(1, max_ell)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_model_theta_ell([BERN, M.ternary(), M.quaternary(), FRAC], 10))
+def test_sum_masses_match_composition_oracle(case):
+    # Every cell of the convolved table is the mass of one integer statistic
+    # sum; the oracle sums multinomial masses per rational sum.
+    model, theta, ell = case
+    masses, low, scale = R._sum_masses(model, theta, ell)
+    oracle = sum_masses_oracle(model, theta, ell)
+    assert np.count_nonzero(masses) == len(oracle)
+    for idx in np.ndindex(masses.shape):
+        stat_sum = tuple(Fraction(j + ell * int(lo), scale) for j, lo in zip(idx, low))
+        assert masses[idx] == pytest.approx(oracle.get(stat_sum, 0.0), rel=1e-12, abs=0.0)
+    assert math.fsum(masses.flat) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model, theta, ell", [
+    (BERN, [-2.0], 16), (BERN, [-2.0], 64), (BERN, [0.5], 64),
+    (M.ternary(), [1.0], 16), (M.ternary(), [1.0], 64),
+    (M.quaternary(), [0.5, -1.0], 16), (FRAC, [0.5], 16),
+])
+def test_normality_matches_enumeration_oracle(model, theta, ell):
+    assert R.normality_deviation(model, theta, ell) == pytest.approx(
+        normality_oracle(model, theta, ell), abs=1e-12)
+
+
+# Letter statistics 0 and 10^6: at ell=70 the table would have 7*10^7 cells
+# (560 MB) for fewer adds than NORMALITY_MAX_ADDS allows.
+WIDE = M.ExpFamilyModel(alphabet_size=2, stat_dim=1, tau=((0,), (10 ** 6,)),
+                        theta_box=((-1e-6, 1e-6),), name="wide")
+
+
+@pytest.mark.parametrize("model, theta, ell", [
+    (M.quaternary(), [0.5, -1.0], 4096), (WIDE, [1e-7], 70)])
+def test_normality_cap_fails_before_allocating(model, theta, ell):
+    tracemalloc.start()
+    try:
+        with pytest.raises(Q.CountingCapError):
+            R.normality_deviation(model, theta, ell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_normality_caps_admit_quaternary_1024():
+    # The caps still admit quaternary at ell=1024: 1025^2 cells, 4 letters.
+    assert 1024 * 1025 ** 2 * 4 <= R.NORMALITY_MAX_ADDS
+    assert 1025 ** 2 <= R.NORMALITY_MAX_CELLS
 
 
 # ---------------------------------------------------------------------------
