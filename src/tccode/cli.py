@@ -317,6 +317,8 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs --M and --eps lists")
     seed = int(args.seed or 0)
     trials = int(args.trials) if args.trials else 0
+    if trials < 0:
+        raise CliError("--trials must be nonnegative, got %d" % trials)
     out = args.out
     if not out:
         raise CliError("sweep needs --out for its CSV")

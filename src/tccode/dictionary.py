@@ -22,7 +22,7 @@ import numpy as np
 
 from . import models as _models
 from .models import ExpFamilyModel, counts_log_prob_at
-from .qtypes import Grid, TypeCounter
+from .qtypes import SIZE_CAP, Grid, TypeCounter
 
 Segment = Tuple[int, ...]
 # (segment length, letter counts, number of segments with both).
@@ -328,7 +328,10 @@ class TCProfile:
     what makes size-2^20 dictionaries evaluable without materializing them.
     The dictionary is the same for every gamma whose size_limit lies in
     [max_internal_size, min_leaf_size); above that, it changes only where
-    the limit reaches one of leaf_sizes.
+    the limit reaches one of leaf_sizes.  Sizes come from TypeCounter,
+    saturated at qtypes.SIZE_CAP: every internal size is at most the limit,
+    below the cap, and so exact, while leaf_sizes may hold SIZE_CAP itself
+    for leaves whose class is larger.
     """
 
     gamma: float
@@ -365,8 +368,12 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     """The first-passage rule as a dynamic program over letter-count classes,
     linear in the number of reachable count classes rather than in the number
     of segments; the test suite checks it against a per-sequence oracle."""
-    counter = counter or TypeCounter(model, grid)
     limit = size_limit(gamma)
+    if limit >= SIZE_CAP:
+        # A size saturated at the cap no longer says whether it passes.
+        raise DictionaryError("gamma=%.6g needs class sizes above the counting "
+                              "cap %d" % (gamma, SIZE_CAP))
+    counter = counter or TypeCounter(model, grid)
     k = model.alphabet_size
     # frontier: counts -> [clean multiplicity, dipped multiplicity]
     frontier: Dict[Tuple[int, ...], List[int]] = {(0,) * k: [1, 0]}
@@ -474,10 +481,15 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
     geometric middle itself before any probe was feasible): a leaf splits
     once the limit reaches its size.  The returned gamma is log2 of the
     largest internal class size, the smallest threshold with the same
-    dictionary.
+    dictionary.  Every probed limit is below m < SIZE_CAP and the search
+    reads only leaf sizes below hi <= m, so class sizes saturated at
+    SIZE_CAP decide it exactly.
     """
     if m < model.alphabet_size:
         raise DictionaryError("m must be at least the alphabet size")
+    if m >= SIZE_CAP:
+        raise DictionaryError("m must be below the class-size counting cap %d"
+                              % SIZE_CAP)
     counter = counter or TypeCounter(model, grid)
     best: Optional[TCProfile] = None
     lo, hi = 1, m

@@ -5,19 +5,23 @@ sufficient statistics fall in the same cuboid of side W/l.  Cells are
 lower-open and upper-closed in every coordinate, and all membership tests are
 exact so that boundary points classify deterministically: cell_of works in
 rational arithmetic, TypeCounter on an integer lattice of statistic sums.
-Class sizes are exact big-integer counts, obtained by convolving the number
-of sequences per statistic sum one letter at a time.  scaled_statistics is
-the one scaling of the rational letter statistics onto that lattice; the
-normality diagnostic in rates convolves float masses over the same sums.
+Class sizes are exact counts saturated at SIZE_CAP, obtained by convolving
+the number of sequences per statistic sum one letter at a time in int64.
+scaled_statistics is the one scaling of the rational letter statistics onto
+that lattice; the normality diagnostic in rates convolves float masses over
+the same sums.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .models import (
     ExpFamilyModel,
@@ -116,12 +120,6 @@ def cell_center(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex
     )
 
 
-def composition_count(total: int, parts: int) -> int:
-    """Number of letter-count vectors of a length-total sequence over parts
-    letters: the measure of TypeCounter's max_compositions cap."""
-    return math.comb(total + parts - 1, parts - 1)
-
-
 def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
                       ) -> Tuple[int, Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """(D, letter statistics times D, origin times D): D is the least common
@@ -133,80 +131,192 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
             tuple(int(o * scale) for o in origin))
 
 
+# Class sizes saturate here.  Every construction decision compares a size
+# with an integer limit below m < SIZE_CAP, and saturation commutes with
+# addition: min(a + b, C) == min(min(a, C) + min(b, C), C) for a, b >= 0.
+SIZE_CAP = 2 ** 40
+_INT64_MAX = 2 ** 63 - 1
+
+
+class Row(Mapping):
+    """Class sizes of one length: a dense int64 array over the box of cells
+    the length's statistic sums reach, whose lowest cell is first.  As a
+    Mapping, cell index -> size, it holds the occupied cells only."""
+
+    __slots__ = ("sizes", "first", "_view")
+
+    def __init__(self, sizes: np.ndarray, first: CellIndex):
+        self.sizes = sizes
+        self.first = first
+        # Indexing a memoryview returns a Python int, faster than item().
+        self._view = memoryview(sizes)
+
+    def size(self, idx) -> int:
+        """The size of cell idx; 0 outside the box."""
+        offset = tuple(map(operator.sub, idx, self.first))
+        if min(offset) < 0:
+            return 0
+        try:
+            return self._view[offset]
+        except IndexError:
+            return 0
+
+    def __getitem__(self, idx) -> int:
+        n = self.size(idx)
+        if not n:
+            raise KeyError(idx)
+        return n
+
+    def __iter__(self) -> Iterator[CellIndex]:
+        for offset in zip(*np.nonzero(self.sizes)):
+            yield tuple(int(o) + f for o, f in zip(offset, self.first))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.sizes))
+
+
 class TypeCounter:
-    """Exact quantized-type-class sizes for one (model, grid) pair.
+    """Quantized-type-class sizes for one (model, grid) pair, exact up to
+    SIZE_CAP and saturated there.
 
     The letter statistics and the grid origin are scaled by one common
     denominator D, so a letter's statistic is an integer vector a_x and a
-    sequence's statistic sum an integer vector A.  The number of sequences per
-    sum at length l comes from the table at l - 1 by one convolution step (one
-    big-int add per letter per sum), and a sum lies in cell
-    j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, by integer
-    floor division.  Only the latest sum table is kept; the cell rows of every
-    length passed are memoized, and may be read concurrently once
-    construction-time writes have finished.
+    sequence's statistic sum an integer vector A.  Axis i of the sum table
+    at length l holds A_i = l low_i + g_i t for t = 0 .. l span_i, where
+    low_i = min_x a_{x,i} and g_i is the gcd of the differences
+    a_{x,i} - low_i.  The number of sequences per sum at length l comes from
+    the table at l - 1 by k shifted slice-adds, one per letter, and a sum lies
+    in cell j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i.  The
+    cell index is monotone along each axis, so a length's row sums the table
+    over cell windows one axis at a time.  Only the latest sum table is kept;
+    the row of every length passed is memoized as a Row, and rows may be read
+    concurrently once construction-time writes have finished.
+
+    No int64 sum overflows: every table entry and every row entry is clipped
+    to SIZE_CAP after each step, a step adds at most k entries and a row
+    window at most min(cell window, axis length) entries, and row() checks
+    that these counts times SIZE_CAP, and the scaled sums times the cell
+    width's denominator, stay below 2^63 before it counts anything.  It also
+    refuses a length whose rows and sum table would hold more than max_cells
+    cells.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid,
-                 max_compositions: int = 10 ** 8):
+                 max_cells: int = 2 ** 25):
         self.model = model
         self.grid = grid
-        self.max_compositions = max_compositions
+        self.max_cells = max_cells
         d = model.stat_dim
-        scale, self._letter_stats, self._origin = scaled_statistics(
+        scale, stats, self._origin = scaled_statistics(
             model, [grid.origin_at(i) for i in range(d)])
+        self._axis_stats = tuple(tuple(a[i] for a in stats) for i in range(d))
         # Cell width D*W = cell_den / cell_num in units of the integer sums.
         self._cell_num = grid.side.denominator
         self._cell_den = scale * grid.side.numerator
-        self._rows: Dict[int, Dict[CellIndex, int]] = {}
-        self._sums: Dict[Tuple[int, ...], int] = {(0,) * d: 1}
+        low = [min(a[i] for a in stats) for i in range(d)]
+        # A statistic constant along an axis has gcd 0; its axis has one sum.
+        self._step = tuple(math.gcd(*(a[i] - low[i] for a in stats)) or 1
+                           for i in range(d))
+        self._low = tuple(low)
+        self._shifts = [tuple((a[i] - low[i]) // self._step[i] for i in range(d))
+                        for a in stats]
+        self._span = tuple(max(s[i] for s in self._shifts) for i in range(d))
+        # Most sums on one axis that a cell can hold.
+        self._window = tuple(self._cell_den // (self._cell_num * g) + 1
+                             for g in self._step)
+        self._rows: Dict[int, Row] = {}
+        self._row_cells = 0
+        self._sums = np.ones((1,) * d, dtype=np.int64)
         self._sums_len = 0
 
     def _cell(self, ell: int, stat_sum) -> CellIndex:
-        # ceil(p / q) - 1 == (p - 1) // q for integer p and q > 0.
+        # ceil(p / q) - 1 == (p - 1) // q for integer p and q > 0.  Works on
+        # Python ints and on int64 arrays alike.
         return tuple(((a - o * ell) * self._cell_num - 1) // self._cell_den
                      for a, o in zip(stat_sum, self._origin))
 
     def _stat_sum(self, counts) -> Tuple[int, ...]:
-        return tuple(sum(c * a[i] for c, a in zip(counts, self._letter_stats))
-                     for i in range(self.model.stat_dim))
+        return tuple(sum(map(operator.mul, counts, axis))
+                     for axis in self._axis_stats)
 
-    def row(self, ell: int) -> Dict[CellIndex, int]:
-        """Mapping cell index -> exact class size, over occupied cells."""
+    def _sum_range(self, ell: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Lowest and highest statistic sum of length ell, per axis."""
+        return (tuple(ell * lo for lo in self._low),
+                tuple(ell * (lo + g * s) for lo, g, s
+                      in zip(self._low, self._step, self._span)))
+
+    def _box_cells(self, ell: int) -> int:
+        lowest, highest = (self._cell(ell, a) for a in self._sum_range(ell))
+        return math.prod(hi - lo + 1 for lo, hi in zip(lowest, highest))
+
+    def _check_caps(self, ell: int) -> None:
+        """Raise CountingCapError, before any allocation, when counting up to
+        ell could overflow an int64 or would hold more than max_cells cells."""
+        terms = max(self.model.alphabet_size,
+                    *(min(w, ell * s + 1) for w, s in zip(self._window, self._span)))
+        reach = (max(abs(a) + abs(o * ell) for ends in self._sum_range(ell)
+                     for a, o in zip(ends, self._origin)) * self._cell_num
+                 + self._cell_den)
+        if terms * SIZE_CAP > _INT64_MAX or reach > _INT64_MAX:
+            raise CountingCapError(
+                "counting at ell=%d could overflow int64 sums on this grid "
+                "(sizes are capped at %d); use a narrower or simpler grid side W"
+                % (ell, SIZE_CAP))
+        cells = self._row_cells + math.prod(ell * s + 1 for s in self._span)
+        length = self._sums_len
+        while cells <= self.max_cells and length < ell:
+            length += 1
+            cells += self._box_cells(length)
+        if cells > self.max_cells:
+            raise CountingCapError(
+                "counting at ell=%d would hold more cells of rows and sum "
+                "table than the cap %d; use a smaller M, ell or alphabet"
+                % (ell, self.max_cells))
+
+    def row(self, ell: int) -> Row:
+        """Class sizes of length ell, saturated at SIZE_CAP."""
         if ell < 1:
             raise ValueError("ell must be at least 1")
         cached = self._rows.get(ell)
         if cached is not None:
             return cached
-        k = self.model.alphabet_size
-        if composition_count(ell, k) > self.max_compositions:
-            raise CountingCapError(
-                "counting at ell=%d needs %d compositions (cap %d); "
-                "use a smaller ell or alphabet"
-                % (ell, composition_count(ell, k), self.max_compositions)
-            )
+        self._check_caps(ell)
         while self._sums_len < ell:
             self._extend()
         return self._rows[ell]
 
     def _extend(self) -> None:
         """Advance the sum table by one letter and memoize that length's row."""
-        add = operator.add
-        sums: Dict[Tuple[int, ...], int] = {}
-        for stat_sum, n in self._sums.items():
-            for a in self._letter_stats:
-                key = tuple(map(add, stat_sum, a))
-                sums[key] = sums.get(key, 0) + n
-        self._sums = sums
-        self._sums_len += 1
-        row: Dict[CellIndex, int] = {}
-        for stat_sum, n in sums.items():
-            idx = self._cell(self._sums_len, stat_sum)
-            row[idx] = row.get(idx, 0) + n
-        self._rows[self._sums_len] = row
+        ell = self._sums_len + 1
+        old = self._sums
+        sums = np.zeros([ell * s + 1 for s in self._span], dtype=np.int64)
+        for shift in self._shifts:
+            sums[tuple(slice(a, a + n) for a, n in zip(shift, old.shape))] += old
+        np.minimum(sums, SIZE_CAP, out=sums)
+        self._sums, self._sums_len = sums, ell
+        lowest, _ = self._sum_range(ell)
+        axes = [lo + g * np.arange(n, dtype=np.int64)
+                for lo, g, n in zip(lowest, self._step, sums.shape)]
+        sizes, first = sums, []
+        for i, cells in enumerate(self._cell(ell, axes)):
+            starts = np.flatnonzero(np.diff(cells)) + 1
+            starts = np.concatenate(([0], starts))
+            sizes = np.add.reduceat(sizes, starts, axis=i)
+            np.minimum(sizes, SIZE_CAP, out=sizes)
+            ids = cells[starts] - cells[0]
+            first.append(int(cells[0]))
+            if ids[-1] + 1 != len(ids):
+                # Cells narrower than a sum step: some hold no sum at all.
+                shape = list(sizes.shape)
+                shape[i] = int(ids[-1]) + 1
+                box = np.zeros(shape, dtype=np.int64)
+                box[(slice(None),) * i + (ids,)] = sizes
+                sizes = box
+        self._rows[ell] = Row(sizes, tuple(first))
+        self._row_cells += sizes.size
 
     def size(self, ell: int, idx: CellIndex) -> int:
-        return self.row(ell).get(tuple(idx), 0)
+        return self.row(ell).size(idx)
 
     def log2_size(self, ell: int, idx: CellIndex) -> float:
         n = self.size(ell, idx)

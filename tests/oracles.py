@@ -33,6 +33,12 @@ def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+def composition_count(total: int, parts: int) -> int:
+    """Number of letter-count vectors of a length-total sequence over parts
+    letters."""
+    return math.comb(total + parts - 1, parts - 1)
+
+
 def multinomial(counts) -> int:
     """Exact multinomial coefficient l! / prod(counts!)."""
     out = 1

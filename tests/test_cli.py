@@ -236,6 +236,40 @@ def test_evaluate_mc_rejects_nonpositive_trials(capsys, trials):
     assert "trials" in json.loads(err)["error"]
 
 
+def test_sweep_rejects_negative_trials_before_any_work(tmp_path, capsys):
+    fresh = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64", "--eps", "0.1", "--trials", "-3",
+                         "--out", str(fresh))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "trials" in json.loads(err)["error"]
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"partial sweep\n")
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                     "--M", "64", "--eps", "0.1", "--trials", "-1",
+                     "--out", str(kept))
+    assert code == 2
+    assert kept.read_bytes() == b"partial sweep\n"
+
+
+def test_m_at_the_size_cap_fails_fast(tmp_path, capsys):
+    from tccode import qtypes as Q
+
+    path = tmp_path / "d.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build-dict", "--model", "ternary",
+                         "--M", str(Q.SIZE_CAP), "--out", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "cap" in json.loads(err)["error"]
+    assert not path.exists()
+
+
 def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
     from tccode import cli
     from tccode import converse as C

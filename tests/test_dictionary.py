@@ -171,12 +171,39 @@ def test_next_size_above_gamma_exceeds_m(model, m):
                              counter=counter).leaf_count > m
 
 
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT]), m=st.integers(4, 512))
+def test_gamma_search_is_exact_at_a_cap_just_above_m(model, m):
+    # Every size the search decides on is below m, so saturating at m + 1
+    # leaves its outcome as it is at the real cap.
+    gamma, profile = D.choose_gamma_profile(model, GRID, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "SIZE_CAP", m + 1)
+        patch.setattr(D, "SIZE_CAP", m + 1)
+        capped_gamma, capped = D.choose_gamma_profile(model, GRID, m)
+    assert capped_gamma == gamma
+    assert capped.leaf_classes == profile.leaf_classes
+    assert capped.monotone_mismatch_leaves == profile.monotone_mismatch_leaves
+    assert capped.max_length() == profile.max_length()
+
+
+def test_gamma_search_refuses_sizes_past_the_cap():
+    with pytest.raises(D.DictionaryError, match="cap"):
+        D.choose_gamma_profile(BERN, GRID, Q.SIZE_CAP)
+    with pytest.raises(D.DictionaryError, match="cap"):
+        D.tc_leaf_profile(BERN, GRID, math.log2(Q.SIZE_CAP))
+
+
 def test_ternary_gamma_at_scale():
     # Out of reach for composition enumeration with rational cells.
-    gamma, profile = D.choose_gamma_profile(TERN, GRID, 2 ** 14)
-    assert gamma == 8.88264304936184
-    assert profile.leaf_count == 14519
-    assert profile.max_length() == 474
+    counter = Q.TypeCounter(TERN, GRID)
+    for m, gamma, leaves, max_length in [
+            (2 ** 14, 8.88264304936184, 14519, 474),
+            (2 ** 16, 10.905387005018131, 63645, 1920)]:
+        got, profile = D.choose_gamma_profile(TERN, GRID, m, counter=counter)
+        assert got == gamma
+        assert profile.leaf_count == leaves
+        assert profile.max_length() == max_length
 
 
 def test_depth_cap_on_aligned_grid():

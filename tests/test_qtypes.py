@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from tccode import models as M
 from tccode import qtypes as Q
 
-from oracles import FRAC, composition_row, compositions, multinomial
+from oracles import (FRAC, composition_count, composition_row, compositions,
+                     multinomial)
 
 
 BERN = M.bernoulli()
@@ -55,7 +58,7 @@ def test_multinomial_and_compositions():
     assert multinomial((1, 2, 3)) == math.factorial(6) // (1 * 2 * 6)
     for total, parts in [(5, 2), (4, 3), (0, 2)]:
         rows = list(compositions(total, parts))
-        assert len(rows) == Q.composition_count(total, parts)
+        assert len(rows) == composition_count(total, parts)
         assert len(set(rows)) == len(rows)
         assert all(sum(r) == total for r in rows)
 
@@ -96,9 +99,81 @@ def test_size_of_sequence():
 
 
 def test_counting_cap():
-    counter = Q.TypeCounter(TERN, Q.default_grid(), max_compositions=10)
+    counter = Q.TypeCounter(TERN, Q.default_grid(), max_cells=10)
     with pytest.raises(Q.CountingCapError):
         counter.row(10)
+
+
+def test_counting_cap_fails_before_allocating():
+    # The default cap admits the rows of ternary M=2^18 (ell 5490, about
+    # 18 M cells), and refuses a far longer length without counting.
+    counter = Q.TypeCounter(TERN, Q.construction_grid())
+    counter._check_caps(5490)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(Q.CountingCapError, match=r"ell=100000 .*cap 33554432"):
+            counter.row(100000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert time.perf_counter() - start < 1.0
+    assert counter.row(3) == composition_row(TERN, Q.construction_grid(), 3)
+
+
+def _capped(row, cap):
+    return {idx: min(n, cap) for idx, n in row.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+       side=st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=2),
+       ells=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       cap=st.integers(1, 300))
+def test_saturated_rows_match_capped_oracle(model, side, origin, ells, cap):
+    # Saturating every add at the cap gives min(exact size, cap) in every
+    # cell, through the sum table and through both row reductions.
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "SIZE_CAP", cap)
+        counter = Q.TypeCounter(model, grid)
+        for ell in ells:
+            oracle = composition_row(model, grid, ell)
+            assert counter.row(ell) == _capped(oracle, cap)
+            for counts in compositions(ell, model.alphabet_size):
+                idx, _ = Q.cell_of(model, grid, ell,
+                                   M.suff_stat_of_counts(model, counts))
+                assert counter.size_for_counts(counts) == min(oracle[idx], cap)
+
+
+@pytest.mark.parametrize("model,ell", [(BERN, 80), (TERN, 80), (QUAT, 40)])
+def test_long_rows_match_capped_oracle(model, ell):
+    # Exact counts pass 2^63 at these lengths; saturated ones stay exact
+    # below SIZE_CAP.
+    grid = Q.construction_grid()
+    row = Q.TypeCounter(model, grid).row(ell)
+    assert row == _capped(composition_row(model, grid, ell), Q.SIZE_CAP)
+    assert max(row.values()) == Q.SIZE_CAP
+
+
+@pytest.mark.parametrize("side", [2 ** 40, Fraction(2 ** 40, 3)])
+def test_wide_grid_counts_or_fails_fast(side):
+    # A cell window of w sums adds w sizes of up to SIZE_CAP each: wide cells
+    # count exactly while that fits an int64, and fail before counting once
+    # it could not.
+    grid = Q.Grid(side=side, origin=(Fraction(-1, 3),))
+    counter = Q.TypeCounter(BERN, grid)
+    for ell in range(1, 10):
+        assert counter.row(ell) == composition_row(BERN, grid, ell)
+    start = time.perf_counter()
+    with pytest.raises(Q.CountingCapError, match="overflow"):
+        counter.row(2 ** 23 + 5)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(Q.CountingCapError, match="overflow"):
+        Q.TypeCounter(BERN, Q.Grid(side=2 ** 63)).row(1)
 
 
 def test_log_type_size_core_values():
