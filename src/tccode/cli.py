@@ -47,6 +47,15 @@ def _parse_float_list(text: str) -> List[float]:
     return [float(v) for v in str(text).replace(",", " ").split()]
 
 
+def _parse_eps_list(text: str) -> List[float]:
+    """Overflow levels, each strictly inside (0, 1)."""
+    values = _parse_float_list(text)
+    for eps in values:
+        if not 0.0 < eps < 1.0:
+            raise CliError("--eps %r must lie strictly inside (0, 1)" % eps)
+    return values
+
+
 def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
     """Semicolon-separated parameter vectors, comma-separated coordinates."""
     if isinstance(text, (list, tuple)):
@@ -63,6 +72,8 @@ def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
     for vec in out:
         if len(vec) != stat_dim:
             raise CliError("theta %r must have dimension %d" % (vec, stat_dim))
+        if not all(map(math.isfinite, vec)):
+            raise CliError("theta %r must be finite" % (vec,))
     if not out:
         raise CliError("at least one theta is required")
     return out
@@ -254,7 +265,7 @@ def cmd_evaluate(args) -> int:
     dictionary = _dict.load_dictionary(args.dict) if args.dict else None
     model = dictionary.model if dictionary is not None else _resolve_model(args.model)
     thetas = _thetas(args, model)
-    eps_values = _parse_float_list(args.eps) if args.eps is not None else [0.1]
+    eps_values = _parse_eps_list(args.eps) if args.eps is not None else [0.1]
     seed = int(args.seed or 0)
     trials = 10000 if args.trials is None else int(args.trials)
     mode = "mc" if args.mc else "exact"
@@ -312,7 +323,7 @@ def cmd_sweep(args) -> int:
     grid = _resolve_grid(args, model)
     thetas = _thetas(args, model)
     m_values = _parse_int_list(args.M) if args.M is not None else None
-    eps_values = _parse_float_list(args.eps) if args.eps is not None else None
+    eps_values = _parse_eps_list(args.eps) if args.eps is not None else None
     if not m_values or not eps_values:
         raise CliError("sweep needs --M and --eps lists")
     seed = int(args.seed or 0)

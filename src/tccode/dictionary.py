@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -21,8 +22,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import models as _models
-from .models import ExpFamilyModel, counts_log_prob_at
-from .qtypes import SIZE_CAP, Grid, TypeCounter
+from .models import ExpFamilyModel
+from .qtypes import SIZE_CAP, Grid, TypeCounter, scaled_statistics
 
 Segment = Tuple[int, ...]
 # (segment length, letter counts, number of segments with both).
@@ -272,13 +273,22 @@ def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
 
     The one mass routine of the package: each class adds
     mult * p_theta(counts), and the terms are summed exactly per length.
+    log2 p_theta(counts) = ell (<theta, A / (D ell)> - psi(theta)), with A the
+    class's integer statistic sum and D the denominator of
+    qtypes.scaled_statistics; each coordinate A_i / (D ell) is one correctly
+    rounded integer division, the float of the exact rational average.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = [float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))]
     psi = _models.log_partition(model, theta)
+    scale, stats, _ = scaled_statistics(model)
+    axes = [(tuple(a[i] for a in stats), t) for i, t in enumerate(theta)]
     by_len: Dict[int, List[float]] = {}
     for ell, counts, mult in leaf_classes:
-        lp = counts_log_prob_at(model, theta, psi, counts)
-        by_len.setdefault(ell, []).append(mult * 2.0 ** lp)
+        den = scale * ell
+        dot = 0.0
+        for axis, t in axes:
+            dot += sum(map(operator.mul, counts, axis)) / den * t
+        by_len.setdefault(ell, []).append(mult * 2.0 ** (ell * (dot - psi)))
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
@@ -367,17 +377,23 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                     max_depth: int = 50000) -> TCProfile:
     """The first-passage rule as a dynamic program over letter-count classes,
     linear in the number of reachable count classes rather than in the number
-    of segments; the test suite checks it against a per-sequence oracle."""
+    of segments; the test suite checks it against a per-sequence oracle.
+
+    Each class carries its integer statistic sum, so a child's sum is its
+    parent's plus one letter's and its size one lookup in the row of its
+    length, fetched once per depth."""
     limit = size_limit(gamma)
     if limit >= SIZE_CAP:
         # A size saturated at the cap no longer says whether it passes.
         raise DictionaryError("gamma=%.6g needs class sizes above the counting "
                               "cap %d" % (gamma, SIZE_CAP))
     counter = counter or TypeCounter(model, grid)
-    k = model.alphabet_size
-    # frontier: counts -> [clean multiplicity, dipped multiplicity]
-    frontier: Dict[Tuple[int, ...], List[int]] = {(0,) * k: [1, 0]}
-    sizes: Dict[Tuple[int, ...], int] = {(0,) * k: 0}
+    size_of_sum = counter.size_of_sum
+    letters = tuple(enumerate(counter.letter_stats))
+    # counts -> [class size, integer statistic sum on the counter's lattice,
+    #            clean multiplicity, dipped multiplicity]
+    frontier: Dict[Tuple[int, ...], list] = {
+        (0,) * model.alphabet_size: [0, (0,) * model.stat_dim, 1, 0]}
     leaf_classes: List[LeafClass] = []
     leaf_total = 0
     mismatch_total = 0
@@ -390,38 +406,39 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                 "no threshold crossing within depth %d at gamma=%.6g; "
                 "the grid likely isolates an extreme statistic" % (max_depth, gamma)
             )
-        nxt: Dict[Tuple[int, ...], List[int]] = {}
-        nxt_sizes: Dict[Tuple[int, ...], int] = {}
-        for counts, (clean, dipped) in frontier.items():
-            parent_size = sizes[counts]
-            for x in range(k):
-                child = _bump(counts, x)
-                size = nxt_sizes.get(child)
-                if size is None:
-                    size = counter.size_for_counts(child)
-                    nxt_sizes[child] = size
-                child_dips = size < parent_size
-                c_clean = 0 if child_dips else clean
-                c_dipped = dipped + (clean if child_dips else 0)
-                if size > limit:
-                    mult = clean + dipped
-                    leaf_classes.append((depth + 1, child, mult))
-                    leaf_total += mult
-                    mismatch_total += c_dipped
-                    if leaf_cap is not None and leaf_total > leaf_cap:
-                        raise LeafCapExceeded(leaf_cap)
-                    leaf_sizes.add(size)
-                else:
-                    slot = nxt.setdefault(child, [0, 0])
-                    slot[0] += c_clean
-                    slot[1] += c_dipped
-                    if size > max_internal:
-                        max_internal = size
-        frontier = nxt
-        sizes = nxt_sizes
         depth += 1
-    # Merge duplicate (ell, counts) rows produced by leaf-vs-internal bookkeeping.
-    return TCProfile(float(gamma), _merge_classes(leaf_classes), max_internal,
+        row = counter.row(depth)
+        children: Dict[Tuple[int, ...], list] = {}
+        for counts, (parent_size, parent_sum, clean, dipped) in frontier.items():
+            for x, stat in letters:
+                child = _bump(counts, x)
+                slot = children.get(child)
+                if slot is None:
+                    child_sum = tuple(map(operator.add, parent_sum, stat))
+                    slot = children[child] = [size_of_sum(row, child_sum),
+                                              child_sum, 0, 0]
+                if slot[0] < parent_size:
+                    # A dip makes every path through the parent a dipped one.
+                    slot[3] += clean + dipped
+                else:
+                    slot[2] += clean
+                    slot[3] += dipped
+        frontier = {}
+        for child, slot in children.items():
+            size, _, clean, dipped = slot
+            if size > limit:
+                leaf_classes.append((depth, child, clean + dipped))
+                leaf_total += clean + dipped
+                mismatch_total += dipped
+                leaf_sizes.add(size)
+            else:
+                frontier[child] = slot
+                if size > max_internal:
+                    max_internal = size
+        if leaf_cap is not None and leaf_total > leaf_cap:
+            raise LeafCapExceeded(leaf_cap)
+    # Each (length, counts) pair is one child of one depth: no merge needed.
+    return TCProfile(float(gamma), sorted(leaf_classes), max_internal,
                      tuple(sorted(leaf_sizes)), mismatch_total)
 
 
@@ -609,9 +626,8 @@ def dictionary_from_text(text: str) -> Dictionary:
             side=Fraction(header["grid"]["W"]),
             origin=tuple(Fraction(v) for v in header["grid"]["origin"]),
         )
-        segments = tuple(
-            tuple(int(x) for x in line.split()) for line in lines[1:] if line
-        )
+        segments = tuple(tuple(map(int, line.split()))
+                         for line in lines[1:] if line)
         dictionary = Dictionary(
             model=model, grid=grid, segments=segments,
             m_target=int(header["m_target"]),

@@ -139,27 +139,31 @@ _INT64_MAX = 2 ** 63 - 1
 
 
 class Row(Mapping):
-    """Class sizes of one length: a dense int64 array over the box of cells
+    """Class sizes of length ell: a dense int64 array over the box of cells
     the length's statistic sums reach, whose lowest cell is first.  As a
     Mapping, cell index -> size, it holds the occupied cells only."""
 
-    __slots__ = ("sizes", "first", "_view")
+    __slots__ = ("sizes", "first", "ell", "_view")
 
-    def __init__(self, sizes: np.ndarray, first: CellIndex):
+    def __init__(self, sizes: np.ndarray, first: CellIndex, ell: int):
         self.sizes = sizes
         self.first = first
+        self.ell = ell
         # Indexing a memoryview returns a Python int, faster than item().
         self._view = memoryview(sizes)
 
-    def size(self, idx) -> int:
-        """The size of cell idx; 0 outside the box."""
-        offset = tuple(map(operator.sub, idx, self.first))
+    def at(self, offset) -> int:
+        """The size of the cell offset cells past first; 0 outside the box."""
         if min(offset) < 0:
             return 0
         try:
             return self._view[offset]
         except IndexError:
             return 0
+
+    def size(self, idx) -> int:
+        """The size of cell idx; 0 outside the box."""
+        return self.at(tuple(map(operator.sub, idx, self.first)))
 
     def __getitem__(self, idx) -> int:
         n = self.size(idx)
@@ -209,6 +213,8 @@ class TypeCounter:
         d = model.stat_dim
         scale, stats, self._origin = scaled_statistics(
             model, [grid.origin_at(i) for i in range(d)])
+        # a_x per letter x: a sequence's statistic sum adds its letters' a_x.
+        self.letter_stats = stats
         self._axis_stats = tuple(tuple(a[i] for a in stats) for i in range(d))
         # Cell width D*W = cell_den / cell_num in units of the integer sums.
         self._cell_num = grid.side.denominator
@@ -236,6 +242,8 @@ class TypeCounter:
                      for a, o in zip(stat_sum, self._origin))
 
     def _stat_sum(self, counts) -> Tuple[int, ...]:
+        if len(counts) != self.model.alphabet_size or min(counts) < 0:
+            raise ModelError("counts must be nonnegative, one per letter")
         return tuple(sum(map(operator.mul, counts, axis))
                      for axis in self._axis_stats)
 
@@ -312,23 +320,34 @@ class TypeCounter:
                 box = np.zeros(shape, dtype=np.int64)
                 box[(slice(None),) * i + (ids,)] = sizes
                 sizes = box
-        self._rows[ell] = Row(sizes, tuple(first))
+        self._rows[ell] = Row(sizes, tuple(first), ell)
         self._row_cells += sizes.size
 
     def size(self, ell: int, idx: CellIndex) -> int:
         return self.row(ell).size(idx)
+
+    def size_of_sum(self, row: Row, stat_sum) -> int:
+        """Size of the class whose integer statistic sum is stat_sum, read
+        from row, the row of the sum's length: the cell of _cell minus the
+        row's first cell, 0 outside the row's box."""
+        ell, num, den = row.ell, self._cell_num, self._cell_den
+        # A loop: for one or two axes a generator expression costs more.
+        offset = []
+        for a, o, f in zip(stat_sum, self._origin, row.first):
+            offset.append(((a - o * ell) * num - 1) // den - f)
+        return row.at(tuple(offset))
 
     def log2_size(self, ell: int, idx: CellIndex) -> float:
         n = self.size(ell, idx)
         return math.log2(n) if n else float("-inf")
 
     def cell_for_counts(self, counts) -> CellIndex:
-        if len(counts) != self.model.alphabet_size or min(counts) < 0:
-            raise ModelError("counts must be nonnegative, one per letter")
-        return self._cell(sum(counts), self._stat_sum(counts))
+        stat_sum = self._stat_sum(counts)
+        return self._cell(sum(counts), stat_sum)
 
     def size_for_counts(self, counts) -> int:
-        return self.size(sum(counts), self.cell_for_counts(counts))
+        stat_sum = self._stat_sum(counts)
+        return self.size_of_sum(self.row(sum(counts)), stat_sum)
 
     def log2_size_for_counts(self, counts) -> float:
         n = self.size_for_counts(counts)

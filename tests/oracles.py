@@ -94,6 +94,66 @@ def segment_length_masses(dictionary, theta) -> Dict[int, float]:
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
+def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
+    """length_masses class by class through the rational average statistic:
+    float(Fraction) coordinates in models.counts_log_prob."""
+    by_len: Dict[int, list] = {}
+    for ell, counts, mult in leaf_classes:
+        by_len.setdefault(ell, []).append(
+            mult * 2.0 ** M.counts_log_prob(model, theta, counts))
+    return {ell: math.fsum(ps) for ell, ps in by_len.items()}
+
+
+def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
+                                 counter=None, max_depth: int = 50000):
+    """tc_leaf_profile with each child's size looked up from its whole count
+    vector by TypeCounter.size_for_counts, and one leaf row per parent edge
+    merged at the end."""
+    limit = D.size_limit(gamma)
+    if limit >= D.SIZE_CAP:
+        raise D.DictionaryError("gamma=%.6g needs class sizes above the "
+                                "counting cap %d" % (gamma, D.SIZE_CAP))
+    counter = counter or Q.TypeCounter(model, grid)
+    k = model.alphabet_size
+    frontier = {(0,) * k: [1, 0]}
+    sizes = {(0,) * k: 0}
+    leaf_classes = []
+    leaf_total = mismatch_total = max_internal = 0
+    leaf_sizes = set()
+    depth = 0
+    while frontier:
+        if depth > max_depth:
+            raise D.DepthCapExceeded("no threshold crossing within depth %d"
+                                     % max_depth)
+        nxt, nxt_sizes = {}, {}
+        for counts, (clean, dipped) in frontier.items():
+            parent_size = sizes[counts]
+            for x in range(k):
+                child = counts[:x] + (counts[x] + 1,) + counts[x + 1:]
+                size = nxt_sizes.get(child)
+                if size is None:
+                    size = nxt_sizes[child] = counter.size_for_counts(child)
+                child_dips = size < parent_size
+                c_clean = 0 if child_dips else clean
+                c_dipped = dipped + (clean if child_dips else 0)
+                if size > limit:
+                    leaf_classes.append((depth + 1, child, clean + dipped))
+                    leaf_total += clean + dipped
+                    mismatch_total += c_dipped
+                    if leaf_cap is not None and leaf_total > leaf_cap:
+                        raise D.LeafCapExceeded(leaf_cap)
+                    leaf_sizes.add(size)
+                else:
+                    slot = nxt.setdefault(child, [0, 0])
+                    slot[0] += c_clean
+                    slot[1] += c_dipped
+                    max_internal = max(max_internal, size)
+        frontier, sizes = nxt, nxt_sizes
+        depth += 1
+    return D.TCProfile(float(gamma), D._merge_classes(leaf_classes), max_internal,
+                       tuple(sorted(leaf_sizes)), mismatch_total)
+
+
 def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
     """Cell -> class size at length ell, enumerating letter compositions and
     placing each with the rational cell_of."""

@@ -255,6 +255,42 @@ def test_sweep_rejects_negative_trials_before_any_work(tmp_path, capsys):
     assert kept.read_bytes() == b"partial sweep\n"
 
 
+@pytest.mark.parametrize("eps", ["1.5", "0", "-0.1", "1", "nan", "0.1,1.2"])
+def test_sweep_rejects_eps_outside_the_unit_interval_before_any_work(
+        tmp_path, capsys, eps):
+    fresh = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64", "--eps", eps, "--out", str(fresh))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "eps" in json.loads(err)["error"]
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"partial sweep\n")
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                     "--M", "64", "--eps", eps, "--out", str(kept))
+    assert code == 2
+    assert kept.read_bytes() == b"partial sweep\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_rejected(tmp_path, capsys, value):
+    fresh = tmp_path / "s.csv"
+    for argv in (["sweep", "--model", "bernoulli", "--theta=" + value,
+                  "--M", "64", "--eps", "0.1", "--out", str(fresh)],
+                 ["evaluate", "--model", "bernoulli", "--M", "64",
+                  "--theta=" + value],
+                 ["evaluate", "--model", "quaternary", "--M", "64",
+                  "--theta=0.5," + value]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "finite" in json.loads(err)["error"]
+    assert not fresh.exists()
+
+
 def test_m_at_the_size_cap_fails_fast(tmp_path, capsys):
     from tccode import qtypes as Q
 

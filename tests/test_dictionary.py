@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tccode import converse as C
@@ -12,8 +12,9 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import (enumerate_complete_trees, first_passage_oracle,
-                     segment_length_masses)
+from oracles import (FRAC, enumerate_complete_trees, first_passage_oracle,
+                     fraction_length_masses, segment_length_masses,
+                     size_for_counts_leaf_profile)
 
 
 BERN = M.bernoulli()
@@ -94,6 +95,48 @@ def test_threshold_builds_match_definition(model, side, origin, gamma):
     assert explicit.monotone_mismatches == dipped
     assert profile.leaf_classes == explicit.leaf_classes()
     assert profile.monotone_mismatch_leaves == dipped
+
+
+def _profile_or_raised(build, *args, **kwargs):
+    """The profile build returns, or the type of the cap error it raises."""
+    try:
+        return build(*args, **kwargs)
+    except (D.LeafCapExceeded, D.DepthCapExceeded, D.DictionaryError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+       side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=2),
+       gamma=st.floats(min_value=-0.5, max_value=10.0))
+def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma):
+    # Carrying each class's statistic sum from its parent reads the same
+    # sizes as looking every child up from its counts: every TCProfile field
+    # is equal, or both builds raise the same cap error.
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    counter = Q.TypeCounter(model, grid)
+    kwargs = dict(leaf_cap=3000, counter=counter, max_depth=80)
+    got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
+    want = _profile_or_raised(size_for_counts_leaf_profile, model, grid, gamma,
+                              **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("model", [BERN, TERN, QUAT])
+def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
+    # With the cap one above the limit every leaf size reads the cap itself.
+    cap = 40
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "SIZE_CAP", cap)
+        patch.setattr(D, "SIZE_CAP", cap)
+        counter = Q.TypeCounter(model, GRID)
+        gamma = math.log2(cap - 1)
+        profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+        assert profile == size_for_counts_leaf_profile(model, GRID, gamma,
+                                                       counter=counter)
+        assert profile.leaf_sizes == (cap,)
 
 
 def test_leaf_mass_normalizes():
@@ -190,8 +233,9 @@ def test_gamma_search_is_exact_at_a_cap_just_above_m(model, m):
 def test_gamma_search_refuses_sizes_past_the_cap():
     with pytest.raises(D.DictionaryError, match="cap"):
         D.choose_gamma_profile(BERN, GRID, Q.SIZE_CAP)
-    with pytest.raises(D.DictionaryError, match="cap"):
-        D.tc_leaf_profile(BERN, GRID, math.log2(Q.SIZE_CAP))
+    for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
+        with pytest.raises(D.DictionaryError, match="cap"):
+            build(BERN, GRID, math.log2(Q.SIZE_CAP))
 
 
 def test_ternary_gamma_at_scale():
@@ -208,13 +252,15 @@ def test_ternary_gamma_at_scale():
 
 def test_depth_cap_on_aligned_grid():
     # The aligned W=1 grid pins the all-zeros path at class size 1 forever.
-    with pytest.raises(D.DepthCapExceeded):
-        D.tc_leaf_profile(BERN, Q.default_grid(), 2.0, max_depth=200)
+    for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
+        with pytest.raises(D.DepthCapExceeded):
+            build(BERN, Q.default_grid(), 2.0, max_depth=200)
 
 
 def test_leaf_cap():
-    with pytest.raises(D.LeafCapExceeded):
-        D.tc_leaf_profile(BERN, GRID, 8.0, leaf_cap=16)
+    for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
+        with pytest.raises(D.LeafCapExceeded):
+            build(BERN, GRID, 8.0, leaf_cap=16)
 
 
 def test_expansion_rejects_a_foreign_profile():
@@ -333,6 +379,43 @@ def test_leaf_class_masses_match_segments_threshold(model, gamma, theta, n):
     theta = theta[:model.stat_dim]
     d = D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
     _assert_masses_match_segment_oracle(d, theta, n)
+
+
+@st.composite
+def _leaf_classes(draw, model):
+    """Leaf classes with short and long lengths and multiplicities on both
+    sides of 2^53."""
+    classes = []
+    for _ in range(draw(st.integers(1, 12))):
+        ell = draw(st.one_of(st.integers(1, 64), st.integers(65, 10 ** 6)))
+        cuts = sorted(draw(st.integers(0, ell))
+                      for _ in range(model.alphabet_size - 1))
+        counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [ell]))
+        mult = draw(st.one_of(st.integers(1, 2 ** 20),
+                              st.integers(2 ** 53 + 1, 2 ** 70)))
+        classes.append((ell, counts, mult))
+    return classes
+
+
+@st.composite
+def _mass_cases(draw):
+    model = draw(st.sampled_from([BERN, TERN, QUAT, FRAC]))
+    theta = [draw(st.floats(min_value=lo, max_value=hi))
+             for lo, hi in model.theta_box]
+    return model, theta, draw(_leaf_classes(model))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mass_cases())
+@example((BERN, [3.17], [(5000, (0, 5000), 2 ** 60 + 1), (7, (3, 4), 3)]))
+@example((FRAC, [-0.7], [(999_999, (333_333, 333_333, 333_333), 2 ** 53 + 3)]))
+@example((QUAT, [2.0, -2.0], [(40_000, (1, 39_997, 1, 1), 2 ** 54 - 1)]))
+def test_length_masses_equal_fraction_oracle(case):
+    # Integer statistic sums divided once per coordinate give the same bits
+    # as the float of each class's rational average statistic.
+    model, theta, classes = case
+    assert D.length_masses(model, classes, theta) == \
+        fraction_length_masses(model, classes, theta)
 
 
 def test_serialization_round_trip(tmp_path):
