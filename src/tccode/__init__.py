@@ -38,7 +38,6 @@ from .rates import (
     eps_coding_rate,
     predicted_rate,
     normality_deviation,
-    sup_residual,
 )
 
 __version__ = "0.1.0"

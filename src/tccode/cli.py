@@ -113,7 +113,8 @@ _EXCLUSIVE_FLAGS = (("exact", "mc"), ("formula", "iterative"))
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given."""
+    """Fill unset flags from the JSON config file, if one was given.  Its
+    keys are flag names, with '-' read as '_'; any other key is an error."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -121,6 +122,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
+    flags = set(vars(args)) - {"command"}
+    for key in config:
+        if key.replace("-", "_") not in flags:
+            raise CliError("config key %r names no flag" % key)
     explicit = {attr for attr, value in vars(args).items() if value is not None}
     for group in _EXCLUSIVE_FLAGS:
         if explicit.intersection(group):
@@ -318,6 +323,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _sweep_rows_done(path: str) -> set:
+    """The (theta, M, eps) keys of the rows in a non-empty sweep CSV, which
+    must start with the SWEEP_COLUMNS header and hold rows of that width."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise CliError("--out %s is not a sweep CSV: %s" % (path, exc))
+    if not rows or rows[0] != _rates.SWEEP_COLUMNS:
+        raise CliError("--out %s is not a sweep CSV: its header is not %s"
+                       % (path, ",".join(_rates.SWEEP_COLUMNS)))
+    done = set()
+    for number, row in enumerate(rows[1:], start=1):
+        if len(row) != len(_rates.SWEEP_COLUMNS):
+            raise CliError("--out %s: row %d has %d fields, not %d"
+                           % (path, number, len(row), len(_rates.SWEEP_COLUMNS)))
+        fields = dict(zip(_rates.SWEEP_COLUMNS, row))
+        done.add((fields["theta"], int(fields["M"]), float(fields["eps"])))
+    return done
+
+
 def cmd_sweep(args) -> int:
     model = _resolve_model(args.model)
     grid = _resolve_grid(args, model)
@@ -330,18 +356,20 @@ def cmd_sweep(args) -> int:
     trials = int(args.trials) if args.trials else 0
     if trials < 0:
         raise CliError("--trials must be nonnegative, got %d" % trials)
+    for m in m_values:
+        if m < max(4, model.alphabet_size) or m >= _qtypes.SIZE_CAP:
+            raise CliError("--M %d must satisfy M >= 4, M >= the alphabet size %d "
+                           "and M < the class-size cap %d"
+                           % (m, model.alphabet_size, _qtypes.SIZE_CAP))
     out = args.out
     if not out:
         raise CliError("sweep needs --out for its CSV")
 
-    done = set()
-    if os.path.exists(out):
-        with open(out, "r", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["theta"], int(row["M"]), float(row["eps"])))
-        log.info("resuming sweep: %d rows already present", len(done))
-
     write_header = not os.path.exists(out) or os.path.getsize(out) == 0
+    done = set()
+    if not write_header:
+        done = _sweep_rows_done(out)
+        log.info("resuming sweep: %d rows already present", len(done))
     counter = _qtypes.TypeCounter(model, grid)
     with open(out, "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_rates.SWEEP_COLUMNS)

@@ -449,8 +449,8 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
     A node is a leaf or internal according to its letter counts alone, so
     the dictionary is the profile expanded: descending from the root, a node
     whose counts are those of a leaf class is a segment, and any other node
-    is expanded.  Segments emerge in lexicographic order.  gamma and the
-    mismatch count are the profile's.
+    is expanded.  Segments emerge in lexicographic order.  gamma, the
+    mismatch count and the leaf classes are the profile's.
     """
     leaf_counts = {counts for _, counts, _ in profile.leaf_classes}
     max_length = profile.max_length()
@@ -472,6 +472,7 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
         m_target=m_target if m_target is not None else len(segments),
         gamma=profile.gamma, kind="tc",
         monotone_mismatches=profile.monotone_mismatch_leaves,
+        _leaf_classes=list(profile.leaf_classes),
     )
 
 

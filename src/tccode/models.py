@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -85,15 +85,6 @@ class ExpFamilyModel:
     def stat_upper(self) -> Tuple[Fraction, ...]:
         return tuple(max(row[i] for row in self.tau) for i in range(self.stat_dim))
 
-    def prob_bounds(self) -> Tuple[float, float]:
-        """Uniform (p_min, p_max) over the box corners and letters."""
-        lo, hi = 1.0, 0.0
-        for corner in _box_corners(self.theta_box):
-            p = probs(self, corner)
-            lo = min(lo, float(p.min()))
-            hi = max(hi, float(p.max()))
-        return lo, hi
-
 
 def _box_corners(box):
     corners = [()]
@@ -107,16 +98,6 @@ def _tau_matrix(model: ExpFamilyModel) -> np.ndarray:
     m = np.array([[float(v) for v in row] for row in model.tau])
     m.setflags(write=False)
     return m
-
-
-def clamp_theta(model: ExpFamilyModel, theta) -> np.ndarray:
-    """Project a parameter vector onto the model's box."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    if t.shape != (model.stat_dim,):
-        raise ModelError("theta must have dimension %d" % model.stat_dim)
-    lo = np.array([b[0] for b in model.theta_box])
-    hi = np.array([b[1] for b in model.theta_box])
-    return np.clip(t, lo, hi)
 
 
 def log_partition(model: ExpFamilyModel, theta) -> float:
@@ -144,14 +125,6 @@ def validate_sequence(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
     return seq
 
 
-def suff_stat_avg(model: ExpFamilyModel, seq) -> Tuple[Fraction, ...]:
-    """tau(x^l): the exact per-letter average of the letter statistics."""
-    seq = validate_sequence(model, seq)
-    if not seq:
-        raise ModelError("empty sequence has no sufficient statistic")
-    return suff_stat_of_counts(model, _counts_of(model, seq))
-
-
 def _counts_of(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
     counts = [0] * model.alphabet_size
     for x in seq:
@@ -173,26 +146,6 @@ def suff_stat_of_counts(model: ExpFamilyModel, counts) -> Tuple[Fraction, ...]:
     )
 
 
-def sequence_log_prob(model: ExpFamilyModel, theta, seq) -> float:
-    """log2 p_theta(x^l) = l * (<theta, tau(x^l)> - psi(theta))."""
-    seq = validate_sequence(model, seq)
-    if not seq:
-        raise ModelError("sequence must be nonempty")
-    return counts_log_prob(model, theta, _counts_of(model, seq))
-
-
-def counts_log_prob(model: ExpFamilyModel, theta, counts) -> float:
-    """log2 p_theta of any sequence with the given letter counts."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    counts = tuple(int(c) for c in counts)
-    ell = sum(counts)
-    if ell == 0:
-        raise ModelError("sequence must be nonempty")
-    stat = suff_stat_of_counts(model, counts)
-    dot = float(sum(float(s) * t for s, t in zip(stat, theta)))
-    return ell * (dot - log_partition(model, theta))
-
-
 def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     """Entropy (bits) and varentropy (bits^2) of p_theta."""
     lp = letter_log_probs(model, theta)
@@ -202,14 +155,21 @@ def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     return h, max(var, 0.0)
 
 
-def in_stat_hull(model: ExpFamilyModel, tau, tol: float = 1e-9) -> bool:
+# Slack of the statistic-hull test, and the Newton solver's stopping rule:
+# projected gradient at most MLE_TOL within MLE_MAX_ITER steps.
+HULL_TOL = 1e-9
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 200
+
+
+def in_stat_hull(model: ExpFamilyModel, tau) -> bool:
     """Whether tau lies in the convex hull of the letter statistics."""
     target = np.array([float(v) for v in np.atleast_1d(tau)], dtype=float)
     if target.shape != (model.stat_dim,):
         raise ModelError("tau must have dimension %d" % model.stat_dim)
     if model.stat_dim == 1:
         lo, hi = float(model.stat_lower[0]), float(model.stat_upper[0])
-        return lo - tol <= target[0] <= hi + tol
+        return lo - HULL_TOL <= target[0] <= hi + HULL_TOL
     from scipy.optimize import linprog
 
     a_eq = np.vstack([_tau_matrix(model).T, np.ones(model.alphabet_size)])
@@ -219,13 +179,13 @@ def in_stat_hull(model: ExpFamilyModel, tau, tol: float = 1e-9) -> bool:
     if res.status == 0:
         return True
     # linprog uses its own feasibility tolerance; retry with a slack box.
-    res = linprog(np.zeros(model.alphabet_size), A_eq=a_eq,
-                  b_eq=b_eq + np.full_like(b_eq, 0.0),
-                  bounds=[(-tol, 1 + tol)] * model.alphabet_size, method="highs")
+    res = linprog(np.zeros(model.alphabet_size), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(-HULL_TOL, 1 + HULL_TOL)] * model.alphabet_size,
+                  method="highs")
     return res.status == 0
 
 
-def mle(model: ExpFamilyModel, tau, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def mle(model: ExpFamilyModel, tau) -> np.ndarray:
     """Box-constrained maximizer of <theta, tau> - psi(theta).
 
     Damped Newton with projection onto the box; the objective is strictly
@@ -233,11 +193,11 @@ def mle(model: ExpFamilyModel, tau, tol: float = 1e-10, max_iter: int = 200) -> 
     solution, when it exists, solves grad psi(theta) = tau.
     """
     key = tuple(float(v) for v in np.atleast_1d(tau))
-    return _mle_cached(model, key, tol, max_iter).copy()
+    return _mle_cached(model, key).copy()
 
 
 @lru_cache(maxsize=262144)
-def _mle_cached(model, tau_key, tol, max_iter):
+def _mle_cached(model, tau_key):
     target = np.array(tau_key)
     if not in_stat_hull(model, target):
         raise ModelError("tau %s lies outside the statistic hull" % (target,))
@@ -250,50 +210,39 @@ def _mle_cached(model, tau_key, tol, max_iter):
         return float(target @ t) - log_partition(model, t)
 
     f = objective(theta)
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         p = probs(model, theta)
         mean = p @ tmat
         grad = target - mean
         proj = grad.copy()
         proj[(theta >= hi - 1e-14) & (grad > 0)] = 0.0
         proj[(theta <= lo + 1e-14) & (grad < 0)] = 0.0
-        if float(np.abs(proj).max()) <= tol:
-            out = theta.copy()
-            out.setflags(write=False)
-            return out
+        if float(np.abs(proj).max()) <= MLE_TOL:
+            break
         cov = tmat.T @ (p[:, None] * tmat) - np.outer(mean, mean)
         hess = LN2 * cov + 1e-14 * np.eye(model.stat_dim)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = grad
-        t = 1.0
+        # Backtrack along the Newton direction, then along the gradient if
+        # the box blocks it.
         moved = False
-        while t >= 1e-14:
-            cand = np.clip(theta + t * step, lo, hi)
-            fc = objective(cand)
-            if fc >= f - 1e-15 and not np.array_equal(cand, theta):
-                theta, f, moved = cand, fc, True
-                break
-            t *= 0.5
-        if not moved:
-            # Newton direction blocked by the box; fall back to the gradient.
+        for direction in (step, grad):
             t = 1.0
-            while t >= 1e-14:
-                cand = np.clip(theta + t * grad, lo, hi)
+            while not moved and t >= 1e-14:
+                cand = np.clip(theta + t * direction, lo, hi)
                 fc = objective(cand)
                 if fc >= f - 1e-15 and not np.array_equal(cand, theta):
                     theta, f, moved = cand, fc, True
-                    break
                 t *= 0.5
         if not moved:
-            out = theta.copy()
-            out.setflags(write=False)
-            return out
-    raise MLEError(
-        "MLE did not converge: tau=%s theta=%s projected-grad=%s"
-        % (target, theta, proj)
-    )
+            break
+    else:
+        raise MLEError("MLE did not converge: tau=%s theta=%s projected-grad=%s"
+                       % (target, theta, proj))
+    theta.setflags(write=False)
+    return theta
 
 
 def ml_code_length(model: ExpFamilyModel, ell: int, tau) -> float:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +26,8 @@ from .models import (
     ExpFamilyModel,
     ModelError,
     _as_fraction,
-    _counts_of,
     ml_code_length,
     suff_stat_of_counts,
-    validate_sequence,
 )
 
 CellIndex = Tuple[int, ...]
@@ -74,10 +71,6 @@ class Grid:
         return self.origin[i] if i < len(self.origin) else self.origin[-1]
 
 
-def default_grid() -> Grid:
-    return Grid()
-
-
 def construction_grid() -> Grid:
     """Grid used by default when building threshold dictionaries.
 
@@ -102,14 +95,9 @@ def cell_of(model: ExpFamilyModel, grid: Grid, ell: int, tau
     tau = tuple(_as_fraction(v) for v in (tau if hasattr(tau, "__len__") else (tau,)))
     if len(tau) != model.stat_dim:
         raise ValueError("tau must have dimension %d" % model.stat_dim)
-    idx = []
-    center = []
-    for i in range(model.stat_dim):
-        t = (tau[i] - grid.origin_at(i)) * ell / grid.side
-        j = math.ceil(t) - 1
-        idx.append(j)
-        center.append(grid.origin_at(i) + Fraction(2 * j + 1, 2) * grid.side / ell)
-    return tuple(idx), tuple(center)
+    idx = tuple(math.ceil((tau[i] - grid.origin_at(i)) * ell / grid.side) - 1
+                for i in range(model.stat_dim))
+    return idx, cell_center(model, grid, ell, idx)
 
 
 def cell_center(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex
@@ -138,10 +126,9 @@ SIZE_CAP = 2 ** 40
 _INT64_MAX = 2 ** 63 - 1
 
 
-class Row(Mapping):
+class Row:
     """Class sizes of length ell: a dense int64 array over the box of cells
-    the length's statistic sums reach, whose lowest cell is first.  As a
-    Mapping, cell index -> size, it holds the occupied cells only."""
+    the length's statistic sums reach, whose lowest cell is first."""
 
     __slots__ = ("sizes", "first", "ell", "_view")
 
@@ -160,23 +147,6 @@ class Row(Mapping):
             return self._view[offset]
         except IndexError:
             return 0
-
-    def size(self, idx) -> int:
-        """The size of cell idx; 0 outside the box."""
-        return self.at(tuple(map(operator.sub, idx, self.first)))
-
-    def __getitem__(self, idx) -> int:
-        n = self.size(idx)
-        if not n:
-            raise KeyError(idx)
-        return n
-
-    def __iter__(self) -> Iterator[CellIndex]:
-        for offset in zip(*np.nonzero(self.sizes)):
-            yield tuple(int(o) + f for o, f in zip(offset, self.first))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.sizes))
 
 
 class TypeCounter:
@@ -323,9 +293,6 @@ class TypeCounter:
         self._rows[ell] = Row(sizes, tuple(first), ell)
         self._row_cells += sizes.size
 
-    def size(self, ell: int, idx: CellIndex) -> int:
-        return self.row(ell).size(idx)
-
     def size_of_sum(self, row: Row, stat_sum) -> int:
         """Size of the class whose integer statistic sum is stat_sum, read
         from row, the row of the sum's length: the cell of _cell minus the
@@ -337,35 +304,14 @@ class TypeCounter:
             offset.append(((a - o * ell) * num - 1) // den - f)
         return row.at(tuple(offset))
 
-    def log2_size(self, ell: int, idx: CellIndex) -> float:
-        n = self.size(ell, idx)
-        return math.log2(n) if n else float("-inf")
-
-    def cell_for_counts(self, counts) -> CellIndex:
-        stat_sum = self._stat_sum(counts)
-        return self._cell(sum(counts), stat_sum)
-
     def size_for_counts(self, counts) -> int:
         stat_sum = self._stat_sum(counts)
         return self.size_of_sum(self.row(sum(counts)), stat_sum)
 
-    def log2_size_for_counts(self, counts) -> float:
-        n = self.size_for_counts(counts)
-        return math.log2(n) if n else float("-inf")
-
-    def size_of_sequence(self, seq) -> int:
-        seq = validate_sequence(self.model, seq)
-        return self.size_for_counts(_counts_of(self.model, seq))
-
-
-def log_type_size_core(model: ExpFamilyModel, seq) -> float:
-    """-log2 p_{theta_hat}(x^l) - (d/2) log2 l, the common core of the
-    two-sided type-class size bounds."""
-    seq = validate_sequence(model, seq)
-    return log_type_size_core_counts(model, _counts_of(model, seq))
-
 
 def log_type_size_core_counts(model: ExpFamilyModel, counts) -> float:
+    """-log2 p_{theta_hat}(x^l) - (d/2) log2 l for any x^l with these letter
+    counts, the common core of the two-sided type-class size bounds."""
     ell = sum(counts)
     if ell < 2:
         raise ModelError("core statistic requires ell >= 2")
@@ -373,15 +319,9 @@ def log_type_size_core_counts(model: ExpFamilyModel, counts) -> float:
     return ml_code_length(model, ell, tau) - 0.5 * model.stat_dim * math.log2(ell)
 
 
-def info_increment(model: ExpFamilyModel, seq, letter: int) -> float:
-    """Increase of the maximum-likelihood code length from one more letter."""
-    seq = validate_sequence(model, seq)
-    if not seq:
-        raise ModelError("ell must be at least 1")
-    return info_increment_counts(model, _counts_of(model, seq), letter)
-
-
 def info_increment_counts(model: ExpFamilyModel, counts, letter: int) -> float:
+    """Increase of the maximum-likelihood code length when a sequence with
+    these letter counts grows by one letter."""
     letter = int(letter)
     if letter < 0 or letter >= model.alphabet_size:
         raise ModelError("letter index out of range")
@@ -409,8 +349,9 @@ def band_cell_count(model: ExpFamilyModel, grid: Grid, ell: int, gamma: float,
     mid = gamma + 0.5 * model.stat_dim * math.log2(ell)
     lo_edge, hi_edge = mid - hi_slack, mid - lo_slack
     lo_stat, hi_stat = model.stat_lower, model.stat_upper
+    row = counter.row(ell)
     hits = 0
-    for idx in counter.row(ell):
+    for idx in (np.argwhere(row.sizes) + row.first).tolist():
         center = cell_center(model, grid, ell, idx)
         rep = tuple(min(max(c, lo_stat[i]), hi_stat[i]) for i, c in enumerate(center))
         value = ml_code_length(model, ell, rep)

@@ -11,8 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dictionary import (Dictionary, TCProfile, choose_gamma_profile, length_masses,
-                         walk_block)
+from .dictionary import Dictionary, TCProfile, length_masses, walk_block
 from .models import (
     ExpFamilyModel,
     ModelError,
@@ -21,7 +20,7 @@ from .models import (
     log_partition,
 )
 from .normal import gaussian_quantile, gaussian_tail
-from .qtypes import CountingCapError, Grid, TypeCounter, scaled_statistics
+from .qtypes import CountingCapError, scaled_statistics
 
 
 @dataclass
@@ -61,13 +60,12 @@ class RateEstimate:
     ci_halfwidth: Optional[float] = None
 
 
-def exact_rate_distribution(dictionary: Dictionary, theta,
-                            m_for_rate: Optional[int] = None) -> RateDistribution:
+def exact_rate_distribution(dictionary: Dictionary, theta) -> RateDistribution:
     """Exact length distribution of a materialized dictionary, from its leaf
     classes."""
     return RateDistribution(
         length_masses(dictionary.model, dictionary.leaf_classes(), theta),
-        m_for_rate or dictionary.m_target)
+        dictionary.m_target)
 
 
 def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
@@ -78,7 +76,7 @@ def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
 
 
 def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
-                         seed: int, m_for_rate: Optional[int] = None) -> RateDistribution:
+                         seed: int) -> RateDistribution:
     """Empirical first-segment length distribution over sampled streams."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -95,8 +93,8 @@ def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
         _, depth = walk_block(trie, letters)
         counts += np.bincount(depth, minlength=max_len + 1)
     masses = {ell: int(c) / n_samples for ell, c in enumerate(counts) if c}
-    return RateDistribution(masses, m_for_rate or dictionary.m_target,
-                            mode="mc", n_samples=n_samples)
+    return RateDistribution(masses, dictionary.m_target, mode="mc",
+                            n_samples=n_samples)
 
 
 def eps_coding_rate(dist: RateDistribution, eps: float) -> RateEstimate:
@@ -165,12 +163,11 @@ class AsymptoticPrediction:
 
 
 def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
-                   eps: float, mode: str = "formula",
-                   extra_constant: float = 0.0) -> AsymptoticPrediction:
+                   eps: float, mode: str = "formula") -> AsymptoticPrediction:
     """Three-term rate expansion, optionally solved self-consistently.
 
     The iterative mode runs the fixed point
-    R <- H + sigma sqrt(R/log2 M) Qinv(eps) + R (d/2) log2 log2 M / log2 M + C/log2 M
+    R <- H + sigma sqrt(R/log2 M) Qinv(eps) + R (d/2) log2 log2 M / log2 M
     to 1e-12.
     """
     if entropy <= 0 or sigma < 0 or m < 4 or not 0.0 < eps < 1.0:
@@ -192,7 +189,7 @@ def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
             if r <= 0:
                 raise RuntimeError("fixed-point iteration left the positive axis")
             second_r, third_r = terms(r)
-            nxt = entropy + second_r + third_r + extra_constant / logm
+            nxt = entropy + second_r + third_r
             if abs(nxt - r) < 1e-12:
                 pred.iterative_rate = nxt
                 pred.iterations = iteration
@@ -292,15 +289,6 @@ def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float]
                                / math.log2(logm),
         })
     return rows
-
-
-def sup_residual(model: ExpFamilyModel, grid: Grid, thetas, m: int, eps: float,
-                 counter: Optional[TypeCounter] = None) -> List[dict]:
-    """One sweep row per true parameter, on one threshold dictionary of size m."""
-    counter = counter or TypeCounter(model, grid)
-    gamma, profile = choose_gamma_profile(model, grid, m, counter=counter)
-    return [sweep_rows(model, np.atleast_1d(np.asarray(theta, dtype=float)), m, [eps],
-                       gamma, profile)[0] for theta in thetas]
 
 
 SWEEP_COLUMNS = [

@@ -39,6 +39,30 @@ def composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
+def letter_counts(model, seq) -> Tuple[int, ...]:
+    """Number of occurrences of each letter in seq."""
+    return tuple(seq.count(x) for x in range(model.alphabet_size))
+
+
+def row_dict(row) -> Dict[Tuple[int, ...], int]:
+    """A qtypes.Row as cell index -> class size, over its occupied cells."""
+    return {tuple(int(o) + f for o, f in zip(offset, row.first)): int(n)
+            for offset, n in np.ndenumerate(row.sizes) if n}
+
+
+def counts_log_prob(model, theta, counts) -> float:
+    """log2 p_theta of any sequence with the given letter counts, through
+    the rational average statistic: ell (<theta, float(stat)> - psi)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    counts = tuple(int(c) for c in counts)
+    ell = sum(counts)
+    if ell == 0:
+        raise M.ModelError("sequence must be nonempty")
+    stat = M.suff_stat_of_counts(model, counts)
+    dot = float(sum(float(s) * t for s, t in zip(stat, theta)))
+    return ell * (dot - M.log_partition(model, theta))
+
+
 def multinomial(counts) -> int:
     """Exact multinomial coefficient l! / prod(counts!)."""
     out = 1
@@ -90,17 +114,18 @@ def segment_length_masses(dictionary, theta) -> Dict[int, float]:
     by_len: Dict[int, list] = {}
     for seg in dictionary.segments:
         by_len.setdefault(len(seg), []).append(
-            2.0 ** M.sequence_log_prob(dictionary.model, theta, seg))
+            2.0 ** counts_log_prob(dictionary.model, theta,
+                                   letter_counts(dictionary.model, seg)))
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
 def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
     """length_masses class by class through the rational average statistic:
-    float(Fraction) coordinates in models.counts_log_prob."""
+    float(Fraction) coordinates in counts_log_prob."""
     by_len: Dict[int, list] = {}
     for ell, counts, mult in leaf_classes:
         by_len.setdefault(ell, []).append(
-            mult * 2.0 ** M.counts_log_prob(model, theta, counts))
+            mult * 2.0 ** counts_log_prob(model, theta, counts))
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
@@ -178,7 +203,8 @@ def first_passage_oracle(model, grid, gamma: float, max_depth: int = 12,
         ell = len(seq)
         if ell not in rows:
             rows[ell] = composition_row(model, grid, ell)
-        idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_avg(model, seq))
+        stat = M.suff_stat_of_counts(model, letter_counts(model, seq))
+        idx, _ = Q.cell_of(model, grid, ell, stat)
         return rows[ell][idx]
 
     segments, dipped, nodes = [], 0, 0
@@ -246,7 +272,7 @@ def sum_masses_oracle(model, theta, ell) -> Dict[Tuple[Fraction, ...], float]:
     for counts in compositions(ell, model.alphabet_size):
         key = tuple(sum(c * row[i] for c, row in zip(counts, model.tau))
                     for i in range(model.stat_dim))
-        mass = multinomial(counts) * 2.0 ** M.counts_log_prob(model, theta, counts)
+        mass = multinomial(counts) * 2.0 ** counts_log_prob(model, theta, counts)
         out[key] = out.get(key, 0.0) + mass
     return out
 

@@ -19,7 +19,7 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
-from oracles import compositions, enumerate_complete_trees
+from oracles import compositions, enumerate_complete_trees, letter_counts, row_dict
 
 
 BERN = M.bernoulli()
@@ -35,7 +35,8 @@ TARGET = H02 * 0.5  # H * d/2 = 0.361
 def _brute_force_row(model, grid, ell):
     tally = {}
     for seq in itertools.product(range(model.alphabet_size), repeat=ell):
-        idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_avg(model, seq))
+        stat = M.suff_stat_of_counts(model, letter_counts(model, seq))
+        idx, _ = Q.cell_of(model, grid, ell, stat)
         tally[idx] = tally.get(idx, 0) + 1
     return tally
 
@@ -44,11 +45,11 @@ def test_01_counting_oracle_equivalence(verdict):
     mismatches = 0
     checked = 0
     for model in (BERN, TERN):
-        for grid in (Q.default_grid(), GRID):
+        for grid in (Q.Grid(), GRID):
             counter = Q.TypeCounter(model, grid)
             for ell in range(1, 11):
                 brute = _brute_force_row(model, grid, ell)
-                row = counter.row(ell)
+                row = row_dict(counter.row(ell))
                 checked += len(brute)
                 if brute != row:
                     mismatches += 1
@@ -59,7 +60,7 @@ def test_01_counting_oracle_equivalence(verdict):
 def test_02_partition_identity(verdict):
     worst = 0
     for ell in range(1, 13):
-        total = sum(_COUNTER.row(ell).values())
+        total = sum(row_dict(_COUNTER.row(ell)).values())
         worst = max(worst, abs(total - 2 ** ell))
     verdict(2, "partition-identity", worst == 0,
              "max |sum - 2^l| = %d over l <= 12" % worst)
@@ -90,13 +91,13 @@ def test_03_dictionary_structure(verdict):
 
 
 def test_04_two_sided_size_band(verdict):
-    counter = Q.TypeCounter(BERN, Q.default_grid())
+    counter = Q.TypeCounter(BERN, Q.Grid())
     per_ell_max = []
     values = []
     for ell in range(4, 11):
         best = -math.inf
         for counts in compositions(ell, 2):
-            v = counter.log2_size_for_counts(counts) \
+            v = math.log2(counter.size_for_counts(counts)) \
                 - Q.log_type_size_core_counts(BERN, counts)
             values.append(v)
             best = max(best, v)
@@ -201,10 +202,10 @@ def test_09_degenerate_dispersion(verdict):
 
 
 def test_10_band_cell_scaling(verdict):
-    counter = Q.TypeCounter(BERN, Q.default_grid())
+    counter = Q.TypeCounter(BERN, Q.Grid())
     ells = [16, 32, 64, 128]
     counts = [
-        Q.band_cell_count(BERN, Q.default_grid(), ell, 0.72 * ell, 0.0, 4.0,
+        Q.band_cell_count(BERN, Q.Grid(), ell, 0.72 * ell, 0.0, 4.0,
                           counter=counter)
         for ell in ells
     ]

@@ -457,3 +457,74 @@ def test_decode_rejects_bad_codewords(tmp_path, capsys, codeword):
     assert err.count("\n") == 1
     assert "error" in json.loads(err)
     assert not decoded.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"model_id,M,eps\r\nbernoulli,64,0.1\r\n",
+    b"model_id,theta,M\r\n",
+    b"model_id,the\x00ta,M,eps\r\n",
+], ids=["rows-without-theta", "foreign-header", "nul-in-header"])
+def test_sweep_resumes_only_its_own_csv(tmp_path, capsys, content):
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(content)
+    code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64", "--eps", "0.1", "--out", str(kept))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "not a sweep CSV" in json.loads(err)["error"]
+    assert kept.read_bytes() == content
+
+
+def test_sweep_rejects_a_short_row_in_its_csv(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                     "--M", "64", "--eps", "0.1", "--out", str(path))
+    assert code == 0
+    with path.open("a", encoding="utf-8", newline="") as fh:
+        fh.write("bernoulli,-2,128\r\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64,128", "--eps", "0.1", "--out", str(path))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "fields" in json.loads(err)["error"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("model,m_list", [
+    ("bernoulli", "3"),
+    ("bernoulli", "1024,2199023255552"),
+    ("five", "4"),
+], ids=["below-4", "past-the-cap", "below-the-alphabet"])
+def test_sweep_checks_every_m_before_opening_out(tmp_path, capsys, model, m_list):
+    from tccode import models as M
+
+    if model == "five":
+        model = str(tmp_path / "five.json")
+        M.save_model(M.ExpFamilyModel(
+            alphabet_size=5, stat_dim=1, tau=((0,), (1,), (2,), (3,), (4,)),
+            theta_box=((-1.0, 1.0),), name="five"), model)
+    fresh = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--model", model, "--theta", "0",
+                         "--M", m_list, "--eps", "0.1", "--out", str(fresh))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--M" in json.loads(err)["error"]
+    assert not fresh.exists()
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    fresh = tmp_path / "from_config.csv"
+    config.write_text(json.dumps({
+        "model": "bernoulli", "theta": "-2", "M": "64", "eps": "0.1",
+        "trails": 7, "out": str(fresh),
+    }))
+    code, out, err = run(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "trails" in json.loads(err)["error"]
+    assert not fresh.exists()

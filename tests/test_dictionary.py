@@ -13,7 +13,7 @@ from tccode import qtypes as Q
 from tccode import rates as R
 
 from oracles import (FRAC, enumerate_complete_trees, first_passage_oracle,
-                     fraction_length_masses, segment_length_masses,
+                     fraction_length_masses, letter_counts, segment_length_masses,
                      size_for_counts_leaf_profile)
 
 
@@ -42,10 +42,11 @@ def test_tc_first_passage_semantics():
     gamma, dictionary = tc64()
     counter = Q.TypeCounter(BERN, GRID)
     for seg in dictionary.segments:
-        assert counter.size_of_sequence(seg) > 2 ** gamma * (1 - 1e-12)
+        size = counter.size_for_counts(letter_counts(BERN, seg))
+        assert size > 2 ** gamma * (1 - 1e-12)
         for cut in range(1, len(seg)):
-            assert counter.log2_size_for_counts(
-                (seg[:cut].count(0), seg[:cut].count(1))) <= gamma + 1e-12
+            assert math.log2(counter.size_for_counts(
+                letter_counts(BERN, seg[:cut]))) <= gamma + 1e-12
 
 
 def _assert_expansion_matches_oracle(model, gamma, counter):
@@ -64,7 +65,18 @@ def _assert_expansion_matches_oracle(model, gamma, counter):
     assert profile.length_histogram() == explicit.segment_length_histogram()
     assert profile.monotone_mismatch_leaves == dipped
     assert profile.max_length() == explicit.max_segment_length()
-    assert profile.leaf_classes == explicit.leaf_classes()
+    assert D.leaf_classes_of(model, explicit.segments) == explicit.leaf_classes()
+
+
+@pytest.mark.parametrize("model,m", [(BERN, 1024), (TERN, 512), (QUAT, 1024)])
+def test_expansion_hands_over_the_profile_leaf_classes(model, m):
+    # The explicit dictionary takes its leaf classes from the profile rather
+    # than recounting its segments; both lists are the same.
+    _, profile = D.choose_gamma_profile(model, GRID, m)
+    explicit = D.build_tc_dictionary(model, GRID, profile)
+    assert explicit._leaf_classes is not None
+    assert explicit._leaf_classes == D.leaf_classes_of(model, explicit.segments)
+    assert explicit._leaf_classes == profile.leaf_classes
 
 
 def test_profile_matches_explicit_build():
@@ -254,7 +266,7 @@ def test_depth_cap_on_aligned_grid():
     # The aligned W=1 grid pins the all-zeros path at class size 1 forever.
     for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
         with pytest.raises(D.DepthCapExceeded):
-            build(BERN, Q.default_grid(), 2.0, max_depth=200)
+            build(BERN, Q.Grid(), 2.0, max_depth=200)
 
 
 def test_leaf_cap():

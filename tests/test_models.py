@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tccode import dictionary as D
 from tccode import models as M
 
 
@@ -43,19 +44,14 @@ def test_varentropy_zero_at_uniform():
 
 
 def test_sequence_log_prob_matches_product():
-    lp = M.sequence_log_prob(BERN, [-2.0], (0, 1, 0, 0, 1))
-    assert lp == pytest.approx(3 * math.log2(0.8) + 2 * math.log2(0.2), abs=1e-12)
-
-
-def test_counts_log_prob_agrees_with_sequence():
-    seq = (0, 2, 1, 2, 0, 0)
-    lp_seq = M.sequence_log_prob(TERN, [0.4], seq)
-    lp_cnt = M.counts_log_prob(TERN, [0.4], (3, 1, 2))
-    assert lp_seq == pytest.approx(lp_cnt, abs=1e-12)
+    # One class of length 5, counts (3, 2): the mass of one such sequence.
+    mass = D.length_masses(BERN, [(5, (3, 2), 1)], [-2.0])[5]
+    assert math.log2(mass) == pytest.approx(3 * math.log2(0.8) + 2 * math.log2(0.2),
+                                            abs=1e-12)
 
 
 def test_suff_stat_is_exact_rational():
-    stat = M.suff_stat_avg(TERN, (0, 1, 2))
+    stat = M.suff_stat_of_counts(TERN, (1, 1, 1))
     assert stat == (Fraction(4, 3),)
 
 
@@ -106,9 +102,10 @@ def test_mle_moment_matching(tau):
 @given(st.floats(min_value=-3.0, max_value=3.0),
        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=20))
 def test_sequence_prob_normalizes_per_letter(theta, seq):
-    lp = M.sequence_log_prob(BERN, [theta], seq)
+    counts = (seq.count(0), seq.count(1))
+    mass = D.length_masses(BERN, [(len(seq), counts, 1)], [theta])[len(seq)]
     direct = sum(float(M.letter_log_probs(BERN, [theta])[x]) for x in seq)
-    assert lp == pytest.approx(direct, abs=1e-9)
+    assert math.log2(mass) == pytest.approx(direct, abs=1e-9)
 
 
 def test_in_stat_hull():
@@ -117,13 +114,6 @@ def test_in_stat_hull():
     assert not M.in_stat_hull(BERN, [1.1])
     assert M.in_stat_hull(QUAT, [0.5, 0.5])
     assert not M.in_stat_hull(QUAT, [1.2, 0.5])
-
-
-def test_clamp_theta():
-    out = M.clamp_theta(BERN, [10.0])
-    assert out[0] == BERN.theta_box[0][1]
-    with pytest.raises(M.ModelError):
-        M.clamp_theta(BERN, [1.0, 2.0])
 
 
 def test_model_validation_errors():
@@ -142,15 +132,11 @@ def test_model_validation_errors():
 
 def test_validate_sequence_rejects_bad_letters():
     with pytest.raises(M.ModelError):
-        M.sequence_log_prob(BERN, [0.0], (0, 2))
+        M.validate_sequence(BERN, (0, 2))
     with pytest.raises(M.ModelError):
-        M.sequence_log_prob(BERN, [0.0], ())
-
-
-def test_prob_bounds_cover_box():
-    lo, hi = BERN.prob_bounds()
-    assert 0.09 < lo < 0.11
-    assert 0.89 < hi < 0.91
+        M.validate_sequence(BERN, (-1,))
+    with pytest.raises(M.ModelError):
+        M.suff_stat_of_counts(BERN, (0, 0))
 
 
 def test_serialization_round_trip(tmp_path):

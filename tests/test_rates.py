@@ -104,7 +104,7 @@ def test_profile_matches_exact_distribution():
     gamma, dictionary = D.choose_gamma(BERN, GRID, 64)
     profile = D.tc_leaf_profile(BERN, GRID, gamma, counter=counter)
     for theta in (-2.0, 0.7):
-        a = R.exact_rate_distribution(dictionary, [theta], m_for_rate=64)
+        a = R.exact_rate_distribution(dictionary, [theta])
         b = R.profile_rate_distribution(profile, BERN, [theta], 64)
         assert set(a.masses) == set(b.masses)
         for ell in a.masses:
@@ -247,8 +247,10 @@ def test_normality_caps_admit_quaternary_1024():
 # ---------------------------------------------------------------------------
 # Sweep rows.
 
-def test_sup_residual_rows():
-    rows = R.sup_residual(BERN, GRID, [[-2.0], [0.5]], 256, 0.1)
+def test_sweep_rows_columns_and_residuals():
+    gamma, profile = D.choose_gamma_profile(BERN, GRID, 256)
+    rows = [R.sweep_rows(BERN, theta, 256, [0.1], gamma, profile)[0]
+            for theta in ((-2.0,), (0.5,))]
     assert len(rows) == 2
     for row in rows:
         assert set(row) == set(R.SWEEP_COLUMNS)
