@@ -3,7 +3,6 @@
 from .models import (
     ExpFamilyModel,
     ModelError,
-    MLEError,
     bernoulli,
     ternary,
     quaternary,

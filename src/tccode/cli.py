@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import logging
@@ -97,13 +98,14 @@ def _resolve_model(value: Optional[str]):
 
 
 def _resolve_grid(args, model) -> _qtypes.Grid:
-    if getattr(args, "W", None) is None and getattr(args, "origin", None) is None:
-        return _qtypes.construction_grid()
-    side = Fraction(args.W) if args.W is not None else Fraction(5, 2)
+    """The construction grid, with --W and --origin replacing its side and
+    origin when given."""
+    grid = _qtypes.construction_grid()
+    side = Fraction(args.W) if args.W is not None else grid.side
     if args.origin is not None:
         origin = tuple(Fraction(v) for v in str(args.origin).split(","))
     else:
-        origin = (Fraction(-1, 3),)
+        origin = grid.origin
     return _qtypes.Grid(side=side, origin=origin)
 
 
@@ -325,12 +327,14 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_rows_done(path: str) -> set:
     """The (theta, M, eps) keys of the rows in a non-empty sweep CSV, which
-    must start with the SWEEP_COLUMNS header and hold rows of that width."""
+    must start with the SWEEP_COLUMNS header, hold rows of that width and
+    end with a line end, so that appended rows start on a line of their own."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            rows = [row for row in csv.reader(fh) if row]
-        except csv.Error as exc:
-            raise CliError("--out %s is not a sweep CSV: %s" % (path, exc))
+        text = fh.read()
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:
+        raise CliError("--out %s is not a sweep CSV: %s" % (path, exc))
     if not rows or rows[0] != _rates.SWEEP_COLUMNS:
         raise CliError("--out %s is not a sweep CSV: its header is not %s"
                        % (path, ",".join(_rates.SWEEP_COLUMNS)))
@@ -341,6 +345,9 @@ def _sweep_rows_done(path: str) -> set:
                            % (path, number, len(row), len(_rates.SWEEP_COLUMNS)))
         fields = dict(zip(_rates.SWEEP_COLUMNS, row))
         done.add((fields["theta"], int(fields["M"]), float(fields["eps"])))
+    if not text.endswith(("\n", "\r")):
+        raise CliError("--out %s does not end with a line end: a row appended "
+                       "to it would be glued onto its last row" % path)
     return done
 
 
@@ -526,9 +533,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _merge_config(args)
         return _COMMANDS[args.command](args)
-    except (CliError, _models.ModelError, _models.MLEError,
-            _dict.DictionaryError, _dict.DepthCapExceeded,
-            _qtypes.CountingCapError, OSError, ValueError) as exc:
+    except (CliError, _models.ModelError, _dict.DictionaryError,
+            _dict.DepthCapExceeded, _qtypes.CountingCapError, OSError,
+            ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

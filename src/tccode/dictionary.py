@@ -28,6 +28,8 @@ from .qtypes import SIZE_CAP, Grid, TypeCounter, scaled_statistics
 Segment = Tuple[int, ...]
 # (segment length, letter counts, number of segments with both).
 LeafClass = Tuple[int, Tuple[int, ...], int]
+# Deepest level the first-passage rule descends before giving up.
+MAX_DEPTH = 50000
 
 
 class DictionaryError(ValueError):
@@ -373,8 +375,7 @@ class TCProfile:
 
 def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                     leaf_cap: Optional[int] = None,
-                    counter: Optional[TypeCounter] = None,
-                    max_depth: int = 50000) -> TCProfile:
+                    counter: Optional[TypeCounter] = None) -> TCProfile:
     """The first-passage rule as a dynamic program over letter-count classes,
     linear in the number of reachable count classes rather than in the number
     of segments; the test suite checks it against a per-sequence oracle.
@@ -401,10 +402,10 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     leaf_sizes = set()
     depth = 0
     while frontier:
-        if depth > max_depth:
+        if depth > MAX_DEPTH:
             raise DepthCapExceeded(
                 "no threshold crossing within depth %d at gamma=%.6g; "
-                "the grid likely isolates an extreme statistic" % (max_depth, gamma)
+                "the grid likely isolates an extreme statistic" % (MAX_DEPTH, gamma)
             )
         depth += 1
         row = counter.row(depth)
@@ -483,8 +484,8 @@ def gamma_reference(m: int, stat_dim: int) -> float:
 
 
 def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
-                         counter: Optional[TypeCounter] = None,
-                         max_depth: int = 50000) -> Tuple[float, TCProfile]:
+                         counter: Optional[TypeCounter] = None
+                         ) -> Tuple[float, TCProfile]:
     """Largest observed-crossing threshold whose dictionary has at most m leaves.
 
     The dictionary depends on gamma only through its integer limit
@@ -520,23 +521,21 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
                     key=lambda v: abs(math.log(v) - mid))
         try:
             best = tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
-                                   counter=counter, max_depth=max_depth)
+                                   counter=counter)
             lo = best.min_leaf_size
         except LeafCapExceeded:
             hi = n
     if best is None:
-        best = tc_leaf_profile(model, grid, -1.0, counter=counter,
-                               max_depth=max_depth)
+        best = tc_leaf_profile(model, grid, -1.0, counter=counter)
     best.gamma = best.max_internal_value if best.max_internal_size else -1.0
     return best.gamma, best
 
 
 def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,
-                 counter: Optional[TypeCounter] = None,
-                 max_depth: int = 50000) -> Tuple[float, Dictionary]:
+                 counter: Optional[TypeCounter] = None
+                 ) -> Tuple[float, Dictionary]:
     """As choose_gamma_profile, but materializes the dictionary."""
-    gamma, profile = choose_gamma_profile(model, grid, m, counter=counter,
-                                          max_depth=max_depth)
+    gamma, profile = choose_gamma_profile(model, grid, m, counter=counter)
     return gamma, build_tc_dictionary(model, grid, profile, m_target=m)
 
 

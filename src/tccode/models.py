@@ -17,15 +17,9 @@ from typing import Tuple
 
 import numpy as np
 
-LN2 = math.log(2.0)
-
 
 class ModelError(ValueError):
     """Invalid model definition or invalid input to a model operation."""
-
-
-class MLEError(RuntimeError):
-    """Maximum-likelihood solver failed to converge."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -76,14 +70,6 @@ class ExpFamilyModel:
             p = probs(self, corner)
             if not np.all((p > 0.0) & (p < 1.0)):
                 raise ModelError("probabilities must stay inside (0, 1) over the box")
-
-    @property
-    def stat_lower(self) -> Tuple[Fraction, ...]:
-        return tuple(min(row[i] for row in self.tau) for i in range(self.stat_dim))
-
-    @property
-    def stat_upper(self) -> Tuple[Fraction, ...]:
-        return tuple(max(row[i] for row in self.tau) for i in range(self.stat_dim))
 
 
 def _box_corners(box):
@@ -153,105 +139,6 @@ def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     h = float(-(p * lp).sum())
     var = float((p * lp * lp).sum() - h * h)
     return h, max(var, 0.0)
-
-
-# Slack of the statistic-hull test, and the Newton solver's stopping rule:
-# projected gradient at most MLE_TOL within MLE_MAX_ITER steps.
-HULL_TOL = 1e-9
-MLE_TOL = 1e-10
-MLE_MAX_ITER = 200
-
-
-def in_stat_hull(model: ExpFamilyModel, tau) -> bool:
-    """Whether tau lies in the convex hull of the letter statistics."""
-    target = np.array([float(v) for v in np.atleast_1d(tau)], dtype=float)
-    if target.shape != (model.stat_dim,):
-        raise ModelError("tau must have dimension %d" % model.stat_dim)
-    if model.stat_dim == 1:
-        lo, hi = float(model.stat_lower[0]), float(model.stat_upper[0])
-        return lo - HULL_TOL <= target[0] <= hi + HULL_TOL
-    from scipy.optimize import linprog
-
-    a_eq = np.vstack([_tau_matrix(model).T, np.ones(model.alphabet_size)])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(np.zeros(model.alphabet_size), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, 1)] * model.alphabet_size, method="highs")
-    if res.status == 0:
-        return True
-    # linprog uses its own feasibility tolerance; retry with a slack box.
-    res = linprog(np.zeros(model.alphabet_size), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(-HULL_TOL, 1 + HULL_TOL)] * model.alphabet_size,
-                  method="highs")
-    return res.status == 0
-
-
-def mle(model: ExpFamilyModel, tau) -> np.ndarray:
-    """Box-constrained maximizer of <theta, tau> - psi(theta).
-
-    Damped Newton with projection onto the box; the objective is strictly
-    concave (its Hessian is minus the statistic covariance), so the interior
-    solution, when it exists, solves grad psi(theta) = tau.
-    """
-    key = tuple(float(v) for v in np.atleast_1d(tau))
-    return _mle_cached(model, key).copy()
-
-
-@lru_cache(maxsize=262144)
-def _mle_cached(model, tau_key):
-    target = np.array(tau_key)
-    if not in_stat_hull(model, target):
-        raise ModelError("tau %s lies outside the statistic hull" % (target,))
-    lo = np.array([b[0] for b in model.theta_box])
-    hi = np.array([b[1] for b in model.theta_box])
-    tmat = _tau_matrix(model)
-    theta = 0.5 * (lo + hi)
-
-    def objective(t):
-        return float(target @ t) - log_partition(model, t)
-
-    f = objective(theta)
-    for _ in range(MLE_MAX_ITER):
-        p = probs(model, theta)
-        mean = p @ tmat
-        grad = target - mean
-        proj = grad.copy()
-        proj[(theta >= hi - 1e-14) & (grad > 0)] = 0.0
-        proj[(theta <= lo + 1e-14) & (grad < 0)] = 0.0
-        if float(np.abs(proj).max()) <= MLE_TOL:
-            break
-        cov = tmat.T @ (p[:, None] * tmat) - np.outer(mean, mean)
-        hess = LN2 * cov + 1e-14 * np.eye(model.stat_dim)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        # Backtrack along the Newton direction, then along the gradient if
-        # the box blocks it.
-        moved = False
-        for direction in (step, grad):
-            t = 1.0
-            while not moved and t >= 1e-14:
-                cand = np.clip(theta + t * direction, lo, hi)
-                fc = objective(cand)
-                if fc >= f - 1e-15 and not np.array_equal(cand, theta):
-                    theta, f, moved = cand, fc, True
-                t *= 0.5
-        if not moved:
-            break
-    else:
-        raise MLEError("MLE did not converge: tau=%s theta=%s projected-grad=%s"
-                       % (target, theta, proj))
-    theta.setflags(write=False)
-    return theta
-
-
-def ml_code_length(model: ExpFamilyModel, ell: int, tau) -> float:
-    """-log2 p_{theta_hat(tau)}(x^l) for any x^l with average statistic tau."""
-    if ell < 1:
-        raise ModelError("ell must be at least 1")
-    theta = mle(model, tau)
-    t = np.array([float(v) for v in np.atleast_1d(tau)])
-    return ell * (log_partition(model, theta) - float(t @ theta))
 
 
 def sample_stream(model: ExpFamilyModel, theta, seed: int, length: int) -> np.ndarray:

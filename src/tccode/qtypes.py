@@ -18,17 +18,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .models import (
-    ExpFamilyModel,
-    ModelError,
-    _as_fraction,
-    ml_code_length,
-    suff_stat_of_counts,
-)
+from .models import ExpFamilyModel, ModelError, _as_fraction
 
 CellIndex = Tuple[int, ...]
 
@@ -124,6 +118,8 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
 # addition: min(a + b, C) == min(min(a, C) + min(b, C), C) for a, b >= 0.
 SIZE_CAP = 2 ** 40
 _INT64_MAX = 2 ** 63 - 1
+# Most cells of memoized rows plus sum table that one TypeCounter may hold.
+MAX_CELLS = 2 ** 25
 
 
 class Row:
@@ -171,15 +167,13 @@ class TypeCounter:
     window at most min(cell window, axis length) entries, and row() checks
     that these counts times SIZE_CAP, and the scaled sums times the cell
     width's denominator, stay below 2^63 before it counts anything.  It also
-    refuses a length whose rows and sum table would hold more than max_cells
+    refuses a length whose rows and sum table would hold more than MAX_CELLS
     cells.
     """
 
-    def __init__(self, model: ExpFamilyModel, grid: Grid,
-                 max_cells: int = 2 ** 25):
+    def __init__(self, model: ExpFamilyModel, grid: Grid):
         self.model = model
         self.grid = grid
-        self.max_cells = max_cells
         d = model.stat_dim
         scale, stats, self._origin = scaled_statistics(
             model, [grid.origin_at(i) for i in range(d)])
@@ -229,7 +223,7 @@ class TypeCounter:
 
     def _check_caps(self, ell: int) -> None:
         """Raise CountingCapError, before any allocation, when counting up to
-        ell could overflow an int64 or would hold more than max_cells cells."""
+        ell could overflow an int64 or would hold more than MAX_CELLS cells."""
         terms = max(self.model.alphabet_size,
                     *(min(w, ell * s + 1) for w, s in zip(self._window, self._span)))
         reach = (max(abs(a) + abs(o * ell) for ends in self._sum_range(ell)
@@ -242,14 +236,14 @@ class TypeCounter:
                 % (ell, SIZE_CAP))
         cells = self._row_cells + math.prod(ell * s + 1 for s in self._span)
         length = self._sums_len
-        while cells <= self.max_cells and length < ell:
+        while cells <= MAX_CELLS and length < ell:
             length += 1
             cells += self._box_cells(length)
-        if cells > self.max_cells:
+        if cells > MAX_CELLS:
             raise CountingCapError(
                 "counting at ell=%d would hold more cells of rows and sum "
                 "table than the cap %d; use a smaller M, ell or alphabet"
-                % (ell, self.max_cells))
+                % (ell, MAX_CELLS))
 
     def row(self, ell: int) -> Row:
         """Class sizes of length ell, saturated at SIZE_CAP."""
@@ -308,53 +302,3 @@ class TypeCounter:
         stat_sum = self._stat_sum(counts)
         return self.size_of_sum(self.row(sum(counts)), stat_sum)
 
-
-def log_type_size_core_counts(model: ExpFamilyModel, counts) -> float:
-    """-log2 p_{theta_hat}(x^l) - (d/2) log2 l for any x^l with these letter
-    counts, the common core of the two-sided type-class size bounds."""
-    ell = sum(counts)
-    if ell < 2:
-        raise ModelError("core statistic requires ell >= 2")
-    tau = suff_stat_of_counts(model, counts)
-    return ml_code_length(model, ell, tau) - 0.5 * model.stat_dim * math.log2(ell)
-
-
-def info_increment_counts(model: ExpFamilyModel, counts, letter: int) -> float:
-    """Increase of the maximum-likelihood code length when a sequence with
-    these letter counts grows by one letter."""
-    letter = int(letter)
-    if letter < 0 or letter >= model.alphabet_size:
-        raise ModelError("letter index out of range")
-    ell = sum(counts)
-    if ell < 1:
-        raise ModelError("ell must be at least 1")
-    extended = tuple(c + (1 if x == letter else 0) for x, c in enumerate(counts))
-    before = ml_code_length(model, ell, suff_stat_of_counts(model, counts))
-    after = ml_code_length(model, ell + 1, suff_stat_of_counts(model, extended))
-    return after - before
-
-
-def band_cell_count(model: ExpFamilyModel, grid: Grid, ell: int, gamma: float,
-                    lo_slack: float, hi_slack: float,
-                    counter: Optional[TypeCounter] = None) -> int:
-    """Number of occupied cells whose representative ML code length falls in
-    (gamma + (d/2) log2 ell - hi_slack, gamma + (d/2) log2 ell - lo_slack).
-
-    The representative is the cell center clamped componentwise into the
-    statistic range (the bundled models all have box-shaped statistic hulls).
-    """
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    counter = counter or TypeCounter(model, grid)
-    mid = gamma + 0.5 * model.stat_dim * math.log2(ell)
-    lo_edge, hi_edge = mid - hi_slack, mid - lo_slack
-    lo_stat, hi_stat = model.stat_lower, model.stat_upper
-    row = counter.row(ell)
-    hits = 0
-    for idx in (np.argwhere(row.sizes) + row.first).tolist():
-        center = cell_center(model, grid, ell, idx)
-        rep = tuple(min(max(c, lo_stat[i]), hi_stat[i]) for i, c in enumerate(center))
-        value = ml_code_length(model, ell, rep)
-        if lo_edge < value < hi_edge:
-            hits += 1
-    return hits

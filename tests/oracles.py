@@ -63,6 +63,73 @@ def counts_log_prob(model, theta, counts) -> float:
     return ell * (dot - M.log_partition(model, theta))
 
 
+def bernoulli_mle(model, tau: float) -> float:
+    """Maximum-likelihood theta of the two-letter family with statistics 0
+    and 1 at average statistic tau: log2(tau / (1 - tau)) clipped into the
+    box."""
+    if model.tau != ((0,), (1,)):
+        raise ValueError("closed form holds only for statistics 0 and 1")
+    lo, hi = model.theta_box[0]
+    if tau <= 0:
+        return lo
+    if tau >= 1:
+        return hi
+    return min(max(math.log2(tau / (1 - tau)), lo), hi)
+
+
+def ml_code_length(model, ell: int, tau) -> float:
+    """-log2 p_{theta_hat}(x^l) for any x^l of the two-letter family with
+    average statistic tau: ell (psi(theta_hat) - tau theta_hat)."""
+    (t,) = (float(v) for v in tau)
+    theta = bernoulli_mle(model, t)
+    return ell * (M.log_partition(model, [theta]) - t * theta)
+
+
+def log_type_size_core_counts(model, counts) -> float:
+    """-log2 p_{theta_hat}(x^l) - (d/2) log2 l for any x^l with these letter
+    counts, the common core of the two-sided type-class size bounds."""
+    ell = sum(counts)
+    if ell < 2:
+        raise M.ModelError("core statistic requires ell >= 2")
+    tau = M.suff_stat_of_counts(model, counts)
+    return ml_code_length(model, ell, tau) - 0.5 * model.stat_dim * math.log2(ell)
+
+
+def info_increment_counts(model, counts, letter: int) -> float:
+    """Increase of the maximum-likelihood code length when a sequence with
+    these letter counts grows by one letter."""
+    if letter < 0 or letter >= model.alphabet_size:
+        raise M.ModelError("letter index out of range")
+    ell = sum(counts)
+    if ell < 1:
+        raise M.ModelError("ell must be at least 1")
+    extended = tuple(c + (x == letter) for x, c in enumerate(counts))
+    before = ml_code_length(model, ell, M.suff_stat_of_counts(model, counts))
+    after = ml_code_length(model, ell + 1, M.suff_stat_of_counts(model, extended))
+    return after - before
+
+
+def band_cell_count(counter, ell: int, gamma: float, lo_slack: float,
+                    hi_slack: float) -> int:
+    """Number of occupied cells of the counter's row at ell whose
+    representative ML code length falls in
+    (gamma + (d/2) log2 ell - hi_slack, gamma + (d/2) log2 ell - lo_slack).
+
+    The representative is the cell center clamped into the statistic range.
+    """
+    model, grid = counter.model, counter.grid
+    mid = gamma + 0.5 * model.stat_dim * math.log2(ell)
+    lo_stat, hi_stat = min(model.tau)[0], max(model.tau)[0]
+    row = counter.row(ell)
+    hits = 0
+    for idx in (np.argwhere(row.sizes) + row.first).tolist():
+        (center,) = Q.cell_center(model, grid, ell, idx)
+        rep = (min(max(center, lo_stat), hi_stat),)
+        if mid - hi_slack < ml_code_length(model, ell, rep) < mid - lo_slack:
+            hits += 1
+    return hits
+
+
 def multinomial(counts) -> int:
     """Exact multinomial coefficient l! / prod(counts!)."""
     out = 1
@@ -130,7 +197,7 @@ def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
 
 
 def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
-                                 counter=None, max_depth: int = 50000):
+                                 counter=None):
     """tc_leaf_profile with each child's size looked up from its whole count
     vector by TypeCounter.size_for_counts, and one leaf row per parent edge
     merged at the end."""
@@ -147,9 +214,9 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
     leaf_sizes = set()
     depth = 0
     while frontier:
-        if depth > max_depth:
+        if depth > D.MAX_DEPTH:
             raise D.DepthCapExceeded("no threshold crossing within depth %d"
-                                     % max_depth)
+                                     % D.MAX_DEPTH)
         nxt, nxt_sizes = {}, {}
         for counts, (clean, dipped) in frontier.items():
             parent_size = sizes[counts]

@@ -19,7 +19,9 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
-from oracles import compositions, enumerate_complete_trees, letter_counts, row_dict
+from oracles import (band_cell_count, compositions, enumerate_complete_trees,
+                     info_increment_counts, letter_counts,
+                     log_type_size_core_counts, row_dict)
 
 
 BERN = M.bernoulli()
@@ -98,7 +100,7 @@ def test_04_two_sided_size_band(verdict):
         best = -math.inf
         for counts in compositions(ell, 2):
             v = math.log2(counter.size_for_counts(counts)) \
-                - Q.log_type_size_core_counts(BERN, counts)
+                - log_type_size_core_counts(BERN, counts)
             values.append(v)
             best = max(best, v)
         per_ell_max.append(best)
@@ -115,7 +117,7 @@ def test_05_increment_boundedness(verdict):
         best = -math.inf
         for counts in compositions(ell, 2):
             for x in range(2):
-                best = max(best, Q.info_increment_counts(BERN, counts, x))
+                best = max(best, info_increment_counts(BERN, counts, x))
         by_ell[ell] = best
     bound = by_ell[2] + 1.0
     worst = max(by_ell.values())
@@ -204,11 +206,7 @@ def test_09_degenerate_dispersion(verdict):
 def test_10_band_cell_scaling(verdict):
     counter = Q.TypeCounter(BERN, Q.Grid())
     ells = [16, 32, 64, 128]
-    counts = [
-        Q.band_cell_count(BERN, Q.Grid(), ell, 0.72 * ell, 0.0, 4.0,
-                          counter=counter)
-        for ell in ells
-    ]
+    counts = [band_cell_count(counter, ell, 0.72 * ell, 0.0, 4.0) for ell in ells]
     slope = float(np.polyfit(np.log2(ells),
                              np.log2(np.maximum(counts, 1)), 1)[0])
     verdict(10, "band-cell-scaling", slope <= 0.5,

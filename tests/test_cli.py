@@ -1,10 +1,13 @@
+import ast
 import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
+import tccode
 from tccode.cli import main
 
 
@@ -28,6 +31,19 @@ def test_build_dict_deterministic(tmp_path, capsys):
                      "--M", "64", "--out", str(path))
     assert code == 0
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("flags", [["--W", "5/2"], ["--origin=-1/3"],
+                                   ["--W", "5/2", "--origin=-1/3"]],
+                         ids=["side", "origin", "both"])
+def test_grid_flags_default_to_the_construction_grid(tmp_path, capsys, flags):
+    # Either grid flag alone keeps the construction grid's other coordinate.
+    plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+    for path, extra in ((plain, []), (flagged, flags)):
+        code, _, _ = run(capsys, "build-dict", "--model", "ternary", "--M", "128",
+                         "--out", str(path), *extra)
+        assert code == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 def test_build_dict_single_letter(tmp_path, capsys):
@@ -367,22 +383,6 @@ def test_depth_cap_is_reported(tmp_path, capsys, monkeypatch):
     assert "depth" in json.loads(err)["error"]
 
 
-def test_mle_failure_is_reported(tmp_path, capsys, monkeypatch):
-    from tccode import dictionary as D
-    from tccode import models as M
-
-    def diverging(*args, **kwargs):
-        raise M.MLEError("MLE did not converge")
-
-    monkeypatch.setattr(D, "choose_gamma", diverging)
-    code, out, err = run(capsys, "build-dict", "--model", "bernoulli", "--M", "64",
-                         "--out", str(tmp_path / "d.txt"))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "MLE" in json.loads(err)["error"]
-
-
 def test_config_sets_boolean_flags(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -492,6 +492,25 @@ def test_sweep_rejects_a_short_row_in_its_csv(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_sweep_refuses_a_csv_without_a_final_line_end(tmp_path, capsys):
+    # A row appended to a file that stops mid-line would be glued onto its
+    # last row.
+    path = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                     "--M", "64", "--eps", "0.1", "--out", str(path))
+    assert code == 0
+    content = path.read_bytes()
+    assert content.endswith(b"\r\n")
+    path.write_bytes(content[:-2])
+    code, out, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
+                         "--M", "64,128", "--eps", "0.1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "line end" in json.loads(err)["error"]
+    assert path.read_bytes() == content[:-2]
+
+
 @pytest.mark.parametrize("model,m_list", [
     ("bernoulli", "3"),
     ("bernoulli", "1024,2199023255552"),
@@ -528,3 +547,19 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "trails" in json.loads(err)["error"]
     assert not fresh.exists()
+
+
+def test_no_module_imports_scipy():
+    # Importing scipy costs a CLI call 0.3-0.45 s of start-up; it is a test
+    # dependency only.
+    package = Path(tccode.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (
+                "%s:%d imports scipy" % (source.name, node.lineno))

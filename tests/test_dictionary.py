@@ -129,10 +129,12 @@ def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma)
     # is equal, or both builds raise the same cap error.
     grid = Q.Grid(side=side, origin=tuple(origin))
     counter = Q.TypeCounter(model, grid)
-    kwargs = dict(leaf_cap=3000, counter=counter, max_depth=80)
-    got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
-    want = _profile_or_raised(size_for_counts_leaf_profile, model, grid, gamma,
-                              **kwargs)
+    kwargs = dict(leaf_cap=3000, counter=counter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "MAX_DEPTH", 80)
+        got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
+        want = _profile_or_raised(size_for_counts_leaf_profile, model, grid,
+                                  gamma, **kwargs)
     assert got == want
 
 
@@ -264,9 +266,11 @@ def test_ternary_gamma_at_scale():
 
 def test_depth_cap_on_aligned_grid():
     # The aligned W=1 grid pins the all-zeros path at class size 1 forever.
-    for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
-        with pytest.raises(D.DepthCapExceeded):
-            build(BERN, Q.Grid(), 2.0, max_depth=200)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "MAX_DEPTH", 200)
+        for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
+            with pytest.raises(D.DepthCapExceeded, match="depth 200"):
+                build(BERN, Q.Grid(), 2.0)
 
 
 def test_leaf_cap():

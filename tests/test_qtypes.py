@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from tccode import models as M
 from tccode import qtypes as Q
 
-from oracles import (FRAC, composition_count, composition_row, compositions,
-                     letter_counts, multinomial, row_dict)
+from oracles import (FRAC, band_cell_count, composition_count, composition_row,
+                     compositions, info_increment_counts, letter_counts,
+                     log_type_size_core_counts, multinomial, row_dict)
 
 
 BERN = M.bernoulli()
@@ -99,9 +100,11 @@ def test_size_of_sequence():
 
 
 def test_counting_cap():
-    counter = Q.TypeCounter(TERN, Q.Grid(), max_cells=10)
-    with pytest.raises(Q.CountingCapError):
-        counter.row(10)
+    counter = Q.TypeCounter(TERN, Q.Grid())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "MAX_CELLS", 10)
+        with pytest.raises(Q.CountingCapError, match="cap 10;"):
+            counter.row(10)
 
 
 def test_counting_cap_fails_before_allocating():
@@ -178,26 +181,26 @@ def test_wide_grid_counts_or_fails_fast(side):
 
 def test_log_type_size_core_values():
     # counts (2, 2): 4 * h(1/2) - (1/2) log2 4 = 3.
-    assert Q.log_type_size_core_counts(BERN, (2, 2)) == pytest.approx(3.0, abs=1e-9)
+    assert log_type_size_core_counts(BERN, (2, 2)) == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(M.ModelError):
-        Q.log_type_size_core_counts(BERN, (1, 0))
+        log_type_size_core_counts(BERN, (1, 0))
 
 
 def test_core_tracks_exact_log_count():
     # |log2 C(4,2) - core| for the centered type.
-    gap = abs(math.log2(6) - Q.log_type_size_core_counts(BERN, (2, 2)))
+    gap = abs(math.log2(6) - log_type_size_core_counts(BERN, (2, 2)))
     assert gap == pytest.approx(math.log2(8.0 / 6.0), abs=1e-9)
 
 
 def test_info_increment_value():
     # (1, 1) counts extended by letter 1: 3 h(2/3) - 2.
     h23 = -(2 / 3) * math.log2(2 / 3) - (1 / 3) * math.log2(1 / 3)
-    got = Q.info_increment_counts(BERN, (1, 1), 1)
+    got = info_increment_counts(BERN, (1, 1), 1)
     assert got == pytest.approx(3 * h23 - 2.0, abs=1e-9)
     with pytest.raises(M.ModelError):
-        Q.info_increment_counts(BERN, (1, 0), 2)
+        info_increment_counts(BERN, (1, 0), 2)
     with pytest.raises(M.ModelError):
-        Q.info_increment_counts(BERN, (0, 0), 0)
+        info_increment_counts(BERN, (0, 0), 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -223,12 +226,10 @@ def test_cell_center_lies_in_cell(ell, num):
 def test_band_cell_count_basic():
     counter = Q.TypeCounter(BERN, Q.Grid())
     # An all-covering band counts every occupied cell.
-    total = Q.band_cell_count(BERN, Q.Grid(), 16, 8.0, -100.0, 100.0,
-                              counter=counter)
+    total = band_cell_count(counter, 16, 8.0, -100.0, 100.0)
     assert total == len(row_dict(counter.row(16)))
     # An empty band counts none.
-    assert Q.band_cell_count(BERN, Q.Grid(), 16, 8.0, 5.0, 5.0,
-                             counter=counter) == 0
+    assert band_cell_count(counter, 16, 8.0, 5.0, 5.0) == 0
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
