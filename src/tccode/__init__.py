@@ -18,6 +18,7 @@ from .dictionary import (
     DepthCapExceeded,
     build_tc_dictionary,
     build_tunstall,
+    tc_dictionary,
     choose_gamma,
     choose_gamma_profile,
     tc_leaf_profile,
@@ -25,7 +26,7 @@ from .dictionary import (
     load_dictionary,
     save_dictionary,
 )
-from .converse import FVCode, vf_to_fv, fv_length, check_event_equivalence
+from .converse import FVCode, vf_to_fv, check_event_equivalence
 from .normal import gaussian_tail, gaussian_quantile
 from .rates import (
     RateDistribution,

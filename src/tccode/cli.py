@@ -21,8 +21,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import dictionary as _dict
 from . import models as _models
 from . import qtypes as _qtypes
@@ -62,8 +60,7 @@ def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
     if isinstance(text, (list, tuple)):
         out = []
         for item in text:
-            vec = tuple(float(v) for v in np.atleast_1d(item))
-            out.append(vec)
+            out.append(tuple(_models.theta_floats(item)))
     else:
         out = []
         for chunk in str(text).split(";"):
@@ -218,22 +215,15 @@ def cmd_encode(args) -> int:
         raise CliError("encode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
     letters = _models.validate_sequence(dictionary.model, _read_letters(args.input))
-    stream = iter(letters)
+    indices, covered = dictionary.parse(letters)
+    if covered < len(letters):
+        log.warning("trailing %d letters do not complete a segment",
+                    len(letters) - covered)
+    log.info("encoded %d segments (%d letters consumed)", len(indices), covered)
+    fmt = "0%db" % dictionary.codeword_width
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        pos = 0
-        emitted = 0
-        while pos < len(letters):
-            try:
-                result = dictionary.parse_one(stream)
-            except _dict.DictionaryError:
-                log.warning("trailing %d letters do not complete a segment",
-                            len(letters) - pos)
-                break
-            out.write(result.codeword + "\n")
-            pos += result.length
-            emitted += 1
-        log.info("encoded %d segments (%d letters consumed)", emitted, pos)
+        out.writelines(format(index, fmt) + "\n" for index in indices)
     finally:
         if args.out:
             out.close()
@@ -258,7 +248,11 @@ def cmd_decode(args) -> int:
     if indices and max(indices) >= dictionary.size:
         # Raises DictionaryError for the first index out of range.
         dictionary.decode(next(i for i in indices if i >= dictionary.size))
-    lines = [" ".join(map(str, seg)) + "\n" for seg in dictionary.segments]
+    # Each distinct index is unranked once.
+    lines = {}
+    for i in indices:
+        if i not in lines:
+            lines[i] = " ".join(map(str, dictionary.decode(i))) + "\n"
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.writelines(lines[i] for i in indices)
@@ -396,8 +390,7 @@ def cmd_sweep(args) -> int:
                                                         counter=counter)
             mc_dict = None
             if trials:
-                mc_dict = _dict.build_tc_dictionary(model, grid, profile,
-                                                    m_target=m)
+                mc_dict = _dict.tc_dictionary(model, grid, profile, m_target=m)
             for theta, group in itertools.groupby(wanted, key=lambda pair: pair[0]):
                 eps_wanted = [eps for _, eps in group]
                 rows = _rates.sweep_rows(model, theta, m, eps_wanted, gamma, profile)

@@ -10,13 +10,11 @@ two codes coincide, which is what the length analysis needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .dictionary import (Dictionary, DictionaryError, Segment, Trie, build_trie,
-                         leaf_classes_of, length_masses, walk, walk_block)
+from .dictionary import (Dictionary, DictionaryError, Segment, Trie, length_masses,
+                         prune, table_leaf_classes, walk, walk_block)
 from .models import ExpFamilyModel, sample_stream
 
 
@@ -28,24 +26,18 @@ class FVCode:
     n: int
     base_width: int
     per_letter_suffix_bits: int
-    pruned_segments: Tuple[Segment, ...]
-    _trie: Optional[Trie] = field(default=None, repr=False, compare=False)
+    table: Trie  # the dictionary's table pruned at depth n
 
     @property
     def leaf_count(self) -> int:
-        return len(self.pruned_segments)
-
-    def trie(self) -> Trie:
-        if self._trie is None:
-            self._trie = build_trie(self.pruned_segments, self.model.alphabet_size)
-        return self._trie
+        return self.table.leaves
 
     def parse_depth(self, word) -> Tuple[int, int]:
         """(leaf index, depth) of the pruned-tree leaf reached by the word."""
         word = tuple(int(x) for x in word)
         if len(word) != self.n:
             raise DictionaryError("input must have length %d" % self.n)
-        index, depth = walk(self.trie(), word)
+        index, depth = walk(self.table, word)
         if index is None:
             raise DictionaryError("pruned tree deeper than n")  # pragma: no cover
         return index, depth
@@ -55,38 +47,14 @@ def vf_to_fv(dictionary: Dictionary, n: int) -> FVCode:
     """Prune the dictionary tree at depth n and index the remaining leaves."""
     if n < 1:
         raise DictionaryError("n must be at least 1")
-    pruned = sorted({seg if len(seg) <= n else seg[:n] for seg in dictionary.segments})
     k = dictionary.model.alphabet_size
     return FVCode(
         model=dictionary.model,
         n=n,
         base_width=max(1, math.ceil(math.log2(dictionary.m_target))),
         per_letter_suffix_bits=max(1, math.ceil(math.log2(k))),
-        pruned_segments=tuple(pruned),
+        table=prune(dictionary.trie(), n),
     )
-
-
-def fv_length(code: FVCode, word) -> int:
-    """Codeword length in bits for a length-n input word."""
-    _, depth = code.parse_depth(word)
-    return code.base_width + (code.n - depth) * code.per_letter_suffix_bits
-
-
-def fv_codeword(code: FVCode, word) -> str:
-    """Explicit codeword; used as a small-n oracle for prefix-freeness."""
-    word = tuple(int(x) for x in word)
-    index, depth = code.parse_depth(word)
-    bits = format(index, "0%db" % code.base_width)
-    for letter in word[depth:]:
-        bits += format(letter, "0%db" % code.per_letter_suffix_bits)
-    return bits
-
-
-def vf_parse_shorter_than(dictionary: Dictionary, word) -> bool:
-    """Whether the first parsed segment of word-extended-arbitrarily is
-    strictly shorter than len(word)."""
-    index, depth = walk(dictionary.trie(), word)
-    return index is not None and depth < len(word)
 
 
 def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:
@@ -98,7 +66,7 @@ def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:
 def fv_overflow_mass(code: FVCode, theta) -> float:
     """P(codeword longer than base_width bits) under p_theta: the mass of the
     pruned leaves shorter than n, the only ones followed by suffix letters."""
-    short = [c for c in leaf_classes_of(code.model, code.pruned_segments) if c[0] < code.n]
+    short = [c for c in table_leaf_classes(code.table) if c[0] < code.n]
     return math.fsum(length_masses(code.model, short, theta).values())
 
 
@@ -131,6 +99,8 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
     Exhaustive over all k^n words, in lexicographic order, when affordable;
     sampled otherwise.  Counterexamples are listed in the order checked.
     """
+    import numpy as np
+
     code = vf_to_fv(dictionary, n)
     width = code.base_width if base_width is None else int(base_width)
     k = dictionary.model.alphabet_size
@@ -139,10 +109,11 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
 
     def check(words: np.ndarray) -> None:
         """Compare the two events on every row of a (rows, n) word block:
-        vf_parse_shorter_than and fv_length > width, walked in bulk."""
+        a parse shorter than n, and a codeword longer than width, walked in
+        bulk."""
         vf_index, vf_depth = walk_block(dictionary.trie(), words)
         vf_event = (vf_index >= 0) & (vf_depth < n)
-        _, fv_depth = walk_block(code.trie(), words)
+        _, fv_depth = walk_block(code.table, words)
         fv_event = code.base_width + (n - fv_depth) * code.per_letter_suffix_bits > width
         for row in np.flatnonzero(vf_event != fv_event):
             counterexamples.append((tuple(words[row].tolist()), bool(vf_event[row]),

@@ -5,8 +5,12 @@ where the log quantized-type-class size exceeds gamma (first-passage rule).
 This is equivalent to the two-condition membership rule whenever the log size
 is monotone along the path, and it guarantees a complete, proper parse tree
 unconditionally; paths on which monotonicity failed are counted and reported.
-The rule is applied in one place, tc_leaf_profile, over letter-count classes;
-build_tc_dictionary expands that profile into explicit segments.
+The rule is applied in one place, tc_leaf_profile, over letter-count classes.
+A node is then a leaf by its letter counts alone, so the parse tree is the
+unfolding of a DAG over count classes: class_dag builds it from the leaf
+classes, and a segment's index is its enumerative rank along it.
+build_tc_dictionary, the test oracle, expands the classes into explicit
+segments instead.
 """
 
 from __future__ import annotations
@@ -15,11 +19,9 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import models as _models
 from .models import ExpFamilyModel
@@ -56,37 +58,62 @@ class ParseResult:
     codeword: str
 
 
-@dataclass
 class Dictionary:
-    """A complete, proper parse tree given by its leaf segments."""
+    """A complete, proper parse tree whose segments are indexed in
+    lexicographic order.
 
-    model: ExpFamilyModel
-    grid: Grid
-    segments: Tuple[Segment, ...]
-    m_target: int
-    gamma: Optional[float] = None
-    kind: str = "tc"
-    monotone_mismatches: int = 0
-    size: int = field(init=False, repr=False, compare=False)
-    codeword_width: int = field(init=False, repr=False, compare=False)
-    _trie: Optional[Trie] = field(default=None, repr=False, compare=False)
-    _leaf_classes: Optional[List[LeafClass]] = field(default=None, repr=False,
-                                                     compare=False)
+    It is given either by its segments (Tunstall dictionaries, format-1
+    files, the build_tc_dictionary oracle) or, for a threshold dictionary,
+    by its leaf classes alone, which fix the tree because a node is a leaf
+    by its letter counts.  Either way it parses and decodes on one
+    rank-offset table: the explicit trie of the segments, or the count-class
+    DAG of the classes.
+    """
 
-    def __post_init__(self):
-        # Letters are checked against the alphabet when the trie is built.
-        self.segments = tuple(map(tuple, self.segments))
-        segs = self.segments
-        if any(a > b for a, b in zip(segs, segs[1:])):
-            raise DictionaryError("segments must be in lexicographic order")
-        self.size = len(segs)
+    def __init__(self, model: ExpFamilyModel, grid: Grid, *, m_target: int,
+                 segments: Optional[Iterable[Segment]] = None,
+                 leaf_classes: Optional[Iterable[LeafClass]] = None,
+                 gamma: Optional[float] = None, kind: str = "tc",
+                 monotone_mismatches: int = 0):
+        self.model = model
+        self.grid = grid
+        self.m_target = m_target
+        self.gamma = gamma
+        self.kind = kind
+        self.monotone_mismatches = monotone_mismatches
+        self._trie: Optional[Trie] = None
+        self._segments: Optional[Tuple[Segment, ...]] = None
+        self._leaf_classes = None if leaf_classes is None else list(leaf_classes)
+        if segments is not None:
+            # Letters are checked against the alphabet when the trie is built.
+            segs = self._segments = tuple(map(tuple, segments))
+            if any(a > b for a, b in zip(segs, segs[1:])):
+                raise DictionaryError("segments must be in lexicographic order")
+            self.size = len(segs)
+        elif self._leaf_classes is not None:
+            self.size = sum(mult for _, _, mult in self._leaf_classes)
+        else:
+            raise DictionaryError("a dictionary needs its segments or its leaf classes")
         # ceil(log2(size)), at least one bit.
         self.codeword_width = max(1, (self.size - 1).bit_length())
         self._codeword_format = "0%db" % self.codeword_width
 
+    @property
+    def segments(self) -> Tuple[Segment, ...]:
+        """The segments in index order; a threshold dictionary given by its
+        leaf classes unranks every one of them."""
+        if self._segments is not None:
+            return self._segments
+        trie = self.trie()
+        return tuple(unrank(trie, index) for index in range(self.size))
+
     def trie(self) -> Trie:
         if self._trie is None:
-            self._trie = build_trie(self.segments, self.model.alphabet_size)
+            k = self.model.alphabet_size
+            if self._segments is not None:
+                self._trie = build_trie(self._segments, k)
+            else:
+                self._trie = class_dag(k, self._leaf_classes)
         return self._trie
 
     def leaf_classes(self) -> List[LeafClass]:
@@ -96,22 +123,26 @@ class Dictionary:
         build; every probability mass of the dictionary is computed from it.
         """
         if self._leaf_classes is None:
-            self._leaf_classes = leaf_classes_of(self.model, self.segments)
+            self._leaf_classes = table_leaf_classes(self.trie())
         return self._leaf_classes
 
     def check_structure(self) -> None:
-        """Raise unless the segment set forms a complete proper k-ary tree."""
-        if not self.segments:
+        """Raise unless the dictionary is a complete proper k-ary tree of at
+        most m_target leaves, and, when given by its leaf classes, unless the
+        classes are exactly those of the tree they describe."""
+        if not self.size:
             raise DictionaryError("empty dictionary")
         if self.size > self.m_target:
             raise DictionaryError("dictionary exceeds its target size")
         # build_trie rejects duplicates, prefix conflicts and foreign letters;
-        # what is left to check is that no internal node lacks a child.
-        k = self.model.alphabet_size
-        for row in self.trie().rows:
-            if 0 in row:
-                raise DictionaryError("internal node with %d != %d children"
-                                      % (k - row.count(0), k))
+        # class_dag classes that leave a path without a leaf.
+        trie = self.trie()
+        if 0 in trie.cells:
+            raise DictionaryError("internal node with a missing child")
+        if self._segments is None and table_leaf_classes(trie) != self._leaf_classes:
+            raise DictionaryError("leaf classes disagree with the parse tree they "
+                                  "describe: a multiplicity is wrong, or a class "
+                                  "is missing, unreachable or out of order")
 
     def parse_one(self, stream: Iterable[int]) -> ParseResult:
         """Consume letters until a segment is identified; fixed-width output."""
@@ -120,10 +151,36 @@ class Dictionary:
             raise DictionaryError("stream exhausted before a segment was identified")
         return ParseResult(index, length, format(index, self._codeword_format))
 
+    def parse(self, letters: Sequence[int]) -> Tuple[List[int], int]:
+        """Split the letters into segments in one pass over the table.
+
+        Returns the segment indices and the number of letters they cover; a
+        tail that completes no segment is left over.  A letter outside the
+        alphabet or with no child raises DictionaryError.
+        """
+        trie = self.trie()
+        if letters and (min(letters) < 0 or max(letters) >= trie.k):
+            raise DictionaryError("letter outside [0, %d)" % trie.k)
+        cells, offsets = trie.cells, trie.offsets
+        indices: List[int] = []
+        node = rank = covered = 0
+        for position, letter in enumerate(letters, 1):
+            cell = node + letter
+            node = cells[cell]
+            rank += offsets[cell]
+            if node <= 0:
+                if not node:
+                    raise DictionaryError("letter %r not parseable at position %d"
+                                          % (letter, position))
+                indices.append(rank)
+                node = rank = 0
+                covered = position
+        return indices, covered
+
     def decode(self, index: int) -> Segment:
         if not 0 <= index < self.size:
             raise DictionaryError("index %d out of range [0, %d)" % (index, self.size))
-        return self.segments[index]
+        return unrank(self.trie(), index)
 
     def max_segment_length(self) -> int:
         return self.leaf_classes()[-1][0]
@@ -131,143 +188,272 @@ class Dictionary:
     def segment_length_histogram(self) -> Dict[int, int]:
         return length_histogram(self.leaf_classes())
 
-    def leaf_mass(self, theta) -> float:
-        return math.fsum(length_masses(self.model, self.leaf_classes(), theta).values())
-
     def expected_length(self, theta) -> float:
         masses = length_masses(self.model, self.leaf_classes(), theta)
         return math.fsum(ell * p for ell, p in masses.items())
 
 
 # ---------------------------------------------------------------------------
-# The parse tree as one integer transition table.  Row 0 is the root; row r
-# holds one entry per letter: an entry >= 1 is the child's row, ~index (< 0)
-# is the leaf of segment `index`, and 0 is a missing child (no row points
-# back to the root).  `walk` descends it one stream at a time, `walk_block`
-# descends a block of rows of letters at once.
+# The parse tree as one integer rank-offset table.
+
+# The table entry of a letter that ends a segment.
+LEAF = -1
+
 
 class Trie:
-    """Integer transition table of a parse tree over the letters 0..k-1."""
+    """Rank-offset transition table of a parse tree over the letters 0..k-1.
 
-    def __init__(self, rows: List[List[int]], k: int):
-        self.rows = rows  # the table as lists, for the scalar walk
+    Row r holds cells[r*k : r*k + k], one entry per letter: the child's row
+    as its first cell r'*k (>= k: no entry points back to the root, row 0),
+    LEAF, or 0 for a missing child.  Every row comes after the rows that
+    point to it.  offsets[r*k + x] is the number of leaves below the letters
+    before x, so the sum of the offsets along a path is the rank of its leaf,
+    the index of its segment in lexicographic order.  An explicit tree has
+    one row per internal node; the count-class DAG shares one row among all
+    nodes of equal letter counts.
+    """
+
+    def __init__(self, cells: List[int], k: int):
+        self.cells = cells
         self.k = k
-        self._table: Optional[np.ndarray] = None
+        offsets = [0] * len(cells)
+        below = [0] * (len(cells) // k)  # leaves below each row
+        for base in range(len(cells) - k, -1, -k):
+            total = 0
+            for cell in range(base, base + k):
+                offsets[cell] = total
+                child = cells[cell]
+                if child > 0:
+                    total += below[child // k]
+                elif child:
+                    total += 1
+            below[base // k] = total
+        self.offsets = offsets
+        self.leaves = below[0]
+        self._arrays = None
 
-    @property
-    def table(self) -> np.ndarray:
-        """The table as a (rows, k) array, for the bulk walk.  int32 holds
-        it: a dictionary with 2^31 segments would not fit in memory anyway."""
-        if self._table is None:
-            self._table = np.array(self.rows, dtype=np.int32).reshape(-1, self.k)
-        return self._table
+    def arrays(self):
+        """(cells, offsets) as int64 numpy arrays, for the bulk walk."""
+        if self._arrays is None:
+            import numpy as np
+
+            self._arrays = (np.array(self.cells, dtype=np.int64),
+                            np.array(self.offsets, dtype=np.int64))
+        return self._arrays
 
 
 def build_trie(segments: Iterable[Segment], k: int) -> Trie:
-    """The transition table of the segments, each a leaf of its index.
+    """The explicit table of the segments, one row per internal node.
 
     Raises DictionaryError on an empty segment, a letter outside 0..k-1, or
     a segment that repeats or is a prefix of another.
     """
-    rows = [[0] * k]
+    cells = [0] * k
     for index, seg in enumerate(segments):
         if not seg:
             raise DictionaryError("empty segment at index %d" % index)
-        node = 0
+        base = 0
         last = len(seg) - 1
         for depth, letter in enumerate(seg):
             if not 0 <= letter < k:
                 raise DictionaryError("segment %r has letter %r outside [0, %d)"
                                       % (seg, letter, k))
-            row = rows[node]
-            child = row[letter]
+            cell = base + letter
+            child = cells[cell]
             if depth == last:
                 if child:
                     raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
-                row[letter] = ~index
+                cells[cell] = LEAF
             elif child > 0:
-                node = child
+                base = child
             elif child == 0:
-                node = row[letter] = len(rows)
-                rows.append([0] * k)
+                base = cells[cell] = len(cells)
+                cells.extend([0] * k)
             else:
                 raise DictionaryError("segment %r conflicts with a prefix" % (seg,))
-    return Trie(rows, k)
+    return Trie(cells, k)
+
+
+def class_dag(k: int, leaf_classes: Iterable[LeafClass]) -> Trie:
+    """The table of the threshold parse tree with these leaf classes: one row
+    per reachable internal count class, built level by level from the root.
+    A node is a leaf when its counts are those of a class, and internal
+    otherwise.
+
+    In a parse tree the internal classes of one depth are no more than the
+    leaf classes (each reaches a different leaf by repeating letter 0), and
+    the longest segment is no longer than the number of classes (every
+    depth adds at least k - 1 leaves), so classes that break either bound
+    raise DictionaryError before the table grows past them, as do classes
+    that leave a path without a leaf at the longest length.
+    """
+    leaf_counts = set()
+    max_length = 0
+    for ell, counts, _ in leaf_classes:
+        leaf_counts.add(counts)
+        max_length = max(max_length, ell)
+    if max_length > len(leaf_counts):
+        raise DictionaryError("%d leaf classes cannot reach length %d"
+                              % (len(leaf_counts), max_length))
+    root = (0,) * k
+    base_of = {root: 0}
+    cells = [0] * k
+    level = [root]
+    depth = 0
+    while level:
+        depth += 1
+        children = []
+        for counts in level:
+            base = base_of[counts]
+            for x in range(k):
+                child = _bump(counts, x)
+                if child in leaf_counts:
+                    cells[base + x] = LEAF
+                    continue
+                child_base = base_of.get(child)
+                if child_base is None:
+                    if depth >= max_length or len(children) >= len(leaf_counts):
+                        raise DictionaryError("leaf classes do not describe a "
+                                              "parse tree over %d letters" % k)
+                    child_base = base_of[child] = len(cells)
+                    cells.extend([0] * k)
+                    children.append(child)
+                cells[base + x] = child_base
+        level = children
+    return Trie(cells, k)
+
+
+def table_leaf_classes(trie: Trie) -> List[LeafClass]:
+    """Sorted leaf classes of a table: each leaf entry adds the number of
+    root paths to its row to the class of its letter counts."""
+    k, cells = trie.k, trie.cells
+    counts_of = {0: (0,) * k}
+    paths = {0: 1}
+    merged: Dict[Tuple[int, ...], int] = {}
+    for base in range(0, len(cells), k):
+        counts, n = counts_of[base], paths[base]
+        for x in range(k):
+            child = cells[base + x]
+            if child > 0:
+                # Every path to a row has the same letter counts.
+                counts_of[child] = _bump(counts, x)
+                paths[child] = paths.get(child, 0) + n
+            elif child:
+                leaf = _bump(counts, x)
+                merged[leaf] = merged.get(leaf, 0) + n
+    return sorted((sum(counts), counts, n) for counts, n in merged.items())
+
+
+def prune(trie: Trie, n: int) -> Trie:
+    """The table with every node of depth n made a leaf and the rows below
+    dropped.  A row's depth is that of every path to it."""
+    k, cells = trie.k, trie.cells
+    depth = {0: 0}
+    moved = {0: 0}  # row base -> its base in the pruned table
+    out = [0] * k
+    for base in range(0, len(cells), k):
+        new = moved.get(base)
+        if new is None:
+            continue
+        child_depth = depth[base] + 1
+        for x in range(k):
+            child = cells[base + x]
+            if child > 0:
+                if child_depth >= n:
+                    child = LEAF
+                elif child in moved:
+                    child = moved[child]
+                else:
+                    depth[child] = child_depth
+                    moved[child] = len(out)
+                    child = len(out)
+                    out.extend([0] * k)
+            out[new + x] = child
+    return Trie(out, k)
+
+
+def unrank(trie: Trie, index: int) -> Segment:
+    """The segment of rank index, 0 <= index < trie.leaves: at each row, the
+    last present letter whose offset is at most the rank left."""
+    cells, offsets = trie.cells, trie.offsets
+    letters = []
+    base = 0
+    while base >= 0:
+        cell = base + trie.k - 1
+        while not cells[cell] or offsets[cell] > index:
+            cell -= 1
+        index -= offsets[cell]
+        letters.append(cell - base)
+        base = cells[cell]
+    return tuple(letters)
 
 
 def walk(trie: Trie, letters: Iterable[int]) -> Tuple[Optional[int], int]:
-    """Descend the trie along the letters, reading no more than needed.
+    """Descend the table along the letters, reading no more than needed.
 
-    Returns (leaf index, depth) at the first leaf reached, or (None, letters
+    Returns (leaf rank, depth) at the first leaf reached, or (None, letters
     read) when the letters run out first.  A letter outside the alphabet or
     with no child raises DictionaryError.
     """
-    rows, k = trie.rows, trie.k
-    node = 0
-    depth = 0
+    cells, offsets, k = trie.cells, trie.offsets, trie.k
+    node = rank = depth = 0
     for letter in letters:
         depth += 1
         if not 0 <= letter < k:
             raise DictionaryError("letter %r not parseable at depth %d"
                                   % (letter, depth))
-        node = rows[node][letter]
+        cell = node + letter
+        node = cells[cell]
+        rank += offsets[cell]
         if node <= 0:
             if node < 0:
-                return ~node, depth
+                return rank, depth
             raise DictionaryError("letter %r not parseable at depth %d"
                                   % (letter, depth))
     return None, depth
 
 
-def walk_block(trie: Trie, letters: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def walk_block(trie: Trie, letters):
     """walk on every row of a (rows, width) letter array at once.
 
-    Returns (leaf index, depth) arrays; a row that reaches no leaf within
-    the width has index -1 and depth width.  Raises DictionaryError where
+    Returns (leaf rank, depth) arrays; a row that reaches no leaf within
+    the width has rank -1 and depth width.  Raises DictionaryError where
     walk would on some row.
     """
+    import numpy as np
+
     letters = np.asarray(letters)
     n, width = letters.shape
     if letters.size and (letters.min() < 0 or letters.max() >= trie.k):
         raise DictionaryError("letter outside [0, %d) in block" % trie.k)
-    table = trie.table
+    cells, offsets = trie.arrays()
     index = np.full(n, -1, dtype=np.int64)
     depth = np.full(n, width, dtype=np.int64)
     active = np.arange(n)
-    node = np.zeros(n, dtype=table.dtype)
+    node = np.zeros(n, dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int64)
     for d in range(width):
-        entry = table[node, letters[active, d]]
+        cell = node + letters[active, d]
+        entry = cells[cell]
         if not entry.all():
             raise DictionaryError("letter not parseable at depth %d" % (d + 1))
+        rank += offsets[cell]
         leaf = entry < 0
         done = active[leaf]
-        index[done] = ~entry[leaf]
+        index[done] = rank[leaf]
         depth[done] = d + 1
         inner = ~leaf
         active = active[inner]
         if not active.size:
             break
         node = entry[inner]
+        rank = rank[inner]
     return index, depth
 
 
 # ---------------------------------------------------------------------------
 # Leaf classes, kept sorted: p_theta of a segment depends only on its length
 # and letter counts, so every mass over a leaf set is a sum over its classes.
-
-def _merge_classes(rows: Iterable[LeafClass]) -> List[LeafClass]:
-    """Sum the multiplicities of equal (length, counts) rows; sorted."""
-    merged: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for ell, counts, mult in rows:
-        merged[(ell, counts)] = merged.get((ell, counts), 0) + mult
-    return sorted((ell, counts, mult) for (ell, counts), mult in merged.items())
-
-
-def leaf_classes_of(model: ExpFamilyModel, segments: Iterable[Segment]
-                    ) -> List[LeafClass]:
-    """Leaf classes of an explicit segment list."""
-    return _merge_classes((len(s), _models._counts_of(model, s), 1) for s in segments)
-
 
 def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
                   theta) -> Dict[int, float]:
@@ -280,7 +466,7 @@ def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
     qtypes.scaled_statistics; each coordinate A_i / (D ell) is one correctly
     rounded integer division, the float of the exact rational average.
     """
-    theta = [float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))]
+    theta = _models.theta_floats(theta)
     psi = _models.log_partition(model, theta)
     scale, stats, _ = scaled_statistics(model)
     axes = [(tuple(a[i] for a in stats), t) for i, t in enumerate(theta)]
@@ -469,11 +655,23 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
             raise DictionaryError("profile does not describe a parse tree of "
                                   "model %s" % model.name)
     return Dictionary(
-        model=model, grid=grid, segments=tuple(segments),
+        model, grid, segments=segments,
         m_target=m_target if m_target is not None else len(segments),
         gamma=profile.gamma, kind="tc",
         monotone_mismatches=profile.monotone_mismatch_leaves,
-        _leaf_classes=list(profile.leaf_classes),
+        leaf_classes=profile.leaf_classes,
+    )
+
+
+def tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
+                  m_target: Optional[int] = None) -> Dictionary:
+    """The threshold dictionary whose leaf classes the profile holds, given
+    by those classes alone: its table is their count-class DAG."""
+    return Dictionary(
+        model, grid, leaf_classes=profile.leaf_classes,
+        m_target=m_target if m_target is not None else profile.leaf_count,
+        gamma=profile.gamma, kind="tc",
+        monotone_mismatches=profile.monotone_mismatch_leaves,
     )
 
 
@@ -534,9 +732,9 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
 def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,
                  counter: Optional[TypeCounter] = None
                  ) -> Tuple[float, Dictionary]:
-    """As choose_gamma_profile, but materializes the dictionary."""
+    """As choose_gamma_profile, but returns the dictionary of the profile."""
     gamma, profile = choose_gamma_profile(model, grid, m, counter=counter)
-    return gamma, build_tc_dictionary(model, grid, profile, m_target=m)
+    return gamma, tc_dictionary(model, grid, profile, m_target=m)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +750,6 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
     k = model.alphabet_size
     if m < k:
         raise DictionaryError("m must be at least the alphabet size")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lp = _models.letter_log_probs(model, theta)
     heap = [(-float(lp[x]), (x,)) for x in range(k)]
     heapq.heapify(heap)
@@ -563,16 +760,16 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
             heapq.heappush(heap, (neg - float(lp[x]), seg + (x,)))
         leaves += k - 1
     segments = tuple(sorted(seg for _, seg in heap))
-    return Dictionary(
-        model=model, grid=grid or Grid(), segments=segments, m_target=m,
-        gamma=None, kind="tunstall",
-    )
+    return Dictionary(model, grid or Grid(), segments=segments, m_target=m,
+                      gamma=None, kind="tunstall")
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one JSON header line, then one segment per line.
+# Serialization: one JSON header line, then the dictionary as it is given.
+# Format 1 lists one segment per line; format 2, for a dictionary given by
+# its leaf classes, one class per line as `ell c_0 ... c_{k-1} mult`.
 
-FORMAT_VERSION = 1
+KINDS = ("tc", "tunstall")
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
@@ -581,8 +778,9 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def dictionary_to_text(dictionary: Dictionary) -> str:
+    explicit = dictionary._segments is not None
     header = {
-        "format": FORMAT_VERSION,
+        "format": 1 if explicit else 2,
         "kind": dictionary.kind,
         "gamma": dictionary.gamma,
         "m_target": dictionary.m_target,
@@ -597,7 +795,11 @@ def dictionary_to_text(dictionary: Dictionary) -> str:
         },
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    lines.extend(" ".join(str(x) for x in seg) for seg in dictionary.segments)
+    if explicit:
+        lines.extend(" ".join(map(str, seg)) for seg in dictionary.segments)
+    else:
+        lines.extend(" ".join(map(str, (ell,) + counts + (mult,)))
+                     for ell, counts, mult in dictionary.leaf_classes())
     return "\n".join(lines) + "\n"
 
 
@@ -610,6 +812,14 @@ def load_dictionary(path) -> Dictionary:
         return dictionary_from_text(fh.read())
 
 
+def _class_line(fields: List[str], k: int) -> LeafClass:
+    ell, *counts, mult = map(int, fields)
+    if len(counts) != k or min(counts) < 0 or ell != sum(counts) or ell < 1:
+        raise DictionaryError("leaf class %r is not a length, %d letter counts "
+                              "summing to it and a multiplicity" % (" ".join(fields), k))
+    return ell, tuple(counts), mult
+
+
 def dictionary_from_text(text: str) -> Dictionary:
     """Parse a dictionary file; any malformed content raises DictionaryError."""
     lines = text.splitlines()
@@ -619,26 +829,38 @@ def dictionary_from_text(text: str) -> Dictionary:
         header = json.loads(lines[0])
         if not isinstance(header, dict):
             raise DictionaryError("header is not a JSON object")
-        if header.get("format") != FORMAT_VERSION:
-            raise DictionaryError("unsupported format version %r" % header.get("format"))
+        fmt, kind = header.get("format"), header.get("kind")
+        if type(fmt) is not int or fmt not in (1, 2):
+            raise DictionaryError("unsupported format version %r" % (fmt,))
+        if kind not in KINDS:
+            raise DictionaryError("unknown dictionary kind %r" % (kind,))
+        if fmt == 2 and kind != "tc":
+            raise DictionaryError("a format-2 file holds a threshold (tc) "
+                                  "dictionary, not %r" % (kind,))
         model = _models.model_from_dict(header["model"])
         grid = Grid(
             side=Fraction(header["grid"]["W"]),
             origin=tuple(Fraction(v) for v in header["grid"]["origin"]),
         )
-        segments = tuple(tuple(map(int, line.split()))
-                         for line in lines[1:] if line)
+        body = [line.split() for line in lines[1:] if line]
+        k = model.alphabet_size
         dictionary = Dictionary(
-            model=model, grid=grid, segments=segments,
+            model, grid,
+            segments=[tuple(map(int, f)) for f in body] if fmt == 1 else None,
+            leaf_classes=[_class_line(f, k) for f in body] if fmt == 2 else None,
             m_target=int(header["m_target"]),
             gamma=None if header["gamma"] is None else float(header["gamma"]),
-            kind=str(header["kind"]),
+            kind=kind,
             monotone_mismatches=int(header.get("monotone_mismatches", 0)),
         )
         size = int(header["size"])
+        width = header["codeword_width"]
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise DictionaryError("malformed dictionary file: %s" % exc) from None
     if dictionary.size != size:
         raise DictionaryError("segment count disagrees with header")
+    if width != dictionary.codeword_width:
+        raise DictionaryError("codeword_width %r disagrees with size %d, which "
+                              "needs %d bits" % (width, size, dictionary.codeword_width))
     dictionary.check_structure()
     return dictionary

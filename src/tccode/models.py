@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 
 class ModelError(ValueError):
@@ -66,9 +64,9 @@ class ExpFamilyModel:
                 raise ModelError("theta_box entries must be finite with lo < hi")
         object.__setattr__(self, "theta_box", box)
         # Compactness of the box gives uniform probability bounds; probe corners.
+        tau_floats = [[float(v) for v in row] for row in tau]
         for corner in _box_corners(box):
-            p = probs(self, corner)
-            if not np.all((p > 0.0) & (p < 1.0)):
+            if not all(0.0 < p < 1.0 for p in _corner_probs(tau_floats, corner)):
                 raise ModelError("probabilities must stay inside (0, 1) over the box")
 
 
@@ -76,37 +74,65 @@ def _box_corners(box):
     corners = [()]
     for lo, hi in box:
         corners = [c + (v,) for c in corners for v in (lo, hi)]
-    return [np.array(c) for c in corners]
+    return corners
+
+
+def _corner_probs(tau: List[List[float]], theta) -> List[float]:
+    """The letter probabilities by the formula of letter_log_probs, in math
+    floats: the box check only asks whether they lie inside (0, 1)."""
+    s = [sum(v * t for v, t in zip(row, theta)) for row in tau]
+    m = max(s)
+    psi = m + math.log2(sum(2.0 ** (v - m) for v in s))
+    return [2.0 ** (v - psi) for v in s]
+
+
+def theta_floats(theta) -> List[float]:
+    """A parameter vector, or a bare number for d = 1, as a list of floats."""
+    try:
+        return [float(t) for t in theta]
+    except TypeError:  # a scalar
+        return [float(theta)]
 
 
 @lru_cache(maxsize=None)
-def _tau_matrix(model: ExpFamilyModel) -> np.ndarray:
+def _tau_matrix(model: ExpFamilyModel):
+    import numpy as np
+
     m = np.array([[float(v) for v in row] for row in model.tau])
     m.setflags(write=False)
     return m
 
 
+# The float math below runs on numpy, imported on first use: a math-module
+# log_partition differs from it in the last bit for some thetas.
+
 def log_partition(model: ExpFamilyModel, theta) -> float:
     """psi(theta) = log2 sum_x 2^<theta, tau(x)>."""
+    import numpy as np
+
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     s = _tau_matrix(model) @ theta
     m = float(s.max())
     return m + math.log2(float(np.exp2(s - m).sum()))
 
 
-def letter_log_probs(model: ExpFamilyModel, theta) -> np.ndarray:
+def letter_log_probs(model: ExpFamilyModel, theta):
+    import numpy as np
+
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     s = _tau_matrix(model) @ theta
     return s - log_partition(model, theta)
 
 
-def probs(model: ExpFamilyModel, theta) -> np.ndarray:
+def probs(model: ExpFamilyModel, theta):
+    import numpy as np
+
     return np.exp2(letter_log_probs(model, theta))
 
 
 def validate_sequence(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
-    seq = tuple(int(x) for x in seq)
-    if any(x < 0 or x >= model.alphabet_size for x in seq):
+    seq = tuple(map(int, seq))
+    if seq and (min(seq) < 0 or max(seq) >= model.alphabet_size):
         raise ModelError("letter index out of range")
     return seq
 
@@ -134,6 +160,8 @@ def suff_stat_of_counts(model: ExpFamilyModel, counts) -> Tuple[Fraction, ...]:
 
 def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     """Entropy (bits) and varentropy (bits^2) of p_theta."""
+    import numpy as np
+
     lp = letter_log_probs(model, theta)
     p = np.exp2(lp)
     h = float(-(p * lp).sum())
@@ -141,8 +169,10 @@ def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     return h, max(var, 0.0)
 
 
-def sample_stream(model: ExpFamilyModel, theta, seed: int, length: int) -> np.ndarray:
+def sample_stream(model: ExpFamilyModel, theta, seed: int, length: int):
     """Deterministic i.i.d. letters under p_theta; pure in (seed, length)."""
+    import numpy as np
+
     if length < 0:
         raise ModelError("length must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
 from .models import ExpFamilyModel, ModelError, _as_fraction
 
 CellIndex = Tuple[int, ...]
@@ -128,7 +126,7 @@ class Row:
 
     __slots__ = ("sizes", "first", "ell", "_view")
 
-    def __init__(self, sizes: np.ndarray, first: CellIndex, ell: int):
+    def __init__(self, sizes, first: CellIndex, ell: int):
         self.sizes = sizes
         self.first = first
         self.ell = ell
@@ -172,6 +170,8 @@ class TypeCounter:
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid):
+        import numpy as np
+
         self.model = model
         self.grid = grid
         d = model.stat_dim
@@ -259,6 +259,8 @@ class TypeCounter:
 
     def _extend(self) -> None:
         """Advance the sum table by one letter and memoize that length's row."""
+        import numpy as np
+
         ell = self._sums_len + 1
         old = self._sums
         sums = np.zeros([ell * s + 1 for s in self._span], dtype=np.int64)

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .dictionary import Dictionary, TCProfile, length_masses, walk_block
 from .models import (
     ExpFamilyModel,
@@ -61,8 +59,7 @@ class RateEstimate:
 
 
 def exact_rate_distribution(dictionary: Dictionary, theta) -> RateDistribution:
-    """Exact length distribution of a materialized dictionary, from its leaf
-    classes."""
+    """Exact length distribution of a dictionary, from its leaf classes."""
     return RateDistribution(
         length_masses(dictionary.model, dictionary.leaf_classes(), theta),
         dictionary.m_target)
@@ -78,6 +75,8 @@ def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
 def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
                          seed: int) -> RateDistribution:
     """Empirical first-segment length distribution over sampled streams."""
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     model = dictionary.model
@@ -207,12 +206,13 @@ NORMALITY_MAX_ADDS = 10 ** 10
 NORMALITY_MAX_CELLS = 2 ** 22
 
 
-def _sum_masses(model: ExpFamilyModel, theta, ell: int
-                ) -> Tuple[np.ndarray, np.ndarray, int]:
+def _sum_masses(model: ExpFamilyModel, theta, ell: int):
     """(masses, low, D): masses[j] is the probability under p_theta that a
     length-ell sequence has statistic sum (j + ell * low) / D, with D and
     the integer letter statistics from qtypes.scaled_statistics.  Each letter
     adds k shifted, weighted copies: TypeCounter's convolution, in floats."""
+    import numpy as np
+
     scale, stats, _ = scaled_statistics(model)
     low = np.min(stats, axis=0)
     shifts = np.array(stats) - low
@@ -241,6 +241,8 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:
     integer statistic sum A is read off _sum_masses.  Degenerate
     (zero-varentropy) sources are rejected.
     """
+    import numpy as np
+
     if ell < 1:
         raise ValueError("ell must be at least 1")
     entropy, var = entropy_varentropy(model, theta)
@@ -301,6 +303,8 @@ SWEEP_COLUMNS = [
 def task_seed(master_seed: int, *coords) -> int:
     """Stable per-task seed derived from the master seed and coordinates."""
     import zlib
+
+    import numpy as np
 
     material = (int(master_seed),) + tuple(
         zlib.crc32(repr(c).encode("utf-8")) for c in coords

@@ -176,6 +176,42 @@ def enumerate_complete_trees(k: int, max_leaves: int) -> Iterator[Tuple[Segment,
             yield segs
 
 
+def merge_classes(rows) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """Sum the multiplicities of equal (length, counts) rows; sorted."""
+    merged: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    for ell, counts, mult in rows:
+        merged[(ell, counts)] = merged.get((ell, counts), 0) + mult
+    return sorted((ell, counts, mult) for (ell, counts), mult in merged.items())
+
+
+def leaf_classes_of(model, segments) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """Leaf classes of an explicit segment list, segment by segment."""
+    return merge_classes((len(s), letter_counts(model, s), 1) for s in segments)
+
+
+def leaf_mass(dictionary, theta) -> float:
+    """Total probability of the dictionary's leaves under p_theta."""
+    return math.fsum(D.length_masses(dictionary.model, dictionary.leaf_classes(),
+                                     theta).values())
+
+
+def table_segments(trie) -> Tuple[Segment, ...]:
+    """The leaves of a rank-offset table as segments, depth first with the
+    smaller letter first, i.e. in lexicographic order."""
+    out = []
+    stack = [(0, ())]
+    while stack:
+        base, path = stack.pop()
+        if base is None:
+            out.append(path)
+            continue
+        for x in reversed(range(trie.k)):
+            child = trie.cells[base + x]
+            if child:
+                stack.append((child if child > 0 else None, path + (x,)))
+    return tuple(out)
+
+
 def segment_length_masses(dictionary, theta) -> Dict[int, float]:
     """Per-length mass summed segment by segment, without leaf classes."""
     by_len: Dict[int, list] = {}
@@ -242,7 +278,7 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
                     max_internal = max(max_internal, size)
         frontier, sizes = nxt, nxt_sizes
         depth += 1
-    return D.TCProfile(float(gamma), D._merge_classes(leaf_classes), max_internal,
+    return D.TCProfile(float(gamma), merge_classes(leaf_classes), max_internal,
                        tuple(sorted(leaf_sizes)), mismatch_total)
 
 
@@ -316,6 +352,29 @@ def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, 
     return {ell: c / n_samples for ell, c in counts.items()}
 
 
+def vf_parse_shorter_than(dictionary, word) -> bool:
+    """Whether the first parsed segment of word-extended-arbitrarily is
+    strictly shorter than len(word)."""
+    index, depth = D.walk(dictionary.trie(), word)
+    return index is not None and depth < len(word)
+
+
+def fv_length(code, word) -> int:
+    """Codeword length in bits for a length-n input word."""
+    _, depth = code.parse_depth(word)
+    return code.base_width + (code.n - depth) * code.per_letter_suffix_bits
+
+
+def fv_codeword(code, word) -> str:
+    """Explicit codeword; a small-n oracle for prefix-freeness."""
+    word = tuple(int(x) for x in word)
+    index, depth = code.parse_depth(word)
+    bits = format(index, "0%db" % code.base_width)
+    for letter in word[depth:]:
+        bits += format(letter, "0%db" % code.per_letter_suffix_bits)
+    return bits
+
+
 def event_counterexamples(dictionary, n: int, words: Iterable, base_width=None
                           ) -> List[Tuple[Tuple[int, ...], bool, bool]]:
     """check_event_equivalence's counterexamples, word by word with the
@@ -325,8 +384,8 @@ def event_counterexamples(dictionary, n: int, words: Iterable, base_width=None
     out = []
     for word in words:
         word = tuple(int(x) for x in word)
-        vf = C.vf_parse_shorter_than(dictionary, word)
-        fv = C.fv_length(code, word) > width
+        vf = vf_parse_shorter_than(dictionary, word)
+        fv = fv_length(code, word) > width
         if vf != fv:
             out.append((word, vf, fv))
     return out

@@ -20,7 +20,7 @@ from tccode import rates as R
 from tccode.normal import gaussian_quantile, gaussian_tail
 
 from oracles import (band_cell_count, compositions, enumerate_complete_trees,
-                     info_increment_counts, letter_counts,
+                     info_increment_counts, leaf_mass, letter_counts,
                      log_type_size_core_counts, row_dict)
 
 
@@ -81,7 +81,7 @@ def test_03_dictionary_structure(verdict):
         if dictionary.size > m:
             problems.append("M=%d oversize" % m)
         for theta in thetas:
-            if abs(dictionary.leaf_mass([theta]) - 1.0) > 1e-9:
+            if abs(leaf_mass(dictionary, [theta]) - 1.0) > 1e-9:
                 problems.append("M=%d theta=%s mass" % (m, theta))
         for index, seg in enumerate(dictionary.segments):
             parsed = dictionary.parse_one(iter(seg))

@@ -2,6 +2,9 @@ import ast
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -90,27 +93,33 @@ def test_encode_rejects_out_of_range_letter(tmp_path, capsys):
     assert not bits.exists()
 
 
-def test_encode_parses_through_one_stream(tmp_path, capsys, monkeypatch):
+def test_encode_matches_parse_one_on_one_stream(tmp_path, capsys):
+    # The one-loop walk of encode emits what parse_one, called segment after
+    # segment on one stream, identifies.
     from tccode import dictionary as D
 
     dict_path = tmp_path / "d.txt"
     run(capsys, "build-dict", "--model", "bernoulli", "--M", "32",
         "--out", str(dict_path))
-    letters = tmp_path / "in.txt"
-    letters.write_text("0 1 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0 " * 20 + "\n")
-    streams = []
-    parse_one = D.Dictionary.parse_one
-
-    def recording(self, stream):
-        streams.append(stream)
-        return parse_one(self, stream)
-
-    monkeypatch.setattr(D.Dictionary, "parse_one", recording)
+    letters = [0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0] * 20
+    (tmp_path / "in.txt").write_text(" ".join(map(str, letters)) + "\n")
+    bits = tmp_path / "bits.txt"
     code, _, _ = run(capsys, "encode", "--dict", str(dict_path),
-                     "--input", str(letters), "--out", str(tmp_path / "bits.txt"))
+                     "--input", str(tmp_path / "in.txt"), "--out", str(bits))
     assert code == 0
-    assert len(streams) > 1
-    assert all(stream is streams[0] for stream in streams)
+    dictionary = D.load_dictionary(dict_path)
+    stream = iter(letters)
+    want, consumed = [], 0
+    while True:
+        try:
+            result = dictionary.parse_one(stream)
+        except D.DictionaryError:
+            break
+        want.append(result.codeword + "\n")
+        consumed += result.length
+    assert len(want) > 1
+    assert bits.read_text() == "".join(want)
+    assert dictionary.parse(letters) == ([int(w, 2) for w in want], consumed)
 
 
 def test_evaluate_json(tmp_path, capsys):
@@ -563,3 +572,71 @@ def test_no_module_imports_scipy():
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), (
                 "%s:%d imports scipy" % (source.name, node.lineno))
+
+
+@pytest.mark.parametrize("command,header", [
+    ("build-dict", {"codeword_width": 2}),
+    ("build-dict", {"kind": "banana"}),
+    ("build-dict", {"kind": "tunstall"}),
+    ("tunstall", {"codeword_width": 6}),
+    ("tunstall", {"kind": "banana"}),
+], ids=["width", "kind", "tunstall-classes", "tunstall-width", "tunstall-kind"])
+def test_header_contradicting_the_file_exits_2(tmp_path, capsys, command, header):
+    # A codeword width other than ceil(log2 size), a kind that is neither
+    # tc nor tunstall, and leaf classes (format 2) under another kind.
+    path = tmp_path / "d.txt"
+    argv = ["--model", "bernoulli", "--M", "32", "--out", str(path)]
+    if command == "tunstall":
+        argv += ["--theta", "-1.2"]
+    code, _, _ = run(capsys, command, *argv)
+    assert code == 0
+    first, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([json.dumps(dict(json.loads(first), **header))]
+                              + lines) + "\n")
+    letters = tmp_path / "in.txt"
+    letters.write_text("0 1 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0\n")
+    bits = tmp_path / "bits.txt"
+    code, out, err = run(capsys, "encode", "--dict", str(path),
+                         "--input", str(letters), "--out", str(bits))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+    assert not bits.exists()
+
+
+def _numpy_free(tmp_path, body: str) -> None:
+    """Run body in a fresh interpreter and fail if numpy was imported."""
+    src = Path(tccode.__file__).resolve().parents[1]
+    script = tmp_path / "probe.py"
+    script.write_text("import sys\n%s\nsys.exit(2 if 'numpy' in sys.modules else 0)\n"
+                      % body)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 2, "numpy was imported"
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_import_numpy(tmp_path):
+    # numpy costs every CLI call about 60 ms of start-up; only commands that
+    # make arrays import it.
+    _numpy_free(tmp_path, "import tccode.cli")
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_encode_and_decode_do_not_import_numpy(tmp_path, capsys, command):
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "256",
+                     "--out", str(dict_path))
+    assert code == 0
+    (tmp_path / "in.txt").write_text("0 1 2 3 3 2 1 0 " * 50 + "\n")
+    code, _, _ = run(capsys, "encode", "--dict", str(dict_path), "--input",
+                     str(tmp_path / "in.txt"), "--out", str(tmp_path / "encode.out"))
+    assert code == 0
+    source = "in.txt" if command == "encode" else "encode.out"
+    argv = [command, "--dict", str(dict_path), "--input", str(tmp_path / source),
+            "--out", str(tmp_path / ("probe-%s.out" % command))]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert (tmp_path / ("probe-%s.out" % command)).read_text()

@@ -10,6 +10,8 @@ from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
 
+from oracles import fv_codeword, fv_length, table_segments
+
 
 BERN = M.bernoulli()
 GRID = Q.construction_grid()
@@ -23,11 +25,11 @@ def test_hand_case_tunstall_m3_n2():
     d = tunstall3()
     code = C.vf_to_fv(d, 2)
     assert code.base_width == 2
-    assert code.pruned_segments == ((0, 0), (0, 1), (1,))
+    assert table_segments(code.table) == ((0, 0), (0, 1), (1,))
     # The only short parse is the word starting with letter 1.
-    assert C.fv_length(code, (1, 0)) == 3
-    assert C.fv_length(code, (0, 0)) == 2
-    assert C.fv_length(code, (0, 1)) == 2
+    assert fv_length(code, (1, 0)) == 3
+    assert fv_length(code, (0, 0)) == 2
+    assert fv_length(code, (0, 1)) == 2
     report = C.check_event_equivalence(d, 2)
     assert report.passed and report.exhaustive and report.checked == 4
     theta = [math.log2(0.3 / 0.7)]
@@ -39,9 +41,9 @@ def test_full_depth_pruning_is_trivial():
     d = tunstall3()
     n = d.max_segment_length()
     code = C.vf_to_fv(d, n)
-    assert code.pruned_segments == d.segments
+    assert table_segments(code.table) == d.segments
     for word in itertools.product(range(2), repeat=n):
-        assert C.fv_length(code, word) <= code.base_width + (
+        assert fv_length(code, word) <= code.base_width + (
             n - 1) * code.per_letter_suffix_bits
     report = C.check_event_equivalence(d, n)
     assert report.passed
@@ -51,7 +53,7 @@ def test_pruned_leaves_at_most_n():
     _, d = D.choose_gamma(BERN, GRID, 64)
     for n in (2, 4, 8):
         code = C.vf_to_fv(d, n)
-        assert max(len(s) for s in code.pruned_segments) <= n
+        assert max(len(s) for s in table_segments(code.table)) <= n
         assert code.leaf_count <= d.size
 
 
@@ -62,8 +64,8 @@ def test_fv_codewords_prefix_free_and_decodable():
     words = list(itertools.product(range(2), repeat=n))
     codewords = {}
     for word in words:
-        bits = C.fv_codeword(code, word)
-        assert len(bits) == C.fv_length(code, word)
+        bits = fv_codeword(code, word)
+        assert len(bits) == fv_length(code, word)
         codewords[word] = bits
     # Fixed-to-variable prefix code on length-n inputs must be injective and
     # prefix-free.

@@ -13,7 +13,8 @@ from tccode import qtypes as Q
 from tccode import rates as R
 
 from oracles import (FRAC, enumerate_complete_trees, first_passage_oracle,
-                     fraction_length_masses, letter_counts, segment_length_masses,
+                     fraction_length_masses, leaf_classes_of, leaf_mass,
+                     letter_counts, segment_length_masses,
                      size_for_counts_leaf_profile)
 
 
@@ -65,7 +66,7 @@ def _assert_expansion_matches_oracle(model, gamma, counter):
     assert profile.length_histogram() == explicit.segment_length_histogram()
     assert profile.monotone_mismatch_leaves == dipped
     assert profile.max_length() == explicit.max_segment_length()
-    assert D.leaf_classes_of(model, explicit.segments) == explicit.leaf_classes()
+    assert leaf_classes_of(model, explicit.segments) == explicit.leaf_classes()
 
 
 @pytest.mark.parametrize("model,m", [(BERN, 1024), (TERN, 512), (QUAT, 1024)])
@@ -75,7 +76,7 @@ def test_expansion_hands_over_the_profile_leaf_classes(model, m):
     _, profile = D.choose_gamma_profile(model, GRID, m)
     explicit = D.build_tc_dictionary(model, GRID, profile)
     assert explicit._leaf_classes is not None
-    assert explicit._leaf_classes == D.leaf_classes_of(model, explicit.segments)
+    assert explicit._leaf_classes == leaf_classes_of(model, explicit.segments)
     assert explicit._leaf_classes == profile.leaf_classes
 
 
@@ -156,7 +157,7 @@ def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
 def test_leaf_mass_normalizes():
     _, dictionary = tc64()
     for theta in (-2.0, 0.0, 1.3):
-        assert dictionary.leaf_mass([theta]) == pytest.approx(1.0, abs=1e-9)
+        assert leaf_mass(dictionary, [theta]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_choose_gamma_tracks_reference():
@@ -360,7 +361,7 @@ def test_tunstall_mass_and_structure(theta, m):
     d = D.build_tunstall(BERN, [theta], m)
     d.check_structure()
     assert d.size <= m
-    assert d.leaf_mass([theta]) == pytest.approx(1.0, abs=1e-9)
+    assert leaf_mass(d, [theta]) == pytest.approx(1.0, abs=1e-9)
 
 
 def _assert_masses_match_segment_oracle(d, theta, n):
@@ -369,7 +370,7 @@ def _assert_masses_match_segment_oracle(d, theta, n):
     assert sorted(exact) == sorted(oracle)
     for ell, p in oracle.items():
         assert exact[ell] == pytest.approx(p, abs=1e-12)
-    assert d.leaf_mass(theta) == pytest.approx(math.fsum(oracle.values()), abs=1e-12)
+    assert leaf_mass(d, theta) == pytest.approx(math.fsum(oracle.values()), abs=1e-12)
     assert d.expected_length(theta) == pytest.approx(
         math.fsum(ell * p for ell, p in oracle.items()), abs=1e-12)
     assert C.vf_short_mass(d, theta, n) == pytest.approx(
@@ -447,7 +448,9 @@ def test_serialization_round_trip(tmp_path):
 
 
 def test_load_rejects_corruption(tmp_path):
-    _, dictionary = tc64()
+    # The segment lines of a format-1 file of the same threshold build.
+    _, profile = D.choose_gamma_profile(BERN, GRID, 64)
+    dictionary = D.build_tc_dictionary(BERN, GRID, profile, m_target=64)
     path = tmp_path / "dict.txt"
     D.save_dictionary(dictionary, path)
     text = path.read_text()
@@ -501,13 +504,19 @@ _HEADER_KEYS = ["format", "kind", "gamma", "m_target", "size", "codeword_width",
 
 @st.composite
 def corrupted_dictionary_texts(draw):
-    """A valid small dictionary file with its header or a segment line broken."""
+    """A valid small dictionary file with its header, a segment line or a
+    leaf-class line broken: a Tunstall dictionary in format 1, or a threshold
+    dictionary in format 2."""
     model = draw(st.sampled_from([BERN, TERN]))
-    d = D.build_tunstall(model, [0.5], draw(st.integers(min_value=3, max_value=12)))
+    if draw(st.booleans()):
+        d = D.build_tunstall(model, [0.5], draw(st.integers(min_value=3, max_value=12)))
+    else:
+        gamma = draw(st.sampled_from([1.0, 2.5, 4.0]))
+        d = D.tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
     header_line, *lines = D.dictionary_to_text(d).splitlines()
     header = json.loads(header_line)
     how = draw(st.sampled_from(["header", "drop-key", "set-key", "set-nested",
-                                "segment", "letters"]))
+                                "segment", "letters", "field"]))
     if how == "header":
         header_line = json.dumps(draw(_JSON))
     elif how == "drop-key":
@@ -523,6 +532,11 @@ def corrupted_dictionary_texts(draw):
     elif how == "letters":
         lines[i] = " ".join(map(str, draw(st.lists(st.integers(min_value=-3, max_value=4),
                                                    max_size=5))))
+    elif how == "field":
+        fields = lines[i].split()
+        j = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        fields[j] = str(int(fields[j]) + draw(st.integers(min_value=-3, max_value=3)))
+        lines[i] = " ".join(fields)
     if how in ("drop-key", "set-key", "set-nested"):
         header_line = json.dumps(header)
     return "\n".join([header_line] + lines) + "\n"
@@ -540,3 +554,131 @@ def test_corrupted_files_load_or_raise_dictionary_error(text):
     saved = D.dictionary_to_text(d)
     assert D.dictionary_to_text(D.dictionary_from_text(saved)) == saved
     assert d.parse_one(iter(d.segments[0])).index == 0
+
+
+def _format2_text(model=TERN, m=256):
+    _, profile = D.choose_gamma_profile(model, GRID, m)
+    return D.dictionary_to_text(D.tc_dictionary(model, GRID, profile, m_target=m))
+
+
+def _edit_format2(edit, model=TERN):
+    """A format-2 file with its header and class lines, parsed to integers,
+    changed by edit(header, classes)."""
+    header_line, *lines = _format2_text(model).splitlines()
+    header = json.loads(header_line)
+    classes = [[int(v) for v in line.split()] for line in lines]
+    edit(header, classes)
+    return "\n".join([json.dumps(header)]
+                     + [" ".join(map(str, c)) for c in classes]) + "\n"
+
+
+def _mult(i, delta, size_too=True):
+    """Change class i's multiplicity, and the header's size with it."""
+    def edit(header, classes):
+        classes[i][-1] += delta
+        header["size"] += delta if size_too else 0
+    return edit
+
+
+def _drop(i):
+    def edit(header, classes):
+        header["size"] -= classes.pop(i)[-1]
+    return edit
+
+
+def _add(counts_of):
+    """Add a class of multiplicity 1 in sorted place, and count it in size."""
+    def edit(header, classes):
+        counts = counts_of(classes)
+        classes.append([sum(counts)] + list(counts) + [1])
+        classes.sort(key=lambda c: (c[0], c[1:-1]))
+        header["size"] += 1
+    return edit
+
+
+def _below_first_leaf(classes):
+    """Counts one letter below the first leaf class: no path reaches them."""
+    counts = classes[0][1:-1]
+    return [counts[0] + 1] + counts[1:]
+
+
+def _internal_at_depth_1(classes):
+    """Counts of a depth-1 node that is not a leaf."""
+    leaves = [c[1:-1] for c in classes]
+    return next(c for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1]) if c not in leaves)
+
+
+def _line(i, fields):
+    def edit(header, classes):
+        classes[i] = fields(classes[i])
+    return edit
+
+
+def _header(key, value):
+    def edit(header, classes):
+        header[key] = value(header) if callable(value) else value
+    return edit
+
+
+def _swap_first_two(header, classes):
+    classes[0], classes[1] = classes[1], classes[0]
+
+
+def _duplicate_second(header, classes):
+    classes.insert(1, list(classes[1]))
+    header["size"] += classes[1][-1]
+
+
+# Ternary M=256 classes are [ell, c0, c1, c2, mult]; every edit but the
+# header ones keeps size equal to the sum of the multiplicities.
+_FORMAT2_CORRUPTIONS = {
+    "mult-up": _mult(0, 1),
+    "mult-down": _mult(3, -1),
+    "mult-size-unchanged": _mult(0, 1, size_too=False),
+    "mult-zero": lambda h, c: _mult(2, -c[2][-1])(h, c),
+    "drop-class": lambda h, c: _drop(len(c) // 2)(h, c),
+    "drop-last-class": _drop(-1),
+    "add-unreachable-class": _add(_below_first_leaf),
+    "add-internal-class": _add(_internal_at_depth_1),
+    "duplicate-class": _duplicate_second,
+    "swap-lines": _swap_first_two,
+    "size": _header("size", lambda h: h["size"] + 1),
+    "m-target-below-size": _header("m_target", lambda h: h["size"] - 1),
+    "codeword-width": _header("codeword_width", lambda h: h["codeword_width"] + 1),
+    "counts-short": _line(0, lambda c: c[:1] + c[2:]),
+    "counts-long": _line(0, lambda c: c[:1] + [0] + c[1:]),
+    "counts-negative": _line(0, lambda c: [c[0], c[1] + c[2] + 1, -1] + c[3:]),
+    "length-off": _line(0, lambda c: [c[0] + 1] + c[1:]),
+    "kind-tunstall": _header("kind", "tunstall"),
+    "kind-unknown": _header("kind", "banana"),
+    "format-3": _header("format", 3),
+    "no-classes": lambda h, c: c.clear(),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_FORMAT2_CORRUPTIONS))
+def test_corrupted_format2_files_raise(how):
+    assert D.dictionary_from_text(_edit_format2(lambda h, c: None)).size > 0
+    text = _edit_format2(_FORMAT2_CORRUPTIONS[how])
+    assert text != _format2_text()
+    with pytest.raises(D.DictionaryError):
+        D.dictionary_from_text(text)
+
+
+@pytest.mark.parametrize("bad", [(1, "0"), (2, "1 0 0 1"), (5, "2 1 1 1")],
+                         ids=["single-letter-line", "ell-mismatch", "wrong-width"])
+def test_format2_line_shapes_raise(bad):
+    index, line = bad
+    header_line, *lines = _format2_text().splitlines()
+    lines[index] = line
+    with pytest.raises(D.DictionaryError):
+        D.dictionary_from_text("\n".join([header_line] + lines) + "\n")
+
+
+def test_format2_classes_past_the_longest_possible_length_fail_fast():
+    # One class cannot end a tree of length 10^6; the DAG is never built.
+    header_line = _format2_text(BERN, 64).splitlines()[0]
+    header = dict(json.loads(header_line), size=1, codeword_width=1)
+    text = json.dumps(header) + "\n1000000 500000 500000 1\n"
+    with pytest.raises(D.DictionaryError, match="cannot reach"):
+        D.dictionary_from_text(text)
