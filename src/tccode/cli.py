@@ -1,10 +1,11 @@
 """Command-line front end: build, encode/decode, evaluate, sweep, check.
 
-Every subcommand accepts --config pointing at a JSON file; explicit flags
-override config fields, so a sweep is reproducible from its config artifact
-while one-off runs need no file at all.  All randomness flows from the master
-seed, and sweep rows are emitted in sorted (theta, M, eps) order so identical
-configs produce byte-identical outputs.
+Each subcommand takes only the flags it reads, plus --config pointing at a
+JSON file whose keys are those flags; explicit flags override config fields,
+so a sweep is reproducible from its config artifact while one-off runs need
+no file at all.  All randomness flows from the master seed, and sweep rows
+are emitted in sorted (theta, M, eps) order so identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -106,14 +107,11 @@ def _resolve_grid(args, model) -> _qtypes.Grid:
     return _qtypes.Grid(side=side, origin=origin)
 
 
-# Setting any flag of a mutually exclusive group on the command line keeps the
-# config from setting the others.
-_EXCLUSIVE_FLAGS = (("exact", "mc"), ("formula", "iterative"))
-
-
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given.  Its
-    keys are flag names, with '-' read as '_'; any other key is an error."""
+    keys are the command's flag names, with '-' read as '_'; any other key is
+    an error.  Setting one flag of a mutually exclusive pair on the command
+    line keeps the config from setting the other."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -124,9 +122,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     flags = set(vars(args)) - {"command"}
     for key in config:
         if key.replace("-", "_") not in flags:
-            raise CliError("config key %r names no flag" % key)
+            raise CliError("config key %r names no flag of %s" % (key, args.command))
     explicit = {attr for attr, value in vars(args).items() if value is not None}
-    for group in _EXCLUSIVE_FLAGS:
+    for word in _COMMANDS[args.command][1].split():
+        group = word.split("|")
         if explicit.intersection(group):
             explicit.update(group)
     for key, value in config.items():
@@ -263,8 +262,19 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dictionary = _dict.load_dictionary(args.dict) if args.dict else None
-    model = dictionary.model if dictionary is not None else _resolve_model(args.model)
+    if args.dict:
+        for flag in ("M", "W", "origin"):
+            if getattr(args, flag) is not None:
+                raise CliError("evaluate --dict takes M, W and origin from the "
+                               "dictionary file; drop --%s" % flag)
+        dictionary = _dict.load_dictionary(args.dict)
+        model = dictionary.model
+        if args.model is not None and _resolve_model(args.model) != model:
+            raise CliError("--model %s is not the model %s of --dict %s"
+                           % (args.model, model.name, args.dict))
+    else:
+        dictionary = None
+        model = _resolve_model(args.model)
     thetas = _thetas(args, model)
     eps_values = _parse_eps_list(args.eps) if args.eps is not None else [0.1]
     seed = int(args.seed or 0)
@@ -273,31 +283,21 @@ def cmd_evaluate(args) -> int:
     pred_mode = "iterative" if args.iterative else "formula"
     if mode == "mc" and trials < 1:
         raise CliError("--trials must be positive, got %d" % trials)
-
-    if dictionary is not None:
-        m = dictionary.m_target
-    else:
+    if dictionary is None:
         m_values = _parse_int_list(args.M) if args.M is not None else None
         if not m_values or len(m_values) != 1:
             raise CliError("evaluate needs --dict or exactly one --M value")
-        m = m_values[0]
-        grid = _resolve_grid(args, model)
-        if mode == "mc":
-            _, dictionary = _dict.choose_gamma(model, grid, m)
-        else:
-            _, profile = _dict.choose_gamma_profile(model, grid, m)
-
-    def distribution(theta):
-        if mode == "mc":
-            return _rates.mc_rate_distribution(
-                dictionary, theta, trials, _rates.task_seed(seed, "evaluate", theta))
-        if dictionary is not None:
-            return _rates.exact_rate_distribution(dictionary, theta)
-        return _rates.profile_rate_distribution(profile, model, theta, m)
+        _, dictionary = _dict.choose_gamma(model, _resolve_grid(args, model),
+                                           m_values[0])
+    m = dictionary.m_target
 
     rows = []
     for theta in thetas:
-        dist = distribution(theta)
+        if mode == "mc":
+            dist = _rates.mc_rate_distribution(
+                dictionary, theta, trials, _rates.task_seed(seed, "evaluate", theta))
+        else:
+            dist = _rates.exact_rate_distribution(dictionary, theta)
         entropy, var = entropy_varentropy(model, theta)
         for eps in eps_values:
             est = _rates.eps_coding_rate(dist, eps)
@@ -467,52 +467,57 @@ def cmd_normality(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file supplying defaults for any flag")
-    p.add_argument("--model", help="builtin model name or model JSON path")
-    p.add_argument("--W", help="grid side as a rational, e.g. 5/2")
-    p.add_argument("--origin", help="grid origin, comma-separated rationals")
-    p.add_argument("--M", help="dictionary size target(s), comma-separated")
-    p.add_argument("--eps", help="overflow level(s), comma-separated")
-    p.add_argument("--theta", help="parameter vectors 'a,b;c,d' (';' separates)")
-    p.add_argument("--trials", type=int, help="Monte-Carlo sample count")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--dict", help="dictionary file path")
-    p.add_argument("--input", help="input letters/codewords file (default stdin)")
-    p.add_argument("--n", help="length list (converse-check, normality)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact distributions")
-    mode.add_argument("--mc", action="store_true", help="Monte-Carlo distributions")
-    pred = p.add_mutually_exclusive_group()
-    pred.add_argument("--formula", action="store_true",
-                      help="closed-form three-term prediction")
-    pred.add_argument("--iterative", action="store_true",
-                      help="self-consistent fixed-point prediction")
-    # Unset boolean flags read None, not False, so a config can set them.
-    p.set_defaults(**{flag: None for group in _EXCLUSIVE_FLAGS for flag in group})
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors, too, exit 2 with one JSON line
+        raise CliError("%s: %s" % (self.prog, message))
 
 
+# Each flag's argparse options.  Unset booleans read None, not False, so a
+# config can set them.
+_FLAGS = {
+    "model": dict(help="builtin model name or model JSON path"),
+    "W": dict(help="grid side as a rational, e.g. 5/2"),
+    "origin": dict(help="grid origin, comma-separated rationals"),
+    "M": dict(help="dictionary size target(s), comma-separated"),
+    "eps": dict(help="overflow level(s), comma-separated"),
+    "theta": dict(help="parameter vectors 'a,b;c,d' (';' separates)"),
+    "trials": dict(type=int, help="Monte-Carlo sample count"),
+    "seed": dict(type=int, help="master seed"),
+    "out": dict(help="output path"),
+    "dict": dict(help="dictionary file path"),
+    "input": dict(help="input letters/codewords file (default stdin)"),
+    "n": dict(help="length(s), comma-separated"),
+    "exact": dict(action="store_true", default=None, help="exact distributions"),
+    "mc": dict(action="store_true", default=None, help="Monte-Carlo distributions"),
+    "formula": dict(action="store_true", default=None, help="three-term prediction"),
+    "iterative": dict(action="store_true", default=None, help="fixed-point prediction"),
+}
+
+# Each subcommand's function and the flags it reads; "a|b" is an exclusive pair.
 _COMMANDS = {
-    "build-dict": cmd_build_dict,
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "tunstall": cmd_tunstall,
-    "converse-check": cmd_converse_check,
-    "normality": cmd_normality,
+    "build-dict": (cmd_build_dict, "model W origin M out"),
+    "encode": (cmd_encode, "dict input out"),
+    "decode": (cmd_decode, "dict input out"),
+    "evaluate": (cmd_evaluate, "dict model W origin M theta eps trials seed out "
+                               "exact|mc formula|iterative"),
+    "sweep": (cmd_sweep, "model W origin M theta eps trials seed out"),
+    "tunstall": (cmd_tunstall, "model theta M out"),
+    "converse-check": (cmd_converse_check, "dict n theta seed out"),
+    "normality": (cmd_normality, "model theta n out"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tccode",
-        description="Universal variable-to-fixed length coding toolkit.",
-    )
+    parser = _Parser(prog="tccode",
+                     description="Universal variable-to-fixed length coding toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(sub.add_parser(name))
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON file of defaults for these flags")
+        for word in flags.split():
+            group = p.add_mutually_exclusive_group() if "|" in word else p
+            for flag in word.split("|"):
+                group.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
@@ -521,11 +526,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=os.environ.get("TCCODE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
-        return _COMMANDS[args.command](args)
+        args = _merge_config(build_parser().parse_args(argv))
+        return _COMMANDS[args.command][0](args)
     except (CliError, _models.ModelError, _dict.DictionaryError,
             _dict.DepthCapExceeded, _qtypes.CountingCapError, OSError,
             ValueError) as exc:

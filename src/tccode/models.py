@@ -137,13 +137,6 @@ def validate_sequence(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
     return seq
 
 
-def _counts_of(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
-    counts = [0] * model.alphabet_size
-    for x in seq:
-        counts[x] += 1
-    return tuple(counts)
-
-
 def suff_stat_of_counts(model: ExpFamilyModel, counts) -> Tuple[Fraction, ...]:
     """Average statistic of any sequence with the given letter counts."""
     counts = tuple(int(c) for c in counts)

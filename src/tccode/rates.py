@@ -147,7 +147,6 @@ class AsymptoticPrediction:
     third: float
     mode: str
     iterative_rate: Optional[float] = None
-    iterations: Optional[int] = None
 
     @property
     def total(self) -> float:
@@ -184,14 +183,13 @@ def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
                                 entropy, second, third, mode)
     if mode == "iterative":
         r = entropy
-        for iteration in range(1, 10001):
+        for _ in range(10000):
             if r <= 0:
                 raise RuntimeError("fixed-point iteration left the positive axis")
             second_r, third_r = terms(r)
             nxt = entropy + second_r + third_r
             if abs(nxt - r) < 1e-12:
                 pred.iterative_rate = nxt
-                pred.iterations = iteration
                 return pred
             r = nxt
         raise RuntimeError("fixed-point iteration did not converge")

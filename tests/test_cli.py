@@ -640,3 +640,158 @@ def test_encode_and_decode_do_not_import_numpy(tmp_path, capsys, command):
             "--out", str(tmp_path / ("probe-%s.out" % command))]
     _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
     assert (tmp_path / ("probe-%s.out" % command)).read_text()
+
+
+# Each subcommand's flags besides --config: each is read by the command.
+SUBCOMMAND_FLAGS = {
+    "build-dict": "model W origin M out",
+    "tunstall": "model theta M out",
+    "encode": "dict input out",
+    "decode": "dict input out",
+    "evaluate": "dict model W origin M theta eps trials seed out "
+                "exact mc formula iterative",
+    "sweep": "model W origin M theta eps trials seed out",
+    "converse-check": "dict n theta seed out",
+    "normality": "model theta n out",
+}
+
+
+def _subparsers():
+    import argparse
+
+    from tccode.cli import build_parser
+
+    parser = build_parser()
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_each_subparser_declares_exactly_its_flags():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(SUBCOMMAND_FLAGS)
+    settable = 0
+    for name, sub in subparsers.items():
+        options = {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+        assert options == {"--config"} | {"--" + flag
+                                          for flag in SUBCOMMAND_FLAGS[name].split()}, name
+        settable += len(options)
+    assert settable == 55
+    groups = [sorted(action.dest for action in group._group_actions)
+              for group in subparsers["evaluate"]._mutually_exclusive_groups]
+    assert sorted(groups) == [["exact", "mc"], ["formula", "iterative"]]
+    assert all(not sub._mutually_exclusive_groups
+               for name, sub in subparsers.items() if name != "evaluate")
+
+
+def test_every_declared_flag_is_read_by_its_command():
+    # A flag declared but never read would be silently ignored; a flag read
+    # but not declared would always read its default.  Reads count in the
+    # command's function and in every module function it passes args to.
+    from tccode import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name):
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in functions
+                  and any(isinstance(arg, ast.Name) and arg.id == "args"
+                          for arg in node.args)):
+                found |= reads(node.func.id)
+        return found
+
+    partners = {"mc": "exact", "iterative": "formula"}
+    for name, sub in _subparsers().items():
+        declared = {action.dest for action in sub._actions} - {"help", "config"}
+        read = reads(cli._COMMANDS[name][0].__name__)
+        read |= {partners[flag] for flag in read if flag in partners}
+        assert declared == read, name
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["build-dict", "--model", "bernoulli", "--M", "64"], "eps", "0.1"),
+    (["tunstall", "--model", "bernoulli", "--theta", "-1.2", "--M", "3"], "W", "3/2"),
+    (["encode", "--dict", "d.txt"], "model", "ternary"),
+    (["decode", "--dict", "d.txt"], "theta", "0"),
+    (["evaluate", "--model", "bernoulli", "--M", "64"], "n", "4"),
+    (["sweep", "--model", "bernoulli", "--M", "64", "--eps", "0.1"], "dict", "x"),
+    (["converse-check", "--dict", "d.txt", "--n", "4"], "M", "64"),
+    (["normality", "--model", "bernoulli", "--n", "16"], "seed", "3"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_foreign_flag_exits_2_before_any_work(tmp_path, capsys, argv, flag,
+                                                value, via):
+    out = tmp_path / "out.txt"
+    argv = argv + ["--out", str(out)]
+    if via == "flag":
+        argv += ["--" + flag, value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: value}))
+        argv += ["--config", str(config)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"]
+    if via == "flag":
+        assert "--" + flag in message
+    else:
+        assert "%r names no flag of %s" % (flag, argv[0]) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-dict", "--bogus", "1"],
+    ["build-dict", "--model", "bernoulli", "--M"],
+    ["evaluate", "--trials", "x"],
+    ["evaluate", "--exact", "--mc"],
+    ["build-dict", "--model", "bernoulli", "--M", "64", "stray"],
+    ["nope"],
+    [],
+], ids=["unknown-flag", "missing-value", "bad-int", "exclusive-pair", "stray-word",
+        "unknown-command", "no-command"])
+def test_usage_errors_are_one_json_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("tccode")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tccode evaluate")
+    assert "--trials" in out and "--input" not in out
+
+
+def test_evaluate_dict_takes_model_grid_and_m_from_the_file(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "64",
+                     "--out", str(path))
+    assert code == 0
+    base = ["evaluate", "--dict", str(path), "--theta=0.5,-1", "--eps", "0.1"]
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    # The model the file holds may be named again; it changes nothing.
+    code, named, _ = run(capsys, *base, "--model", "quaternary")
+    assert code == 0
+    assert named == plain
+    for extra, flag in ((["--M", "64"], "--M"), (["--W", "5/2"], "--W"),
+                        (["--origin=-1/3,0"], "--origin"),
+                        (["--model", "bernoulli"], "--model")):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2, flag
+        assert out == ""
+        assert err.count("\n") == 1
+        assert flag in json.loads(err)["error"]
