@@ -58,16 +58,11 @@ def _parse_eps_list(text: str) -> List[float]:
 
 def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
     """Semicolon-separated parameter vectors, comma-separated coordinates."""
-    if isinstance(text, (list, tuple)):
-        out = []
-        for item in text:
-            out.append(tuple(_models.theta_floats(item)))
-    else:
-        out = []
-        for chunk in str(text).split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                out.append(tuple(float(v) for v in chunk.replace(",", " ").split()))
+    out = []
+    for chunk in str(text).split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            out.append(tuple(float(v) for v in chunk.replace(",", " ").split()))
     for vec in out:
         if len(vec) != stat_dim:
             raise CliError("theta %r must have dimension %d" % (vec, stat_dim))
@@ -109,9 +104,10 @@ def _resolve_grid(args, model) -> _qtypes.Grid:
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given.  Its
-    keys are the command's flag names, with '-' read as '_'; any other key is
-    an error.  Setting one flag of a mutually exclusive pair on the command
-    line keeps the config from setting the other."""
+    keys are the command's flag names, with '-' read as '_', and its values
+    scalars; any other key or value is an error.  Setting one flag of a
+    mutually exclusive pair on the command line keeps the config from
+    setting the other."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -120,9 +116,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
     flags = set(vars(args)) - {"command"}
-    for key in config:
+    for key, value in config.items():
         if key.replace("-", "_") not in flags:
             raise CliError("config key %r names no flag of %s" % (key, args.command))
+        if isinstance(value, (list, dict)):
+            raise CliError("config key %r must be a string, number or boolean, "
+                           "not %s" % (key, json.dumps(value)))
     explicit = {attr for attr, value in vars(args).items() if value is not None}
     for word in _COMMANDS[args.command][1].split():
         group = word.split("|")
@@ -213,7 +212,7 @@ def cmd_encode(args) -> int:
     if not args.dict:
         raise CliError("encode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    letters = _models.validate_sequence(dictionary.model, _read_letters(args.input))
+    letters = _read_letters(args.input)
     indices, covered = dictionary.parse(letters)
     if covered < len(letters):
         log.warning("trailing %d letters do not complete a segment",
@@ -382,7 +381,7 @@ def cmd_sweep(args) -> int:
                 (theta, eps)
                 for theta in sorted(thetas)
                 for eps in sorted(eps_values)
-                if (",".join("%.12g" % t for t in theta), m, eps) not in done
+                if (_rates.theta_key(theta), m, eps) not in done
             ]
             if not wanted:
                 continue
@@ -421,7 +420,8 @@ def cmd_converse_check(args) -> int:
     reports = []
     ok = True
     for n in sorted(n_values):
-        report = check_event_equivalence(dictionary, n, seed=int(args.seed or 0))
+        report = check_event_equivalence(dictionary, n, theta=thetas[0],
+                                         seed=int(args.seed or 0))
         mass_rows = []
         for theta in thetas:
             short = vf_short_mass(dictionary, theta, n)
@@ -508,11 +508,11 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tccode",
+    parser = _Parser(prog="tccode", allow_abbrev=False,
                      description="Universal variable-to-fixed length coding toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON file of defaults for these flags")
         for word in flags.split():
             group = p.add_mutually_exclusive_group() if "|" in word else p

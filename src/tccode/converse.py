@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .dictionary import (Dictionary, DictionaryError, Segment, Trie, length_masses,
-                         prune, table_leaf_classes, walk, walk_block)
-from .models import ExpFamilyModel, sample_stream
+                         prune, table_leaf_classes, walk_block)
+from .models import BLOCK_ROWS, ExpFamilyModel, sample_blocks
 
 
 @dataclass
@@ -31,16 +31,6 @@ class FVCode:
     @property
     def leaf_count(self) -> int:
         return self.table.leaves
-
-    def parse_depth(self, word) -> Tuple[int, int]:
-        """(leaf index, depth) of the pruned-tree leaf reached by the word."""
-        word = tuple(int(x) for x in word)
-        if len(word) != self.n:
-            raise DictionaryError("input must have length %d" % self.n)
-        index, depth = walk(self.table, word)
-        if index is None:
-            raise DictionaryError("pruned tree deeper than n")  # pragma: no cover
-        return index, depth
 
 
 def vf_to_fv(dictionary: Dictionary, n: int) -> FVCode:
@@ -84,11 +74,6 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
-# Words are checked in blocks of this many rows, which keeps the bulk walk's
-# arrays small.
-_BLOCK = 4096
-
-
 def check_event_equivalence(dictionary: Dictionary, n: int,
                             base_width: Optional[int] = None,
                             exhaustive_cap: int = 10 ** 7,
@@ -97,7 +82,9 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
     """Verify {VF parse length < n} iff {FV codeword length > base_width}.
 
     Exhaustive over all k^n words, in lexicographic order, when affordable;
-    sampled otherwise.  Counterexamples are listed in the order checked.
+    otherwise sample_budget words drawn under p_theta (theta = 0 when not
+    given) by models.sample_blocks.  Counterexamples are listed in the order
+    checked.
     """
     import numpy as np
 
@@ -123,14 +110,13 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
         checked = k ** n
         # Word i spells i in base k, most significant letter first.
         powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        for start in range(0, checked, _BLOCK):
-            ids = np.arange(start, min(start + _BLOCK, checked), dtype=np.int64)
+        for start in range(0, checked, BLOCK_ROWS):
+            ids = np.arange(start, min(start + BLOCK_ROWS, checked), dtype=np.int64)
             check(ids[:, None] // powers % k)
     else:
         checked = sample_budget
         if theta is None:
             theta = np.zeros(dictionary.model.stat_dim)
-        for start in range(0, sample_budget, _BLOCK):
-            check(np.array([sample_stream(dictionary.model, theta, seed + trial, n)
-                            for trial in range(start, min(start + _BLOCK, sample_budget))]))
+        for words in sample_blocks(dictionary.model, theta, seed, sample_budget, n):
+            check(words)
     return EquivalenceReport(n, width, checked, exhaustive, counterexamples, code)

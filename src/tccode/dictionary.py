@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import models as _models
 from .models import ExpFamilyModel
@@ -60,14 +60,13 @@ class ParseResult:
 
 class Dictionary:
     """A complete, proper parse tree whose segments are indexed in
-    lexicographic order.
+    lexicographic order, held as one rank-offset table.
 
     It is given either by its segments (Tunstall dictionaries, format-1
-    files, the build_tc_dictionary oracle) or, for a threshold dictionary,
-    by its leaf classes alone, which fix the tree because a node is a leaf
-    by its letter counts.  Either way it parses and decodes on one
-    rank-offset table: the explicit trie of the segments, or the count-class
-    DAG of the classes.
+    files, the build_tc_dictionary oracle), whose table is their explicit
+    trie, or, for a threshold dictionary, by its leaf classes alone, which
+    fix the tree because a node is a leaf by its letter counts; its table is
+    then their count-class DAG.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid, *, m_target: int,
@@ -81,39 +80,28 @@ class Dictionary:
         self.gamma = gamma
         self.kind = kind
         self.monotone_mismatches = monotone_mismatches
-        self._trie: Optional[Trie] = None
-        self._segments: Optional[Tuple[Segment, ...]] = None
-        self._leaf_classes = None if leaf_classes is None else list(leaf_classes)
+        if (segments is None) == (leaf_classes is None):
+            raise DictionaryError("a dictionary is given by its segments or by "
+                                  "its leaf classes, exactly one of them")
         if segments is not None:
-            # Letters are checked against the alphabet when the trie is built.
-            segs = self._segments = tuple(map(tuple, segments))
+            segs = list(map(tuple, segments))
             if any(a > b for a, b in zip(segs, segs[1:])):
                 raise DictionaryError("segments must be in lexicographic order")
-            self.size = len(segs)
-        elif self._leaf_classes is not None:
-            self.size = sum(mult for _, _, mult in self._leaf_classes)
+            self._trie = build_trie(segs, model.alphabet_size)
+            self._leaf_classes = table_leaf_classes(self._trie)
         else:
-            raise DictionaryError("a dictionary needs its segments or its leaf classes")
+            self._leaf_classes = list(leaf_classes)
+            self._trie = class_dag(model.alphabet_size, self._leaf_classes)
+        self.size = sum(mult for _, _, mult in self._leaf_classes)
         # ceil(log2(size)), at least one bit.
         self.codeword_width = max(1, (self.size - 1).bit_length())
-        self._codeword_format = "0%db" % self.codeword_width
 
     @property
     def segments(self) -> Tuple[Segment, ...]:
-        """The segments in index order; a threshold dictionary given by its
-        leaf classes unranks every one of them."""
-        if self._segments is not None:
-            return self._segments
-        trie = self.trie()
-        return tuple(unrank(trie, index) for index in range(self.size))
+        """The segments in index order, each unranked from the table."""
+        return tuple(unrank(self._trie, index) for index in range(self.size))
 
     def trie(self) -> Trie:
-        if self._trie is None:
-            k = self.model.alphabet_size
-            if self._segments is not None:
-                self._trie = build_trie(self._segments, k)
-            else:
-                self._trie = class_dag(k, self._leaf_classes)
         return self._trie
 
     def leaf_classes(self) -> List[LeafClass]:
@@ -122,49 +110,40 @@ class Dictionary:
         The same aggregation TCProfile.leaf_classes holds for a threshold
         build; every probability mass of the dictionary is computed from it.
         """
-        if self._leaf_classes is None:
-            self._leaf_classes = table_leaf_classes(self.trie())
         return self._leaf_classes
 
     def check_structure(self) -> None:
         """Raise unless the dictionary is a complete proper k-ary tree of at
-        most m_target leaves, and, when given by its leaf classes, unless the
-        classes are exactly those of the tree they describe."""
+        most m_target leaves whose leaf classes are exactly those of its
+        table."""
         if not self.size:
             raise DictionaryError("empty dictionary")
         if self.size > self.m_target:
             raise DictionaryError("dictionary exceeds its target size")
-        # build_trie rejects duplicates, prefix conflicts and foreign letters;
-        # class_dag classes that leave a path without a leaf.
-        trie = self.trie()
-        if 0 in trie.cells:
+        # Construction already refused duplicates, prefix conflicts and
+        # foreign letters (build_trie) and classes that leave a path without
+        # a leaf (class_dag).
+        if 0 in self._trie.cells:
             raise DictionaryError("internal node with a missing child")
-        if self._segments is None and table_leaf_classes(trie) != self._leaf_classes:
+        if table_leaf_classes(self._trie) != self._leaf_classes:
             raise DictionaryError("leaf classes disagree with the parse tree they "
                                   "describe: a multiplicity is wrong, or a class "
                                   "is missing, unreachable or out of order")
 
-    def parse_one(self, stream: Iterable[int]) -> ParseResult:
-        """Consume letters until a segment is identified; fixed-width output."""
-        index, length = walk(self.trie(), stream)
-        if index is None:
-            raise DictionaryError("stream exhausted before a segment was identified")
-        return ParseResult(index, length, format(index, self._codeword_format))
+    def parse_stream(self, letters: Iterable[int]) -> Iterator[Tuple[int, int]]:
+        """The scalar descent of the table: split the letters into segments,
+        yielding each one's index and the position of its last letter, and
+        read no letter past the one that ends a segment.
 
-    def parse(self, letters: Sequence[int]) -> Tuple[List[int], int]:
-        """Split the letters into segments in one pass over the table.
-
-        Returns the segment indices and the number of letters they cover; a
-        tail that completes no segment is left over.  A letter outside the
-        alphabet or with no child raises DictionaryError.
+        A letter outside 0..k-1 or with no child raises DictionaryError; a
+        tail that completes no segment yields nothing.
         """
-        trie = self.trie()
-        if letters and (min(letters) < 0 or max(letters) >= trie.k):
-            raise DictionaryError("letter outside [0, %d)" % trie.k)
-        cells, offsets = trie.cells, trie.offsets
-        indices: List[int] = []
-        node = rank = covered = 0
+        cells, offsets, k = self._trie.cells, self._trie.offsets, self._trie.k
+        node = rank = 0
         for position, letter in enumerate(letters, 1):
+            if not 0 <= letter < k:
+                raise DictionaryError("letter %r at position %d is out of range "
+                                      "[0, %d)" % (letter, position, k))
             cell = node + letter
             node = cells[cell]
             rank += offsets[cell]
@@ -172,15 +151,29 @@ class Dictionary:
                 if not node:
                     raise DictionaryError("letter %r not parseable at position %d"
                                           % (letter, position))
-                indices.append(rank)
+                yield rank, position
                 node = rank = 0
-                covered = position
+
+    def parse_one(self, stream: Iterable[int]) -> ParseResult:
+        """The first segment of the stream, read letter by letter."""
+        for index, length in self.parse_stream(stream):
+            return ParseResult(index, length,
+                               format(index, "0%db" % self.codeword_width))
+        raise DictionaryError("stream exhausted before a segment was identified")
+
+    def parse(self, letters: Iterable[int]) -> Tuple[List[int], int]:
+        """The indices of the segments of the letters, and the number of
+        letters they cover; a tail that completes no segment is left over."""
+        indices: List[int] = []
+        covered = 0
+        for index, covered in self.parse_stream(letters):
+            indices.append(index)
         return indices, covered
 
     def decode(self, index: int) -> Segment:
         if not 0 <= index < self.size:
             raise DictionaryError("index %d out of range [0, %d)" % (index, self.size))
-        return unrank(self.trie(), index)
+        return unrank(self._trie, index)
 
     def max_segment_length(self) -> int:
         return self.leaf_classes()[-1][0]
@@ -388,37 +381,13 @@ def unrank(trie: Trie, index: int) -> Segment:
     return tuple(letters)
 
 
-def walk(trie: Trie, letters: Iterable[int]) -> Tuple[Optional[int], int]:
-    """Descend the table along the letters, reading no more than needed.
-
-    Returns (leaf rank, depth) at the first leaf reached, or (None, letters
-    read) when the letters run out first.  A letter outside the alphabet or
-    with no child raises DictionaryError.
-    """
-    cells, offsets, k = trie.cells, trie.offsets, trie.k
-    node = rank = depth = 0
-    for letter in letters:
-        depth += 1
-        if not 0 <= letter < k:
-            raise DictionaryError("letter %r not parseable at depth %d"
-                                  % (letter, depth))
-        cell = node + letter
-        node = cells[cell]
-        rank += offsets[cell]
-        if node <= 0:
-            if node < 0:
-                return rank, depth
-            raise DictionaryError("letter %r not parseable at depth %d"
-                                  % (letter, depth))
-    return None, depth
-
-
 def walk_block(trie: Trie, letters):
-    """walk on every row of a (rows, width) letter array at once.
+    """Descend the table along every row of a (rows, width) letter array
+    at once, for Monte-Carlo sampling and the converse check.
 
     Returns (leaf rank, depth) arrays; a row that reaches no leaf within
-    the width has rank -1 and depth width.  Raises DictionaryError where
-    walk would on some row.
+    the width has rank -1 and depth width.  A letter outside 0..k-1 or with
+    no child, in any row, raises DictionaryError.
     """
     import numpy as np
 
@@ -636,8 +605,8 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
     A node is a leaf or internal according to its letter counts alone, so
     the dictionary is the profile expanded: descending from the root, a node
     whose counts are those of a leaf class is a segment, and any other node
-    is expanded.  Segments emerge in lexicographic order.  gamma, the
-    mismatch count and the leaf classes are the profile's.
+    is expanded.  Segments emerge in lexicographic order.  gamma and the
+    mismatch count are the profile's.
     """
     leaf_counts = {counts for _, counts, _ in profile.leaf_classes}
     max_length = profile.max_length()
@@ -659,7 +628,6 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
         m_target=m_target if m_target is not None else len(segments),
         gamma=profile.gamma, kind="tc",
         monotone_mismatches=profile.monotone_mismatch_leaves,
-        leaf_classes=profile.leaf_classes,
     )
 
 
@@ -765,9 +733,10 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one JSON header line, then the dictionary as it is given.
-# Format 1 lists one segment per line; format 2, for a dictionary given by
-# its leaf classes, one class per line as `ell c_0 ... c_{k-1} mult`.
+# Serialization: one JSON header line, then the dictionary.  Format 2, for a
+# threshold dictionary, lists one leaf class per line as
+# `ell c_0 ... c_{k-1} mult`; format 1, for a Tunstall dictionary, one segment
+# per line.  Format-1 threshold files still load.
 
 KINDS = ("tc", "tunstall")
 
@@ -778,7 +747,7 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def dictionary_to_text(dictionary: Dictionary) -> str:
-    explicit = dictionary._segments is not None
+    explicit = dictionary.kind == "tunstall"
     header = {
         "format": 1 if explicit else 2,
         "kind": dictionary.kind,

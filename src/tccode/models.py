@@ -130,13 +130,6 @@ def probs(model: ExpFamilyModel, theta):
     return np.exp2(letter_log_probs(model, theta))
 
 
-def validate_sequence(model: ExpFamilyModel, seq) -> Tuple[int, ...]:
-    seq = tuple(map(int, seq))
-    if seq and (min(seq) < 0 or max(seq) >= model.alphabet_size):
-        raise ModelError("letter index out of range")
-    return seq
-
-
 def suff_stat_of_counts(model: ExpFamilyModel, counts) -> Tuple[Fraction, ...]:
     """Average statistic of any sequence with the given letter counts."""
     counts = tuple(int(c) for c in counts)
@@ -170,6 +163,22 @@ def sample_stream(model: ExpFamilyModel, theta, seed: int, length: int):
         raise ModelError("length must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     return rng.choice(model.alphabet_size, size=int(length), p=probs(model, theta))
+
+
+# Rows per block of sampled letters, which keeps the bulk walk's arrays small.
+BLOCK_ROWS = 4096
+
+
+def sample_blocks(model: ExpFamilyModel, theta, seed: int, rows: int, width: int):
+    """rows i.i.d. letter rows of the given width under p_theta, as arrays
+    of at most BLOCK_ROWS rows, all drawn from one generator of the seed."""
+    import numpy as np
+
+    p = probs(model, theta)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    for start in range(0, rows, BLOCK_ROWS):
+        yield rng.choice(model.alphabet_size,
+                         size=(min(BLOCK_ROWS, rows - start), width), p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .models import (
     entropy_varentropy,
     letter_log_probs,
     log_partition,
+    sample_blocks,
 )
 from .normal import gaussian_quantile, gaussian_tail
 from .qtypes import CountingCapError, scaled_statistics
@@ -79,16 +80,10 @@ def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
 
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    model = dictionary.model
-    p = np.exp2(letter_log_probs(model, theta))
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     max_len = dictionary.max_segment_length()
     trie = dictionary.trie()
     counts = np.zeros(max_len + 1, dtype=np.int64)
-    chunk = 4096
-    for start in range(0, n_samples, chunk):
-        block = min(chunk, n_samples - start)
-        letters = rng.choice(model.alphabet_size, size=(block, max_len), p=p)
+    for letters in sample_blocks(dictionary.model, theta, seed, n_samples, max_len):
         _, depth = walk_block(trie, letters)
         counts += np.bincount(depth, minlength=max_len + 1)
     masses = {ell: int(c) / n_samples for ell, c in enumerate(counts) if c}
@@ -273,7 +268,7 @@ def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float]
         pred = predicted_rate(entropy, math.sqrt(var), model.stat_dim, m, eps)
         rows.append({
             "model_id": model.name,
-            "theta": ",".join("%.12g" % t for t in theta),
+            "theta": theta_key(theta),
             "M": m,
             "eps": eps,
             "gamma": gamma,
@@ -289,6 +284,11 @@ def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float]
                                / math.log2(logm),
         })
     return rows
+
+
+def theta_key(theta) -> str:
+    """A theta as the sweep CSV writes it, and as a resumed sweep reads it."""
+    return ",".join("%.12g" % t for t in theta)
 
 
 SWEEP_COLUMNS = [

@@ -1,9 +1,10 @@
 """Small-instance oracles shared by the tests; exponential, not for library use."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -195,6 +196,30 @@ def leaf_mass(dictionary, theta) -> float:
                                      theta).values())
 
 
+def walk(trie, letters) -> Tuple[Optional[int], int]:
+    """Descend a rank-offset table along the letters, reading no more than
+    needed: (leaf rank, depth) at the first leaf reached, or (None, letters
+    read) when the letters run out first.  A letter outside the alphabet or
+    with no child raises DictionaryError.  The scalar reference of
+    walk_block."""
+    cells, offsets, k = trie.cells, trie.offsets, trie.k
+    node = rank = depth = 0
+    for letter in letters:
+        depth += 1
+        if not 0 <= letter < k:
+            raise D.DictionaryError("letter %r not parseable at depth %d"
+                                    % (letter, depth))
+        cell = node + letter
+        node = cells[cell]
+        rank += offsets[cell]
+        if node <= 0:
+            if node < 0:
+                return rank, depth
+            raise D.DictionaryError("letter %r not parseable at depth %d"
+                                    % (letter, depth))
+    return None, depth
+
+
 def table_segments(trie) -> Tuple[Segment, ...]:
     """The leaves of a rank-offset table as segments, depth first with the
     smaller letter first, i.e. in lexicographic order."""
@@ -210,6 +235,16 @@ def table_segments(trie) -> Tuple[Segment, ...]:
             if child:
                 stack.append((child if child > 0 else None, path + (x,)))
     return tuple(out)
+
+
+def format1_text(dictionary) -> str:
+    """The dictionary's file in format 1, one segment per line, as build-dict
+    wrote threshold dictionaries before format 2."""
+    header_line, *_ = D.dictionary_to_text(dictionary).splitlines()
+    header = dict(json.loads(header_line), format=1)
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines.extend(" ".join(map(str, seg)) for seg in dictionary.segments)
+    return "\n".join(lines) + "\n"
 
 
 def segment_length_masses(dictionary, theta) -> Dict[int, float]:
@@ -336,39 +371,54 @@ def eps_rate_scan(dist, eps: float):
     return (max(exceeding), False) if exceeding else (min(support), True)
 
 
+def sampled_words(model, theta, seed: int, rows: int, width: int) -> Iterator[Segment]:
+    """The rows models.sample_blocks draws, one at a time: 4096 rows a draw
+    from one generator of the seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    p = np.exp2(M.letter_log_probs(model, theta))
+    for start in range(0, rows, 4096):
+        block = rng.choice(model.alphabet_size, size=(min(4096, rows - start), width), p=p)
+        yield from map(tuple, block.tolist())
+
+
 def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, float]:
     """mc_rate_distribution's masses with one scalar walk per sampled row,
-    drawing the same letters: max_segment_length per row, 4096 rows a draw."""
-    k = dictionary.model.alphabet_size
-    p = np.exp2(M.letter_log_probs(dictionary.model, theta))
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    max_len = dictionary.max_segment_length()
+    drawing the same letters: max_segment_length per row."""
     counts: Dict[int, int] = {}
-    for start in range(0, n_samples, 4096):
-        block = min(4096, n_samples - start)
-        for row in rng.choice(k, size=(block, max_len), p=p):
-            _, depth = D.walk(dictionary.trie(), row.tolist())
-            counts[depth] = counts.get(depth, 0) + 1
+    for row in sampled_words(dictionary.model, theta, seed, n_samples,
+                             dictionary.max_segment_length()):
+        _, depth = walk(dictionary.trie(), row)
+        counts[depth] = counts.get(depth, 0) + 1
     return {ell: c / n_samples for ell, c in counts.items()}
 
 
 def vf_parse_shorter_than(dictionary, word) -> bool:
     """Whether the first parsed segment of word-extended-arbitrarily is
     strictly shorter than len(word)."""
-    index, depth = D.walk(dictionary.trie(), word)
+    index, depth = walk(dictionary.trie(), word)
     return index is not None and depth < len(word)
+
+
+def parse_depth(code, word) -> Tuple[int, int]:
+    """(leaf index, depth) of the pruned-tree leaf reached by a length-n
+    input word."""
+    word = tuple(int(x) for x in word)
+    assert len(word) == code.n
+    index, depth = walk(code.table, word)
+    assert index is not None, "pruned tree deeper than n"
+    return index, depth
 
 
 def fv_length(code, word) -> int:
     """Codeword length in bits for a length-n input word."""
-    _, depth = code.parse_depth(word)
+    _, depth = parse_depth(code, word)
     return code.base_width + (code.n - depth) * code.per_letter_suffix_bits
 
 
 def fv_codeword(code, word) -> str:
     """Explicit codeword; a small-n oracle for prefix-freeness."""
     word = tuple(int(x) for x in word)
-    index, depth = code.parse_depth(word)
+    index, depth = parse_depth(code, word)
     bits = format(index, "0%db" % code.base_width)
     for letter in word[depth:]:
         bits += format(letter, "0%db" % code.per_letter_suffix_bits)

@@ -795,3 +795,68 @@ def test_evaluate_dict_takes_model_grid_and_m_from_the_file(tmp_path, capsys):
         assert out == ""
         assert err.count("\n") == 1
         assert flag in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["tunstall", "--mo", "bernoulli", "--the", "-1.2", "--M", "3"], "--mo"),
+    (["evaluate", "--model", "bernoulli", "--M", "64", "--e", "0.1"], "--e"),
+    (["build-dict", "--model", "bernoulli", "--M", "64", "--ou", "OUT"], "--ou"),
+    (["normality", "--mod", "bernoulli", "--n", "16"], "--mod"),
+    (["converse-check", "--dict", "d.txt", "--n", "4", "--se", "1"], "--se"),
+], ids=["tunstall", "evaluate", "build-dict", "normality", "converse-check"])
+def test_flag_prefixes_are_not_abbreviations(tmp_path, capsys, argv, prefix):
+    out = tmp_path / "out.txt"
+    argv = [str(out) if word == "OUT" else word for word in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert prefix in json.loads(err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["evaluate", "--model", "bernoulli", "--M", "64"], "theta", [[-1.0], [1.0]]),
+    (["evaluate", "--model", "bernoulli", "--M", "64"], "eps", [0.1, 0.2]),
+    (["build-dict", "--model", "bernoulli"], "M", {"a": 1}),
+    (["sweep", "--model", "bernoulli", "--eps", "0.1"], "M", [64, 128]),
+], ids=["theta-list", "eps-list", "M-object", "sweep-M-list"])
+def test_config_values_must_be_scalars(tmp_path, capsys, argv, key, value):
+    out = tmp_path / "out.txt"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    code, stdout, err = run(capsys, *argv, "--out", str(out), "--config", str(config))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert repr(key) in json.loads(err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta,want", [(["--theta=1.5,1.5;0,0"], (1.5, 1.5)),
+                                        ([], (0.0, 0.0))], ids=["given", "absent"])
+def test_converse_check_samples_under_its_first_theta(tmp_path, capsys, monkeypatch,
+                                                      theta, want):
+    # 4^12 words are past the exhaustive cap, so the check samples them, at
+    # the theta of the first mass row the command reports.
+    from tccode import cli
+
+    path = tmp_path / "q.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "256",
+                     "--out", str(path))
+    assert code == 0
+    seen = []
+    original = cli.check_event_equivalence
+
+    def spy(dictionary, n, **kwargs):
+        seen.append(kwargs.get("theta"))
+        return original(dictionary, n, **kwargs)
+
+    monkeypatch.setattr(cli, "check_event_equivalence", spy)
+    code, out, _ = run(capsys, "converse-check", "--dict", str(path), "--n", "12",
+                       *theta)
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert not report["exhaustive"] and report["checked"] == 10 ** 5
+    assert report["mass_identity"][0]["theta"] == list(want)
+    assert seen == [want]

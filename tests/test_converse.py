@@ -75,13 +75,6 @@ def test_fv_codewords_prefix_free_and_decodable():
         assert not b.startswith(a)
 
 
-def test_parse_depth_validates_length():
-    d = tunstall3()
-    code = C.vf_to_fv(d, 3)
-    with pytest.raises(D.DictionaryError):
-        code.parse_depth((0,))
-
-
 def test_mass_identity_exact():
     _, d = D.choose_gamma(BERN, GRID, 64)
     for n in (3, 6, 10):

@@ -16,7 +16,7 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode.cli import main
 
-from oracles import FRAC, table_segments
+from oracles import FRAC, format1_text, table_segments, walk
 
 
 BERN = M.bernoulli()
@@ -55,8 +55,8 @@ def test_dag_ranks_and_unranks_every_oracle_segment(build):
     dag = D.class_dag(model.alphabet_size, profile.leaf_classes)
     assert dag.leaves == explicit.size
     for index, seg in enumerate(explicit.segments):
-        assert D.walk(dag, seg) == (index, len(seg))
-        assert D.walk(explicit.trie(), seg) == (index, len(seg))
+        assert walk(dag, seg) == (index, len(seg))
+        assert walk(explicit.trie(), seg) == (index, len(seg))
         assert D.unrank(dag, index) == seg
     assert table_segments(dag) == explicit.segments
     # The DAG's path multiplicities are the profile's leaf classes.
@@ -76,7 +76,7 @@ def test_dag_walk_block_matches_scalar_walk(build, rows, extra, seed):
         0, model.alphabet_size, size=(rows, width))
     index, depth = D.walk_block(dag, letters)
     for row, i, ell in zip(letters, index, depth):
-        assert (i if i >= 0 else None, ell) == D.walk(dag, row.tolist())
+        assert (i if i >= 0 else None, ell) == walk(dag, row.tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,7 +111,7 @@ def test_format1_and_format2_files_code_alike(tmp_path_factory, build, seed,
     explicit = D.build_tc_dictionary(model, grid, profile)
     by_classes = D.tc_dictionary(model, grid, profile)
     paths = tmp_path / "f1.dict", tmp_path / "f2.dict"
-    D.save_dictionary(explicit, paths[0])
+    paths[0].write_text(format1_text(explicit))
     D.save_dictionary(by_classes, paths[1])
     assert [json.loads(p.read_text().splitlines()[0])["format"] for p in paths] == [1, 2]
     letters = np.random.default_rng(seed).integers(
@@ -149,3 +149,18 @@ def test_paper_scale_dictionary_without_segments():
     decoded = [x for i in indices for x in d.decode(i)]
     assert decoded == letters[:covered]
     assert len(letters) - covered < profile.max_length()
+
+
+@pytest.mark.parametrize("path", FORMAT1_FILES, ids=lambda p: p.name)
+def test_a_threshold_dictionary_writes_format2_however_given(path):
+    # A threshold dictionary given by its segments (a format-1 file, the
+    # build_tc_dictionary oracle) writes the same format-2 text as one given
+    # by its leaf classes; format1_text rewrites the file it was loaded from.
+    old = D.load_dictionary(path)
+    by_classes = D.Dictionary(old.model, old.grid, m_target=old.m_target,
+                              leaf_classes=old.leaf_classes(), gamma=old.gamma,
+                              monotone_mismatches=old.monotone_mismatches)
+    text = D.dictionary_to_text(old)
+    assert json.loads(text.splitlines()[0])["format"] == 2
+    assert text == D.dictionary_to_text(by_classes)
+    assert format1_text(old) == path.read_text()

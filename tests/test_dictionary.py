@@ -13,7 +13,7 @@ from tccode import qtypes as Q
 from tccode import rates as R
 
 from oracles import (FRAC, enumerate_complete_trees, first_passage_oracle,
-                     fraction_length_masses, leaf_classes_of, leaf_mass,
+                     format1_text, fraction_length_masses, leaf_classes_of, leaf_mass,
                      letter_counts, segment_length_masses,
                      size_for_counts_leaf_profile)
 
@@ -71,13 +71,12 @@ def _assert_expansion_matches_oracle(model, gamma, counter):
 
 @pytest.mark.parametrize("model,m", [(BERN, 1024), (TERN, 512), (QUAT, 1024)])
 def test_expansion_hands_over_the_profile_leaf_classes(model, m):
-    # The explicit dictionary takes its leaf classes from the profile rather
-    # than recounting its segments; both lists are the same.
+    # The leaf classes the explicit dictionary reads off its table, those of
+    # its segments counted one by one, and the profile's are the same list.
     _, profile = D.choose_gamma_profile(model, GRID, m)
     explicit = D.build_tc_dictionary(model, GRID, profile)
-    assert explicit._leaf_classes is not None
-    assert explicit._leaf_classes == leaf_classes_of(model, explicit.segments)
-    assert explicit._leaf_classes == profile.leaf_classes
+    assert explicit.leaf_classes() == leaf_classes_of(model, explicit.segments)
+    assert explicit.leaf_classes() == profile.leaf_classes
 
 
 def test_profile_matches_explicit_build():
@@ -451,9 +450,7 @@ def test_load_rejects_corruption(tmp_path):
     # The segment lines of a format-1 file of the same threshold build.
     _, profile = D.choose_gamma_profile(BERN, GRID, 64)
     dictionary = D.build_tc_dictionary(BERN, GRID, profile, m_target=64)
-    path = tmp_path / "dict.txt"
-    D.save_dictionary(dictionary, path)
-    text = path.read_text()
+    text = format1_text(dictionary)
     bad = tmp_path / "bad.txt"
     bad.write_text(text.replace("\n0 ", "\n9 ", 1))
     with pytest.raises((D.DictionaryError, M.ModelError)):
@@ -474,13 +471,12 @@ def test_gamma_reference_value():
 
 
 def test_trie_rejects_foreign_letters():
-    # Three children under the root, but -1 is no ternary letter.
-    d = D.Dictionary(model=TERN, grid=GRID, segments=((-1,), (0,), (1,)), m_target=3)
+    # Three children under the root, but -1 is no ternary letter; the table
+    # is built, and the letters checked, when the dictionary is.
     with pytest.raises(D.DictionaryError):
-        d.check_structure()
-    d = D.Dictionary(model=BERN, grid=GRID, segments=((0,), (1,), (2,)), m_target=3)
+        D.Dictionary(model=TERN, grid=GRID, segments=((-1,), (0,), (1,)), m_target=3)
     with pytest.raises(D.DictionaryError):
-        d.check_structure()
+        D.Dictionary(model=BERN, grid=GRID, segments=((0,), (1,), (2,)), m_target=3)
     _, dictionary = tc64()
     with pytest.raises(D.DictionaryError):
         dictionary.parse_one(iter((-1,)))
@@ -488,9 +484,8 @@ def test_trie_rejects_foreign_letters():
 
 def test_trie_rejects_duplicates_and_prefixes():
     for segs in (((0,), (0,), (1,)), ((0,), (0, 1), (1,)), ((),)):
-        d = D.Dictionary(model=BERN, grid=GRID, segments=segs, m_target=3)
         with pytest.raises(D.DictionaryError):
-            d.check_structure()
+            D.Dictionary(model=BERN, grid=GRID, segments=segs, m_target=3)
 
 
 _JSON = st.recursive(

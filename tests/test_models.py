@@ -106,13 +106,10 @@ def test_model_validation_errors():
                          theta_box=((1, -1),))
 
 
-def test_validate_sequence_rejects_bad_letters():
-    with pytest.raises(M.ModelError):
-        M.validate_sequence(BERN, (0, 2))
-    with pytest.raises(M.ModelError):
-        M.validate_sequence(BERN, (-1,))
-    with pytest.raises(M.ModelError):
-        M.suff_stat_of_counts(BERN, (0, 0))
+def test_suff_stat_of_counts_rejects_bad_counts():
+    for counts in ((0, 0), (1, -1), (1,)):
+        with pytest.raises(M.ModelError):
+            M.suff_stat_of_counts(BERN, counts)
 
 
 def test_serialization_round_trip(tmp_path):

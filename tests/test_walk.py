@@ -1,5 +1,5 @@
 """The bulk walks (walk_block, Monte-Carlo sampling, the exhaustive and
-sampled converse checks) against the scalar walk, row by row."""
+sampled converse checks) against the scalar oracle walk, row by row."""
 
 import itertools
 
@@ -14,7 +14,7 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import event_counterexamples, mc_length_masses
+from oracles import event_counterexamples, mc_length_masses, sampled_words, walk
 
 
 BERN = M.bernoulli()
@@ -46,7 +46,7 @@ def test_walk_block_matches_scalar_walk(d, rows, extra, seed):
     letters = np.random.default_rng(seed).integers(0, k, size=(rows, width))
     index, depth = D.walk_block(d.trie(), letters)
     for row, i, ell in zip(letters, index, depth):
-        want_index, want_depth = D.walk(d.trie(), row.tolist())
+        want_index, want_depth = walk(d.trie(), row.tolist())
         assert (i if i >= 0 else None, ell) == (want_index, want_depth)
 
 
@@ -55,14 +55,14 @@ def test_walk_block_rejects_foreign_letters():
     for bad in (-1, 3):
         with pytest.raises(D.DictionaryError):
             D.walk_block(d.trie(), np.array([[0, bad, 0]]))
-        with pytest.raises(D.DictionaryError):
-            D.walk(d.trie(), [bad])
+        with pytest.raises(D.DictionaryError, match="out of range"):
+            d.parse([0, bad])
 
 
 def test_walks_reject_a_missing_child():
     d = D.Dictionary(model=BERN, grid=GRID, segments=((0, 0), (1,)), m_target=3)
     with pytest.raises(D.DictionaryError):
-        D.walk(d.trie(), [0, 1])
+        d.parse([0, 1])
     with pytest.raises(D.DictionaryError):
         D.walk_block(d.trie(), np.array([[1, 0], [0, 1]]))
 
@@ -111,7 +111,7 @@ def test_sampled_counterexamples_match_oracle(base_width):
     report = C.check_event_equivalence(d, 7, base_width=base_width, exhaustive_cap=100,
                                        sample_budget=5000, theta=[3.0, 3.0], seed=4)
     assert not report.exhaustive and report.checked == 5000
-    words = (M.sample_stream(QUAT, [3.0, 3.0], 4 + trial, 7) for trial in range(5000))
+    words = sampled_words(QUAT, [3.0, 3.0], 4, 5000, 7)
     oracle = event_counterexamples(d, 7, words, base_width)
     assert report.counterexamples == oracle
     assert bool(oracle) == (base_width is not None)
