@@ -90,16 +90,36 @@ def _resolve_model(value: Optional[str]):
                    % (value, sorted(_models.BUILTIN_MODELS)))
 
 
+def _parse_rational(flag: str, value) -> Fraction:
+    """A rational flag value such as 5/2; a malformed one, or one with a zero
+    denominator, is a usage error naming the flag."""
+    try:
+        return Fraction(value)
+    except (ArithmeticError, ValueError) as exc:
+        raise CliError("--%s %r is not a rational: %s" % (flag, value, exc))
+
+
 def _resolve_grid(args, model) -> _qtypes.Grid:
     """The construction grid, with --W and --origin replacing its side and
     origin when given."""
     grid = _qtypes.construction_grid()
-    side = Fraction(args.W) if args.W is not None else grid.side
+    side = _parse_rational("W", args.W) if args.W is not None else grid.side
     if args.origin is not None:
-        origin = tuple(Fraction(v) for v in str(args.origin).split(","))
+        origin = tuple(_parse_rational("origin", v)
+                       for v in str(args.origin).split(","))
     else:
         origin = grid.origin
     return _qtypes.Grid(side=side, origin=origin)
+
+
+def _check_rate_m(m: int, model) -> None:
+    """Refuse an M the rate prediction does not cover (M < 4), that no
+    dictionary reaches (M below the alphabet size) or that class sizes
+    cannot decide (M at the cap)."""
+    if m < max(4, model.alphabet_size) or m >= _qtypes.SIZE_CAP:
+        raise CliError("--M %d must satisfy M >= 4, M >= the alphabet size %d "
+                       "and M < the class-size cap %d"
+                       % (m, model.alphabet_size, _qtypes.SIZE_CAP))
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -286,6 +306,7 @@ def cmd_evaluate(args) -> int:
         m_values = _parse_int_list(args.M) if args.M is not None else None
         if not m_values or len(m_values) != 1:
             raise CliError("evaluate needs --dict or exactly one --M value")
+        _check_rate_m(m_values[0], model)
         _, dictionary = _dict.choose_gamma(model, _resolve_grid(args, model),
                                            m_values[0])
     m = dictionary.m_target
@@ -318,6 +339,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+SWEEP_COLUMNS = [
+    "model_id", "theta", "M", "eps", "gamma", "dict_size", "exact_rate",
+    "mc_rate", "ci", "predicted_first", "predicted_second", "predicted_third",
+    "residual", "residual_scaled",
+]
+
+
+def _theta_key(theta) -> str:
+    """A theta as the sweep CSV writes it, and as a resumed sweep reads it."""
+    return ",".join("%.12g" % t for t in theta)
+
+
 def _sweep_rows_done(path: str) -> set:
     """The (theta, M, eps) keys of the rows in a non-empty sweep CSV, which
     must start with the SWEEP_COLUMNS header, hold rows of that width and
@@ -328,15 +361,15 @@ def _sweep_rows_done(path: str) -> set:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except csv.Error as exc:
         raise CliError("--out %s is not a sweep CSV: %s" % (path, exc))
-    if not rows or rows[0] != _rates.SWEEP_COLUMNS:
+    if not rows or rows[0] != SWEEP_COLUMNS:
         raise CliError("--out %s is not a sweep CSV: its header is not %s"
-                       % (path, ",".join(_rates.SWEEP_COLUMNS)))
+                       % (path, ",".join(SWEEP_COLUMNS)))
     done = set()
     for number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(_rates.SWEEP_COLUMNS):
+        if len(row) != len(SWEEP_COLUMNS):
             raise CliError("--out %s: row %d has %d fields, not %d"
-                           % (path, number, len(row), len(_rates.SWEEP_COLUMNS)))
-        fields = dict(zip(_rates.SWEEP_COLUMNS, row))
+                           % (path, number, len(row), len(SWEEP_COLUMNS)))
+        fields = dict(zip(SWEEP_COLUMNS, row))
         done.add((fields["theta"], int(fields["M"]), float(fields["eps"])))
     if not text.endswith(("\n", "\r")):
         raise CliError("--out %s does not end with a line end: a row appended "
@@ -345,9 +378,18 @@ def _sweep_rows_done(path: str) -> set:
 
 
 def cmd_sweep(args) -> int:
+    """Append to --out one SWEEP_COLUMNS row per (theta, M, eps) key it does
+    not hold yet, ordered by M, then theta, then eps.  A repeated key is
+    swept once, a theta as first given.  residual subtracts all three predicted terms;
+    residual_scaled is the model-cost view (rate minus the first two terms)
+    times log2 M / log2 log2 M, whose limit is H d/2."""
     model = _resolve_model(args.model)
     grid = _resolve_grid(args, model)
-    thetas = _thetas(args, model)
+    keyed = {}
+    for theta in _thetas(args, model):
+        keyed.setdefault(_theta_key(theta), theta)
+    # (key, theta) pairs in theta order; 0 and -0 are equal thetas but two keys.
+    thetas = sorted(keyed.items(), key=lambda pair: pair[1])
     m_values = _parse_int_list(args.M) if args.M is not None else None
     eps_values = _parse_eps_list(args.eps) if args.eps is not None else None
     if not m_values or not eps_values:
@@ -357,13 +399,11 @@ def cmd_sweep(args) -> int:
     if trials < 0:
         raise CliError("--trials must be nonnegative, got %d" % trials)
     for m in m_values:
-        if m < max(4, model.alphabet_size) or m >= _qtypes.SIZE_CAP:
-            raise CliError("--M %d must satisfy M >= 4, M >= the alphabet size %d "
-                           "and M < the class-size cap %d"
-                           % (m, model.alphabet_size, _qtypes.SIZE_CAP))
+        _check_rate_m(m, model)
     out = args.out
     if not out:
         raise CliError("sweep needs --out for its CSV")
+    m_values, eps_values = sorted(set(m_values)), sorted(set(eps_values))
 
     write_header = not os.path.exists(out) or os.path.getsize(out) == 0
     done = set()
@@ -372,17 +412,13 @@ def cmd_sweep(args) -> int:
         log.info("resuming sweep: %d rows already present", len(done))
     counter = _qtypes.TypeCounter(model, grid)
     with open(out, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_rates.SWEEP_COLUMNS)
+        writer = csv.writer(fh)
         if write_header:
-            writer.writeheader()
+            writer.writerow(SWEEP_COLUMNS)
             fh.flush()
-        for m in sorted(m_values):
-            wanted = [
-                (theta, eps)
-                for theta in sorted(thetas)
-                for eps in sorted(eps_values)
-                if (_rates.theta_key(theta), m, eps) not in done
-            ]
+        for m in m_values:
+            wanted = [(key, theta, eps) for key, theta in thetas for eps in eps_values
+                      if (key, m, eps) not in done]
             if not wanted:
                 continue
             gamma, profile = _dict.choose_gamma_profile(model, grid, m,
@@ -390,21 +426,30 @@ def cmd_sweep(args) -> int:
             mc_dict = None
             if trials:
                 mc_dict = _dict.tc_dictionary(model, grid, profile, m_target=m)
-            for theta, group in itertools.groupby(wanted, key=lambda pair: pair[0]):
-                eps_wanted = [eps for _, eps in group]
-                rows = _rates.sweep_rows(model, theta, m, eps_wanted, gamma, profile)
-                for eps, row in zip(eps_wanted, rows):
+            logm = math.log2(m)
+            for (key, theta), group in itertools.groupby(wanted,
+                                                         key=lambda row: row[:2]):
+                dist = _rates.profile_rate_distribution(profile, model, theta, m)
+                entropy, var = entropy_varentropy(model, theta)
+                for _, _, eps in group:
+                    rate = _rates.eps_coding_rate(dist, eps).rate
+                    pred = _rates.predicted_rate(entropy, math.sqrt(var),
+                                                 model.stat_dim, m, eps)
+                    mc_rate = ci = ""
                     if mc_dict is not None:
-                        mc_est = _rates.eps_coding_rate(
-                            _rates.mc_rate_distribution(
-                                mc_dict, theta, trials,
-                                _rates.task_seed(seed, theta, m, eps)), eps)
-                        row["mc_rate"], row["ci"] = (mc_est.rate,
-                                                     mc_est.ci_halfwidth or 0.0)
+                        est = _rates.eps_coding_rate(_rates.mc_rate_distribution(
+                            mc_dict, theta, trials,
+                            _rates.task_seed(seed, theta, m, eps)), eps)
+                        mc_rate, ci = est.rate, est.ci_halfwidth
+                    numbers = [
+                        gamma, profile.leaf_count, rate, mc_rate, ci,
+                        pred.first, pred.second, pred.third,
+                        rate - pred.first - pred.second - pred.third,
+                        (rate - pred.first - pred.second) * logm / math.log2(logm),
+                    ]
                     # Computed floats print as %.12g; eps is echoed as given.
-                    writer.writerow({key: "%.12g" % value
-                                     if isinstance(value, float) and key != "eps"
-                                     else value for key, value in row.items()})
+                    writer.writerow([model.name, key, m, eps] + [
+                        "%.12g" % v if isinstance(v, float) else v for v in numbers])
                     fh.flush()
     return 0
 

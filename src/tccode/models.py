@@ -155,16 +155,6 @@ def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     return h, max(var, 0.0)
 
 
-def sample_stream(model: ExpFamilyModel, theta, seed: int, length: int):
-    """Deterministic i.i.d. letters under p_theta; pure in (seed, length)."""
-    import numpy as np
-
-    if length < 0:
-        raise ModelError("length must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return rng.choice(model.alphabet_size, size=int(length), p=probs(model, theta))
-
-
 # Rows per block of sampled letters, which keeps the bulk walk's arrays small.
 BLOCK_ROWS = 4096
 
@@ -252,7 +242,7 @@ def model_from_dict(data: dict) -> ExpFamilyModel:
             theta_box=tuple((float(lo), float(hi)) for lo, hi in data["theta_box"]),
             name=str(data.get("name", "custom")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise ModelError("malformed model description: %s" % exc)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dictionary import Dictionary, TCProfile, length_masses, walk_block
 from .models import (
@@ -36,10 +36,6 @@ class RateDistribution:
             raise ValueError("negative probability mass")
         self.masses = dict(sorted(self.masses.items()))
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.masses.values())
-
     def rate_support(self) -> List[float]:
         logm = math.log2(self.m_for_rate)
         return sorted((logm / ell for ell in self.masses), reverse=True)
@@ -52,7 +48,6 @@ class RateDistribution:
 
 @dataclass
 class RateEstimate:
-    epsilon: float
     rate: float
     attained: bool
     mode: str
@@ -107,7 +102,7 @@ def eps_coding_rate(dist: RateDistribution, eps: float) -> RateEstimate:
         hi_eps = min(eps + half, 1.0 - 1e-12)
         bounds = [_largest_exceeding(dist, support, e)[0] for e in (lo_eps, hi_eps)]
         ci = max(abs(b - rate) for b in bounds)
-    return RateEstimate(eps, rate, attained, dist.mode, ci)
+    return RateEstimate(rate, attained, dist.mode, ci)
 
 
 def _largest_exceeding(dist: RateDistribution, support: List[float],
@@ -132,27 +127,14 @@ def _largest_exceeding(dist: RateDistribution, support: List[float],
 
 @dataclass
 class AsymptoticPrediction:
-    entropy: float
-    sigma: float
-    stat_dim: int
-    m: int
-    epsilon: float
     first: float
     second: float
     third: float
-    mode: str
     iterative_rate: Optional[float] = None
 
     @property
     def total(self) -> float:
         return self.first + self.second + self.third
-
-    @property
-    def gap_scaled(self) -> Optional[float]:
-        """(iterative - formula) times log2 M; bounded iff the gap is O(1/log M)."""
-        if self.iterative_rate is None:
-            return None
-        return (self.iterative_rate - self.total) * math.log2(self.m)
 
 
 def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
@@ -174,8 +156,7 @@ def predicted_rate(entropy: float, sigma: float, stat_dim: int, m: int,
                 rate * 0.5 * stat_dim * math.log2(logm) / logm)
 
     second, third = terms(entropy)
-    pred = AsymptoticPrediction(entropy, sigma, stat_dim, m, eps,
-                                entropy, second, third, mode)
+    pred = AsymptoticPrediction(entropy, second, third)
     if mode == "iterative":
         r = entropy
         for _ in range(10000):
@@ -233,6 +214,13 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:
     The information density ell psi - <theta, A>/D of a sequence with
     integer statistic sum A is read off _sum_masses.  Degenerate
     (zero-varentropy) sources are rejected.
+
+    Ties are decided in floats.  A sum whose exact z is a grid point falls
+    on whichever side float rounding puts it: at bernoulli theta=-2 and
+    ell=16384 the sums 3136, 3264 and 3392 have z = -2.75, -0.25 and 2.25
+    exactly, come out just above them and so count in P(. > z).  Exact
+    arithmetic would leave them out; the deviation there is 0.0042383
+    instead of 0.0044949, one atom (2.6e-4) apart.
     """
     import numpy as np
 
@@ -248,54 +236,6 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:
     z_values = (info - ell * entropy) / (math.sqrt(var) * math.sqrt(ell))
     return max(abs(float(masses[z_values > z].sum()) - gaussian_tail(float(z)))
                for z in np.linspace(-3.0, 3.0, 121))
-
-
-def sweep_rows(model: ExpFamilyModel, theta, m: int, eps_values: Sequence[float],
-               gamma: float, profile: TCProfile) -> List[dict]:
-    """One SWEEP_COLUMNS row of numbers per eps, all from one exact rate
-    distribution; mc_rate and ci are left empty.
-
-    residual subtracts all three predicted terms; residual_scaled is the
-    model-cost view (rate minus the first two terms) times log2 M / log2 log2 M,
-    whose limit is H d/2.
-    """
-    dist = profile_rate_distribution(profile, model, theta, m)
-    entropy, var = entropy_varentropy(model, theta)
-    logm = math.log2(m)
-    rows = []
-    for eps in eps_values:
-        est = eps_coding_rate(dist, eps)
-        pred = predicted_rate(entropy, math.sqrt(var), model.stat_dim, m, eps)
-        rows.append({
-            "model_id": model.name,
-            "theta": theta_key(theta),
-            "M": m,
-            "eps": eps,
-            "gamma": gamma,
-            "dict_size": profile.leaf_count,
-            "exact_rate": est.rate,
-            "mc_rate": "",
-            "ci": "",
-            "predicted_first": pred.first,
-            "predicted_second": pred.second,
-            "predicted_third": pred.third,
-            "residual": est.rate - pred.first - pred.second - pred.third,
-            "residual_scaled": (est.rate - pred.first - pred.second) * logm
-                               / math.log2(logm),
-        })
-    return rows
-
-
-def theta_key(theta) -> str:
-    """A theta as the sweep CSV writes it, and as a resumed sweep reads it."""
-    return ",".join("%.12g" % t for t in theta)
-
-
-SWEEP_COLUMNS = [
-    "model_id", "theta", "M", "eps", "gamma", "dict_size", "exact_rate",
-    "mc_rate", "ci", "predicted_first", "predicted_second", "predicted_third",
-    "residual", "residual_scaled",
-]
 
 
 def task_seed(master_seed: int, *coords) -> int:

@@ -49,6 +49,32 @@ def test_grid_flags_default_to_the_construction_grid(tmp_path, capsys, flags):
     assert flagged.read_bytes() == plain.read_bytes()
 
 
+ZERO_TAU_MODEL = {"name": "zero", "alphabet_size": 2, "stat_dim": 1,
+                  "tau": [["0"], ["1/0"]], "theta_box": [[-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["build-dict", "--model", "bernoulli", "--M", "64", "--W", "1/0"], "--W"),
+    (["build-dict", "--model", "bernoulli", "--M", "64", "--origin", "1/0"],
+     "--origin"),
+    (["sweep", "--model", "bernoulli", "--M", "64", "--eps", "0.1", "--W", "0/0"],
+     "--W"),
+    (["build-dict", "--model", "MODEL", "--M", "64"], "malformed model"),
+], ids=["W", "origin", "sweep-W", "model-tau"])
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, named):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(ZERO_TAU_MODEL))
+    out = tmp_path / "out.txt"
+    argv = [str(model) if word == "MODEL" else word for word in argv]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert named in json.loads(err)["error"]
+    assert not out.exists()
+    assert not (tmp_path / "out.txt.stats.json").exists()
+
+
 def test_build_dict_single_letter(tmp_path, capsys):
     code, out, _ = run(capsys, "build-dict", "--model", "bernoulli", "--M", "2",
                        "--out", str(tmp_path / "d2.txt"))
@@ -177,6 +203,78 @@ def test_sweep_rows_and_resume(tmp_path, capsys):
                      "--out", str(out_csv))
     assert code == 0
     assert out_csv.read_bytes() == before
+
+
+def test_sweep_csv_columns_and_residuals(tmp_path, capsys):
+    # The header is the sweep columns, and each row's residuals recompute
+    # from its own numbers.  Those are printed to 12 significant digits, so
+    # the residual is also checked against the unrounded terms it subtracts.
+    from tccode import cli
+    from tccode import dictionary as D
+    from tccode import models as M
+    from tccode import qtypes as Q
+    from tccode import rates as R
+
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--theta=-2;0.5",
+                     "--M", "256", "--eps", "0.1", "--out", str(out_csv))
+    assert code == 0
+    header, *rows = csv.reader(out_csv.open(newline=""))
+    assert header == cli.SWEEP_COLUMNS
+    assert len(rows) == 2
+    bern = M.bernoulli()
+    _, profile = D.choose_gamma_profile(bern, Q.construction_grid(), 256)
+    terms = ("exact_rate", "predicted_first", "predicted_second", "predicted_third")
+    for values in rows:
+        row = dict(zip(header, values))
+        number = {key: float(row[key])
+                  for key in terms + ("residual", "residual_scaled")}
+        recomputed = (number["exact_rate"] - number["predicted_first"]
+                      - number["predicted_second"]) * 8.0 / 3.0
+        assert number["residual_scaled"] == pytest.approx(recomputed, abs=1e-9)
+        theta = (float(row["theta"]),)
+        rate = R.eps_coding_rate(
+            R.profile_rate_distribution(profile, bern, theta, 256), 0.1).rate
+        entropy, var = M.entropy_varentropy(bern, theta)
+        pred = R.predicted_rate(entropy, math.sqrt(var), 1, 256, 0.1)
+        unrounded = (rate, pred.first, pred.second, pred.third)
+        assert [number[key] for key in terms] == pytest.approx(unrounded, rel=1e-11)
+        assert number["residual"] == pytest.approx(
+            rate - pred.first - pred.second - pred.third, abs=1e-12)
+
+
+def test_sweep_sweeps_each_key_once(tmp_path, capsys, monkeypatch):
+    # A repeated M, eps or theta (up to its CSV key) is one row and one
+    # gamma search, as a resumed sweep already counts it.
+    from tccode import dictionary as D
+
+    searched = []
+    original = D.choose_gamma_profile
+
+    def counting(model, grid, m, **kwargs):
+        searched.append(m)
+        return original(model, grid, m, **kwargs)
+
+    monkeypatch.setattr(D, "choose_gamma_profile", counting)
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--M", "64,64",
+                     "--eps", "0.1,0.1", "--theta=0;0.0", "--out", str(out_csv))
+    assert code == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(r["theta"], r["M"], r["eps"]) for r in rows] == [("0", "64", "0.1")]
+    assert searched == [64]
+
+
+def test_sweep_keys_zero_and_negative_zero_apart(tmp_path, capsys):
+    # 0 and -0 are equal thetas with two CSV keys: each key gets its row,
+    # and a resumed sweep finds both.
+    out_csv = tmp_path / "sweep.csv"
+    for _ in range(2):
+        code, _, _ = run(capsys, "sweep", "--model", "bernoulli", "--M", "64",
+                         "--eps", "0.1", "--theta=0;-0", "--out", str(out_csv))
+        assert code == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [r["theta"] for r in rows] == ["0", "-0"]
 
 
 def test_sweep_identical_config_byte_identical(tmp_path, capsys):
@@ -520,19 +618,25 @@ def test_sweep_refuses_a_csv_without_a_final_line_end(tmp_path, capsys):
     assert path.read_bytes() == content[:-2]
 
 
+def _five_letter_model(tmp_path) -> str:
+    """A one-parameter model file with 5 letters, more than the smallest M."""
+    from tccode import models as M
+
+    path = str(tmp_path / "five.json")
+    M.save_model(M.ExpFamilyModel(
+        alphabet_size=5, stat_dim=1, tau=((0,), (1,), (2,), (3,), (4,)),
+        theta_box=((-1.0, 1.0),), name="five"), path)
+    return path
+
+
 @pytest.mark.parametrize("model,m_list", [
     ("bernoulli", "3"),
     ("bernoulli", "1024,2199023255552"),
     ("five", "4"),
 ], ids=["below-4", "past-the-cap", "below-the-alphabet"])
 def test_sweep_checks_every_m_before_opening_out(tmp_path, capsys, model, m_list):
-    from tccode import models as M
-
     if model == "five":
-        model = str(tmp_path / "five.json")
-        M.save_model(M.ExpFamilyModel(
-            alphabet_size=5, stat_dim=1, tau=((0,), (1,), (2,), (3,), (4,)),
-            theta_box=((-1.0, 1.0),), name="five"), model)
+        model = _five_letter_model(tmp_path)
     fresh = tmp_path / "s.csv"
     code, out, err = run(capsys, "sweep", "--model", model, "--theta", "0",
                          "--M", m_list, "--eps", "0.1", "--out", str(fresh))
@@ -541,6 +645,34 @@ def test_sweep_checks_every_m_before_opening_out(tmp_path, capsys, model, m_list
     assert err.count("\n") == 1
     assert "--M" in json.loads(err)["error"]
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("model,m", [
+    ("bernoulli", "3"),
+    ("bernoulli", "2199023255552"),
+    ("five", "4"),
+], ids=["below-4", "past-the-cap", "below-the-alphabet"])
+def test_evaluate_checks_m_before_it_builds(tmp_path, capsys, monkeypatch, model, m):
+    from tccode import dictionary as D
+
+    built = []
+
+    def choose_gamma(*args, **kwargs):
+        built.append(args)
+        raise D.DictionaryError("choose_gamma ran")
+
+    monkeypatch.setattr(D, "choose_gamma", choose_gamma)
+    if model == "five":
+        model = _five_letter_model(tmp_path)
+    out = tmp_path / "e.json"
+    code, stdout, err = run(capsys, "evaluate", "--model", model, "--M", m,
+                            "--eps", "0.1", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert "--M" in json.loads(err)["error"]
+    assert built == []
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):

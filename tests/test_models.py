@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,14 +128,3 @@ def test_get_model():
     assert M.get_model("bernoulli").name == "bernoulli"
     with pytest.raises(M.ModelError):
         M.get_model("nope")
-
-
-def test_sample_stream_deterministic():
-    a = M.sample_stream(BERN, [-2.0], seed=7, length=100)
-    b = M.sample_stream(BERN, [-2.0], seed=7, length=100)
-    assert np.array_equal(a, b)
-    c = M.sample_stream(BERN, [-2.0], seed=8, length=100)
-    assert not np.array_equal(a, c)
-    # Roughly the right letter frequency.
-    big = M.sample_stream(BERN, [-2.0], seed=1, length=20000)
-    assert abs(big.mean() - 0.2) < 0.02
