@@ -112,14 +112,14 @@ def _resolve_grid(args, model) -> _qtypes.Grid:
     return _qtypes.Grid(side=side, origin=origin)
 
 
-def _check_rate_m(m: int, model) -> None:
+def _check_rate_m(m: int, model, source: str = "--M") -> None:
     """Refuse an M the rate prediction does not cover (M < 4), that no
     dictionary reaches (M below the alphabet size) or that class sizes
-    cannot decide (M at the cap)."""
+    cannot decide (M at the cap); source names where M came from."""
     if m < max(4, model.alphabet_size) or m >= _qtypes.SIZE_CAP:
-        raise CliError("--M %d must satisfy M >= 4, M >= the alphabet size %d "
+        raise CliError("%s %d must satisfy M >= 4, M >= the alphabet size %d "
                        "and M < the class-size cap %d"
-                       % (m, model.alphabet_size, _qtypes.SIZE_CAP))
+                       % (source, m, model.alphabet_size, _qtypes.SIZE_CAP))
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -291,6 +291,7 @@ def cmd_evaluate(args) -> int:
         if args.model is not None and _resolve_model(args.model) != model:
             raise CliError("--model %s is not the model %s of --dict %s"
                            % (args.model, model.name, args.dict))
+        _check_rate_m(dictionary.m_target, model, "--dict %s: its M" % args.dict)
     else:
         dictionary = None
         model = _resolve_model(args.model)
@@ -410,7 +411,7 @@ def cmd_sweep(args) -> int:
     if not write_header:
         done = _sweep_rows_done(out)
         log.info("resuming sweep: %d rows already present", len(done))
-    counter = _qtypes.TypeCounter(model, grid)
+    counter = _qtypes.TypeCounter(model, grid, cap=m_values[-1])
     with open(out, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if write_header:

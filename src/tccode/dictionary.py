@@ -496,9 +496,9 @@ class TCProfile:
     The dictionary is the same for every gamma whose size_limit lies in
     [max_internal_size, min_leaf_size); above that, it changes only where
     the limit reaches one of leaf_sizes.  Sizes come from TypeCounter,
-    saturated at qtypes.SIZE_CAP: every internal size is at most the limit,
-    below the cap, and so exact, while leaf_sizes may hold SIZE_CAP itself
-    for leaves whose class is larger.
+    saturated at its cap: every internal size is at most the limit, below
+    the cap, and so exact, while leaf_sizes may hold the cap itself for
+    leaves whose class is larger.
     """
 
     gamma: float
@@ -539,11 +539,11 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     parent's plus one letter's and its size one lookup in the row of its
     length, fetched once per depth."""
     limit = size_limit(gamma)
-    if limit >= SIZE_CAP:
+    counter = counter or TypeCounter(model, grid)
+    if limit >= counter.cap:
         # A size saturated at the cap no longer says whether it passes.
         raise DictionaryError("gamma=%.6g needs class sizes above the counting "
-                              "cap %d" % (gamma, SIZE_CAP))
-    counter = counter or TypeCounter(model, grid)
+                              "cap %d" % (gamma, counter.cap))
     size_of_sum = counter.size_of_sum
     letters = tuple(enumerate(counter.letter_stats))
     # counts -> [class size, integer statistic sum on the counter's lattice,
@@ -666,16 +666,17 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
     geometric middle itself before any probe was feasible): a leaf splits
     once the limit reaches its size.  The returned gamma is log2 of the
     largest internal class size, the smallest threshold with the same
-    dictionary.  Every probed limit is below m < SIZE_CAP and the search
-    reads only leaf sizes below hi <= m, so class sizes saturated at
-    SIZE_CAP decide it exactly.
+    dictionary.  Every probed limit is below m and the search reads only
+    leaf sizes below hi <= m, so class sizes saturated at m decide it
+    exactly: the counter it builds has cap m, and a given counter needs a cap
+    of at least m.
     """
     if m < model.alphabet_size:
         raise DictionaryError("m must be at least the alphabet size")
     if m >= SIZE_CAP:
         raise DictionaryError("m must be below the class-size counting cap %d"
                               % SIZE_CAP)
-    counter = counter or TypeCounter(model, grid)
+    counter = counter or TypeCounter(model, grid, cap=m)
     best: Optional[TCProfile] = None
     lo, hi = 1, m
     while lo < hi:

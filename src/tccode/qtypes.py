@@ -5,8 +5,9 @@ sufficient statistics fall in the same cuboid of side W/l.  Cells are
 lower-open and upper-closed in every coordinate, and all membership tests are
 exact so that boundary points classify deterministically: cell_of works in
 rational arithmetic, TypeCounter on an integer lattice of statistic sums.
-Class sizes are exact counts saturated at SIZE_CAP, obtained by convolving
-the number of sequences per statistic sum one letter at a time in int64.
+Class sizes are exact counts saturated at a counter's cap, obtained by
+counting the sequences per statistic sum one letter at a time in Python
+integers and keeping only the sums and cells whose count is at most the cap.
 scaled_statistics is the one scaling of the rational letter statistics onto
 that lattice; the normality diagnostic in rates convolves float masses over
 the same sums.
@@ -14,11 +15,12 @@ the same sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .models import ExpFamilyModel, ModelError, _as_fraction
 
@@ -111,69 +113,91 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
             tuple(int(o * scale) for o in origin))
 
 
-# Class sizes saturate here.  Every construction decision compares a size
-# with an integer limit below m < SIZE_CAP, and saturation commutes with
-# addition: min(a + b, C) == min(min(a, C) + min(b, C), C) for a, b >= 0.
+# Class sizes saturate at a counter's cap, SIZE_CAP unless it is given one.
+# Every construction decision compares a size with an integer limit below
+# m <= cap, and saturation commutes with addition:
+# min(a + b, C) == min(min(a, C) + min(b, C), C) for a, b >= 0.
 SIZE_CAP = 2 ** 40
-_INT64_MAX = 2 ** 63 - 1
-# Most cells of memoized rows plus sum table that one TypeCounter may hold.
-MAX_CELLS = 2 ** 25
+# Longest length one TypeCounter counts, refused before counting anything.
+MAX_LENGTH = 2 ** 15
+# Most sums and row cells one TypeCounter may count, over all its lengths.
+MAX_ENTRIES = 2 ** 20
 
 
 class Row:
-    """Class sizes of length ell: a dense int64 array over the box of cells
-    the length's statistic sums reach, whose lowest cell is first."""
+    """Class sizes of length ell, saturated at cap: the cells whose size is
+    known to be at most the cap, keyed by cell index.  Any other cell of the
+    box from lowest to highest reads as the cap, and a cell outside it as 0."""
 
-    __slots__ = ("sizes", "first", "ell", "_view")
+    __slots__ = ("cells", "lowest", "highest", "cap", "ell", "_counter")
 
-    def __init__(self, sizes, first: CellIndex, ell: int):
-        self.sizes = sizes
-        self.first = first
+    def __init__(self, cells: Dict[CellIndex, int], lowest: CellIndex,
+                 highest: CellIndex, cap: int, ell: int, counter: "TypeCounter"):
+        self.cells = cells
+        self.lowest = lowest
+        self.highest = highest
+        self.cap = cap
         self.ell = ell
-        # Indexing a memoryview returns a Python int, faster than item().
-        self._view = memoryview(sizes)
+        self._counter = counter
 
-    def at(self, offset) -> int:
-        """The size of the cell offset cells past first; 0 outside the box."""
-        if min(offset) < 0:
-            return 0
-        try:
-            return self._view[offset]
-        except IndexError:
-            return 0
+    def at(self, cell: CellIndex) -> int:
+        """The size of the class of cell, a cell that holds some sum of the
+        row's length."""
+        size = self.cells.get(cell)
+        if size is not None:
+            return size
+        for j, lo, hi in zip(cell, self.lowest, self.highest):
+            if not lo <= j <= hi:
+                return 0
+        return self.cap
+
+    def sizes(self) -> Dict[CellIndex, int]:
+        """Every class of the row with its size: the cells that hold a
+        sequence, read one by one over the whole box."""
+        axes = self._counter._axis_cells(self.ell)
+        sizes = {}
+        for cell in itertools.product(*axes):
+            size = self.at(cell)
+            if size:
+                sizes[cell] = size
+        return sizes
 
 
 class TypeCounter:
-    """Quantized-type-class sizes for one (model, grid) pair, exact up to
-    SIZE_CAP and saturated there.
+    """Quantized-type-class sizes for one (model, grid) pair, exact up to cap
+    and saturated there.  A search for at most m leaves needs cap >= m.
 
     The letter statistics and the grid origin are scaled by one common
     denominator D, so a letter's statistic is an integer vector a_x and a
-    sequence's statistic sum an integer vector A.  Axis i of the sum table
-    at length l holds A_i = l low_i + g_i t for t = 0 .. l span_i, where
+    sequence's statistic sum an integer vector A.  Axis i of the box of
+    length l holds A_i = l low_i + g_i t_i for t_i = 0 .. l span_i, where
     low_i = min_x a_{x,i} and g_i is the gcd of the differences
-    a_{x,i} - low_i.  The number of sequences per sum at length l comes from
-    the table at l - 1 by k shifted slice-adds, one per letter, and a sum lies
-    in cell j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i.  The
-    cell index is monotone along each axis, so a length's row sums the table
-    over cell windows one axis at a time.  Only the latest sum table is kept;
-    the row of every length passed is memoized as a Row, and rows may be read
+    a_{x,i} - low_i; letter x moves t by its shift (a_x - low) / g.  A sum lies
+    in cell j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, which
+    is monotone along each axis.
+
+    The sum table of length l maps t to its number of sequences, in Python
+    integers, and keeps only the sums whose number is at most cap: any other
+    sum of the box is saturated.  The number at t adds the numbers at
+    t - shift over the letters whose t - shift lies in the box of l - 1, so a
+    sum with a saturated predecessor there is saturated too, and a sum that
+    no letter reaches from that box holds no sequence and is kept as an
+    explicit 0.  The row of l keeps each cell whose window of sums is all in
+    the table and whose size is at most cap.  Only the latest sum table is
+    kept; the row of every length passed is memoized, and rows may be read
     concurrently once construction-time writes have finished.
 
-    No int64 sum overflows: every table entry and every row entry is clipped
-    to SIZE_CAP after each step, a step adds at most k entries and a row
-    window at most min(cell window, axis length) entries, and row() checks
-    that these counts times SIZE_CAP, and the scaled sums times the cell
-    width's denominator, stay below 2^63 before it counts anything.  It also
-    refuses a length whose rows and sum table would hold more than MAX_CELLS
-    cells.
+    Counting refuses a length above MAX_LENGTH before it counts anything, and
+    stops once the sums and row cells it has counted pass MAX_ENTRIES; either
+    raises CountingCapError.
     """
 
-    def __init__(self, model: ExpFamilyModel, grid: Grid):
-        import numpy as np
-
+    def __init__(self, model: ExpFamilyModel, grid: Grid, cap: int = SIZE_CAP):
+        if cap < 1:
+            raise ValueError("cap must be at least 1")
         self.model = model
         self.grid = grid
+        self.cap = cap
         d = model.stat_dim
         scale, stats, self._origin = scaled_statistics(
             model, [grid.origin_at(i) for i in range(d)])
@@ -185,25 +209,31 @@ class TypeCounter:
         self._cell_den = scale * grid.side.numerator
         low = [min(a[i] for a in stats) for i in range(d)]
         # A statistic constant along an axis has gcd 0; its axis has one sum.
-        self._step = tuple(math.gcd(*(a[i] - low[i] for a in stats)) or 1
-                           for i in range(d))
+        step = [math.gcd(*(a[i] - low[i] for a in stats)) or 1 for i in range(d)]
         self._low = tuple(low)
-        self._shifts = [tuple((a[i] - low[i]) // self._step[i] for i in range(d))
+        self._shifts = [tuple((a[i] - low[i]) // step[i] for i in range(d))
                         for a in stats]
         self._span = tuple(max(s[i] for s in self._shifts) for i in range(d))
-        # Most sums on one axis that a cell can hold.
-        self._window = tuple(self._cell_den // (self._cell_num * g) + 1
-                             for g in self._step)
+        # t_i moves the cell's numerator by g_i * cell_num per lattice step.
+        self._cell_step = tuple(g * self._cell_num for g in step)
+        # From l = 2 on, letter x reaches t from the box of l - 1 when
+        # shift_i <= t_i <= (l-1) span_i + shift_i on every axis.  That fails
+        # only in the low zone t_i < span_i or the high zone
+        # t_i > (l-1) span_i, so per axis a choice of (v, False) for t_i = v
+        # in the low zone, (u, True) for t_i = (l-1) span_i + u in the high
+        # zone, or None for anywhere between decides it for every l.  These
+        # are the combinations of choices that no letter reaches.
+        zones = [[(v, False) for v in range(s)] + [(u, True) for u in range(1, s + 1)]
+                 + [None] for s in self._span]
+        self._unreached = [
+            choice for choice in itertools.product(*zones)
+            if not any(all(z is None or (sh >= z[0] if z[1] else sh <= z[0])
+                           for sh, z in zip(shift, choice))
+                       for shift in self._shifts)]
         self._rows: Dict[int, Row] = {}
-        self._row_cells = 0
-        self._sums = np.ones((1,) * d, dtype=np.int64)
+        self._counted = 0
+        self._sums: Dict[Tuple[int, ...], int] = {(0,) * d: 1}
         self._sums_len = 0
-
-    def _cell(self, ell: int, stat_sum) -> CellIndex:
-        # ceil(p / q) - 1 == (p - 1) // q for integer p and q > 0.  Works on
-        # Python ints and on int64 arrays alike.
-        return tuple(((a - o * ell) * self._cell_num - 1) // self._cell_den
-                     for a, o in zip(stat_sum, self._origin))
 
     def _stat_sum(self, counts) -> Tuple[int, ...]:
         if len(counts) != self.model.alphabet_size or min(counts) < 0:
@@ -211,96 +241,115 @@ class TypeCounter:
         return tuple(sum(map(operator.mul, counts, axis))
                      for axis in self._axis_stats)
 
-    def _sum_range(self, ell: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Lowest and highest statistic sum of length ell, per axis."""
-        return (tuple(ell * lo for lo in self._low),
-                tuple(ell * (lo + g * s) for lo, g, s
-                      in zip(self._low, self._step, self._span)))
+    def _cell_base(self, ell: int) -> List[int]:
+        """Per axis, the numerator of t_i = 0's cell at ell, less one: the
+        cell of t is (base_i + cell_step_i t_i) // cell_den."""
+        return [ell * (lo - o) * self._cell_num - 1
+                for lo, o in zip(self._low, self._origin)]
 
-    def _box_cells(self, ell: int) -> int:
-        lowest, highest = (self._cell(ell, a) for a in self._sum_range(ell))
-        return math.prod(hi - lo + 1 for lo, hi in zip(lowest, highest))
+    def _axis_cells(self, ell: int) -> List[List[int]]:
+        """Per axis, the cells that some sum of length ell lies in."""
+        den = self._cell_den
+        return [sorted({(b + g * t) // den for t in range(ell * s + 1)})
+                for b, g, s in zip(self._cell_base(ell), self._cell_step, self._span)]
 
-    def _check_caps(self, ell: int) -> None:
-        """Raise CountingCapError, before any allocation, when counting up to
-        ell could overflow an int64 or would hold more than MAX_CELLS cells."""
-        terms = max(self.model.alphabet_size,
-                    *(min(w, ell * s + 1) for w, s in zip(self._window, self._span)))
-        reach = (max(abs(a) + abs(o * ell) for ends in self._sum_range(ell)
-                     for a, o in zip(ends, self._origin)) * self._cell_num
-                 + self._cell_den)
-        if terms * SIZE_CAP > _INT64_MAX or reach > _INT64_MAX:
-            raise CountingCapError(
-                "counting at ell=%d could overflow int64 sums on this grid "
-                "(sizes are capped at %d); use a narrower or simpler grid side W"
-                % (ell, SIZE_CAP))
-        cells = self._row_cells + math.prod(ell * s + 1 for s in self._span)
-        length = self._sums_len
-        while cells <= MAX_CELLS and length < ell:
-            length += 1
-            cells += self._box_cells(length)
-        if cells > MAX_CELLS:
-            raise CountingCapError(
-                "counting at ell=%d would hold more cells of rows and sum "
-                "table than the cap %d; use a smaller M, ell or alphabet"
-                % (ell, MAX_CELLS))
+    def _unreached_sums(self, ell: int) -> List[Tuple[int, ...]]:
+        """The sums of the box of ell that no letter reaches from the box of
+        ell - 1."""
+        if ell == 1:
+            box = itertools.product(*(range(s + 1) for s in self._span))
+            return list(set(box).difference(self._shifts))
+        sums = []
+        for choice in self._unreached:
+            sums.extend(itertools.product(*(
+                range(s, (ell - 1) * s + 1) if z is None
+                else ((ell - 1) * s + z[0],) if z[1] else (z[0],)
+                for z, s in zip(choice, self._span))))
+        return sums
 
     def row(self, ell: int) -> Row:
-        """Class sizes of length ell, saturated at SIZE_CAP."""
+        """Class sizes of length ell, saturated at cap."""
         if ell < 1:
             raise ValueError("ell must be at least 1")
         cached = self._rows.get(ell)
         if cached is not None:
             return cached
-        self._check_caps(ell)
+        if ell > MAX_LENGTH:
+            raise CountingCapError(
+                "counting at ell=%d would pass the longest length, the cap %d; "
+                "use a smaller M or a wider grid side W" % (ell, MAX_LENGTH))
         while self._sums_len < ell:
             self._extend()
         return self._rows[ell]
 
     def _extend(self) -> None:
         """Advance the sum table by one letter and memoize that length's row."""
-        import numpy as np
-
         ell = self._sums_len + 1
-        old = self._sums
-        sums = np.zeros([ell * s + 1 for s in self._span], dtype=np.int64)
-        for shift in self._shifts:
-            sums[tuple(slice(a, a + n) for a, n in zip(shift, old.shape))] += old
-        np.minimum(sums, SIZE_CAP, out=sums)
-        self._sums, self._sums_len = sums, ell
-        lowest, _ = self._sum_range(ell)
-        axes = [lo + g * np.arange(n, dtype=np.int64)
-                for lo, g, n in zip(lowest, self._step, sums.shape)]
-        sizes, first = sums, []
-        for i, cells in enumerate(self._cell(ell, axes)):
-            starts = np.flatnonzero(np.diff(cells)) + 1
-            starts = np.concatenate(([0], starts))
-            sizes = np.add.reduceat(sizes, starts, axis=i)
-            np.minimum(sizes, SIZE_CAP, out=sizes)
-            ids = cells[starts] - cells[0]
-            first.append(int(cells[0]))
-            if ids[-1] + 1 != len(ids):
-                # Cells narrower than a sum step: some hold no sum at all.
-                shape = list(sizes.shape)
-                shape[i] = int(ids[-1]) + 1
-                box = np.zeros(shape, dtype=np.int64)
-                box[(slice(None),) * i + (ids,)] = sizes
-                sizes = box
-        self._rows[ell] = Row(sizes, tuple(first), ell)
-        self._row_cells += sizes.size
+        cap, shifts, old = self.cap, self._shifts, self._sums
+        top = tuple((ell - 1) * s for s in self._span)
+        sums = dict.fromkeys(self._unreached_sums(ell), 0)
+        for t in {tuple(map(operator.add, base, shift))
+                  for base in old for shift in shifts}:
+            total = 0
+            for s in shifts:
+                p = tuple(map(operator.sub, t, s))
+                n = old.get(p)
+                if n is not None:
+                    total += n
+                elif min(p) >= 0 and min(map(operator.sub, top, p)) >= 0:
+                    break  # a saturated sum of the previous box
+            else:
+                if total <= cap:
+                    sums[t] = total
+        cells = self._row_cells(ell, sums)
+        counted = self._counted + len(sums) + len(cells)
+        if counted > MAX_ENTRIES:
+            raise CountingCapError(
+                "counting at ell=%d would count more sums and row cells than "
+                "the cap %d; use a smaller M, ell or alphabet" % (ell, MAX_ENTRIES))
+        self._counted, self._sums, self._sums_len = counted, sums, ell
+        base, den = self._cell_base(ell), self._cell_den
+        self._rows[ell] = Row(
+            cells, tuple(b // den for b in base),
+            tuple((b + g * ell * s) // den
+                  for b, g, s in zip(base, self._cell_step, self._span)),
+            cap, ell, self)
+
+    def _row_cells(self, ell: int, sums: Dict[Tuple[int, ...], int]
+                   ) -> Dict[CellIndex, int]:
+        """The cells of length ell whose window of sums is all in sums, and
+        whose size is at most cap, with their sizes."""
+        base, steps, den = self._cell_base(ell), self._cell_step, self._cell_den
+        found: Dict[CellIndex, list] = {}
+        for t, n in sums.items():
+            cell = tuple([(b + g * v) // den for b, g, v in zip(base, steps, t)])
+            slot = found.get(cell)
+            if slot is None:
+                found[cell] = [n, 1]
+            else:
+                slot[0] += n
+                slot[1] += 1
+        cells = {}
+        for cell, (size, known) in found.items():
+            if size > self.cap:
+                continue
+            window = 1
+            for j, b, g, s in zip(cell, base, steps, self._span):
+                # The t with j den <= b + g t < (j + 1) den, within 0 .. ell s.
+                first = max(0, -((b - j * den) // g))
+                last = min(ell * s, ((j + 1) * den - 1 - b) // g)
+                window *= last - first + 1
+            if known == window:
+                cells[cell] = size
+        return cells
 
     def size_of_sum(self, row: Row, stat_sum) -> int:
         """Size of the class whose integer statistic sum is stat_sum, read
-        from row, the row of the sum's length: the cell of _cell minus the
-        row's first cell, 0 outside the row's box."""
+        from row, the row of the sum's length."""
         ell, num, den = row.ell, self._cell_num, self._cell_den
-        # A loop: for one or two axes a generator expression costs more.
-        offset = []
-        for a, o, f in zip(stat_sum, self._origin, row.first):
-            offset.append(((a - o * ell) * num - 1) // den - f)
-        return row.at(tuple(offset))
+        return row.at(tuple([((a - o * ell) * num - 1) // den
+                             for a, o in zip(stat_sum, self._origin)]))
 
     def size_for_counts(self, counts) -> int:
         stat_sum = self._stat_sum(counts)
         return self.size_of_sum(self.row(sum(counts)), stat_sum)
-

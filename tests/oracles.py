@@ -24,6 +24,22 @@ FRAC = M.ExpFamilyModel(
 )
 
 
+def _unit_model(name, tau):
+    d = len(tau[0])
+    return M.ExpFamilyModel(
+        alphabet_size=len(tau), stat_dim=d,
+        tau=tuple(tuple(Fraction(v) for v in row) for row in tau),
+        theta_box=((-1.0, 1.0),) * d, name=name)
+
+
+# d = 2 and d = 3 models on unit statistics: the cube's letters are the
+# corners of its box; the simplex and corner models leave the far corner and
+# the far edges of theirs unreached.
+SIMPLEX = _unit_model("simplex", ((0, 0), (1, 0), (0, 1)))
+CUBE = _unit_model("cube", tuple(itertools.product((0, 1), repeat=3)))
+CORNER = _unit_model("corner", ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """All nonnegative integer vectors of the given length summing to total."""
     if parts == 1:
@@ -43,12 +59,6 @@ def composition_count(total: int, parts: int) -> int:
 def letter_counts(model, seq) -> Tuple[int, ...]:
     """Number of occurrences of each letter in seq."""
     return tuple(seq.count(x) for x in range(model.alphabet_size))
-
-
-def row_dict(row) -> Dict[Tuple[int, ...], int]:
-    """A qtypes.Row as cell index -> class size, over its occupied cells."""
-    return {tuple(int(o) + f for o, f in zip(offset, row.first)): int(n)
-            for offset, n in np.ndenumerate(row.sizes) if n}
 
 
 def counts_log_prob(model, theta, counts) -> float:
@@ -121,9 +131,8 @@ def band_cell_count(counter, ell: int, gamma: float, lo_slack: float,
     model, grid = counter.model, counter.grid
     mid = gamma + 0.5 * model.stat_dim * math.log2(ell)
     lo_stat, hi_stat = min(model.tau)[0], max(model.tau)[0]
-    row = counter.row(ell)
     hits = 0
-    for idx in (np.argwhere(row.sizes) + row.first).tolist():
+    for idx in counter.row(ell).sizes():
         (center,) = Q.cell_center(model, grid, ell, idx)
         rep = (min(max(center, lo_stat), hi_stat),)
         if mid - hi_slack < ml_code_length(model, ell, rep) < mid - lo_slack:
@@ -273,10 +282,10 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
     vector by TypeCounter.size_for_counts, and one leaf row per parent edge
     merged at the end."""
     limit = D.size_limit(gamma)
-    if limit >= D.SIZE_CAP:
-        raise D.DictionaryError("gamma=%.6g needs class sizes above the "
-                                "counting cap %d" % (gamma, D.SIZE_CAP))
     counter = counter or Q.TypeCounter(model, grid)
+    if limit >= counter.cap:
+        raise D.DictionaryError("gamma=%.6g needs class sizes above the "
+                                "counting cap %d" % (gamma, counter.cap))
     k = model.alphabet_size
     frontier = {(0,) * k: [1, 0]}
     sizes = {(0,) * k: 0}

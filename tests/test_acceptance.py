@@ -21,7 +21,7 @@ from tccode.normal import gaussian_quantile, gaussian_tail
 
 from oracles import (band_cell_count, compositions, enumerate_complete_trees,
                      info_increment_counts, leaf_mass, letter_counts,
-                     log_type_size_core_counts, row_dict)
+                     log_type_size_core_counts)
 
 
 BERN = M.bernoulli()
@@ -51,7 +51,7 @@ def test_01_counting_oracle_equivalence(verdict):
             counter = Q.TypeCounter(model, grid)
             for ell in range(1, 11):
                 brute = _brute_force_row(model, grid, ell)
-                row = row_dict(counter.row(ell))
+                row = counter.row(ell).sizes()
                 checked += len(brute)
                 if brute != row:
                     mismatches += 1
@@ -62,7 +62,7 @@ def test_01_counting_oracle_equivalence(verdict):
 def test_02_partition_identity(verdict):
     worst = 0
     for ell in range(1, 13):
-        total = sum(row_dict(_COUNTER.row(ell)).values())
+        total = sum(_COUNTER.row(ell).sizes().values())
         worst = max(worst, abs(total - 2 ** ell))
     verdict(2, "partition-identity", worst == 0,
              "max |sum - 2^l| = %d over l <= 12" % worst)

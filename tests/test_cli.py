@@ -675,6 +675,22 @@ def test_evaluate_checks_m_before_it_builds(tmp_path, capsys, monkeypatch, model
     assert not out.exists()
 
 
+def test_evaluate_dict_checks_the_files_m(tmp_path, capsys):
+    # A 3-leaf Tunstall file is below the M >= 4 the rate prediction covers.
+    path = tmp_path / "t.dict"
+    code, _, _ = run(capsys, "tunstall", "--model", "bernoulli", "--theta=-1",
+                     "--M", "3", "--out", str(path))
+    assert code == 0
+    out = tmp_path / "e.json"
+    code, stdout, err = run(capsys, "evaluate", "--dict", str(path),
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    message = json.loads(err)["error"]
+    assert message.startswith("--dict %s: its M 3 must satisfy M >= 4" % path)
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     fresh = tmp_path / "from_config.csv"
@@ -755,6 +771,16 @@ def test_cli_import_does_not_import_numpy(tmp_path):
     # numpy costs every CLI call about 60 ms of start-up; only commands that
     # make arrays import it.
     _numpy_free(tmp_path, "import tccode.cli")
+
+
+@pytest.mark.parametrize("model", ["bernoulli", "ternary", "quaternary"])
+def test_build_dict_does_not_import_numpy(tmp_path, model):
+    # Class sizes are counted in Python integers: the search and the file
+    # need no arrays.
+    argv = ["build-dict", "--model", model, "--M", "4096",
+            "--out", str(tmp_path / "d.dict")]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert (tmp_path / "d.dict").read_text()
 
 
 @pytest.mark.parametrize("command", ["encode", "decode"])

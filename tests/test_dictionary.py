@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -142,15 +143,14 @@ def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma)
 def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
     # With the cap one above the limit every leaf size reads the cap itself.
     cap = 40
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Q, "SIZE_CAP", cap)
-        patch.setattr(D, "SIZE_CAP", cap)
-        counter = Q.TypeCounter(model, GRID)
-        gamma = math.log2(cap - 1)
-        profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
-        assert profile == size_for_counts_leaf_profile(model, GRID, gamma,
-                                                       counter=counter)
-        assert profile.leaf_sizes == (cap,)
+    counter = Q.TypeCounter(model, GRID, cap=cap)
+    gamma = math.log2(cap - 1)
+    profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+    assert profile == size_for_counts_leaf_profile(model, GRID, gamma,
+                                                   counter=counter)
+    assert profile.leaf_sizes == (cap,)
+    with pytest.raises(D.DictionaryError, match="cap 40"):
+        D.tc_leaf_profile(model, GRID, math.log2(cap), counter=counter)
 
 
 def test_leaf_mass_normalizes():
@@ -233,15 +233,39 @@ def test_next_size_above_gamma_exceeds_m(model, m):
 def test_gamma_search_is_exact_at_a_cap_just_above_m(model, m):
     # Every size the search decides on is below m, so saturating at m + 1
     # leaves its outcome as it is at the real cap.
-    gamma, profile = D.choose_gamma_profile(model, GRID, m)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Q, "SIZE_CAP", m + 1)
-        patch.setattr(D, "SIZE_CAP", m + 1)
-        capped_gamma, capped = D.choose_gamma_profile(model, GRID, m)
+    gamma, profile = D.choose_gamma_profile(
+        model, GRID, m, counter=Q.TypeCounter(model, GRID))
+    capped_gamma, capped = D.choose_gamma_profile(
+        model, GRID, m, counter=Q.TypeCounter(model, GRID, cap=m + 1))
     assert capped_gamma == gamma
     assert capped.leaf_classes == profile.leaf_classes
     assert capped.monotone_mismatch_leaves == profile.monotone_mismatch_leaves
     assert capped.max_length() == profile.max_length()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+       side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=2),
+       m=st.integers(4, 400))
+def test_gamma_search_at_cap_m_matches_the_full_cap(model, side, origin, m):
+    # The search's own counter saturates at m: it finds the profile of a
+    # counter capped at SIZE_CAP, with every leaf size above m read as m.
+    assume(m >= model.alphabet_size)
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "MAX_DEPTH", 80)
+        full = _profile_or_raised(D.choose_gamma_profile, model, grid, m,
+                                  counter=Q.TypeCounter(model, grid))
+        capped = _profile_or_raised(D.choose_gamma_profile, model, grid, m)
+    if isinstance(full, type):
+        assert capped is full
+        return
+    (gamma, full), (capped_gamma, capped) = full, capped
+    assert capped_gamma == gamma
+    assert capped.leaf_sizes == tuple(sorted({min(v, m) for v in full.leaf_sizes}))
+    assert capped == dataclasses.replace(full, leaf_sizes=capped.leaf_sizes)
 
 
 def test_gamma_search_refuses_sizes_past_the_cap():

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from tccode import models as M
 from tccode import qtypes as Q
 
-from oracles import (FRAC, band_cell_count, composition_count, composition_row,
+from oracles import (CORNER, CUBE, FRAC, SIMPLEX, band_cell_count,
+                     composition_count, composition_row,
                      compositions, info_increment_counts, letter_counts,
-                     log_type_size_core_counts, multinomial, row_dict)
+                     log_type_size_core_counts, multinomial)
 
 
 BERN = M.bernoulli()
 TERN = M.ternary()
 QUAT = M.quaternary()
+# The simplex and corner models reach only part of their box of sums, which
+# the counter must read as 0, not as saturated.
+MODELS = [BERN, TERN, QUAT, FRAC, SIMPLEX, CUBE, CORNER]
 
 
 def test_cell_of_oracle_values():
@@ -68,13 +72,13 @@ def test_multinomial_and_compositions():
 def test_partition_identity_binary(grid):
     counter = Q.TypeCounter(BERN, grid)
     for ell in range(1, 13):
-        assert sum(row_dict(counter.row(ell)).values()) == 2 ** ell
+        assert sum(counter.row(ell).sizes().values()) == 2 ** ell
 
 
 def test_partition_identity_ternary():
     counter = Q.TypeCounter(TERN, Q.construction_grid())
     for ell in range(1, 9):
-        assert sum(row_dict(counter.row(ell)).values()) == 3 ** ell
+        assert sum(counter.row(ell).sizes().values()) == 3 ** ell
 
 
 @pytest.mark.parametrize("model,max_ell", [(BERN, 8), (TERN, 6)])
@@ -88,7 +92,7 @@ def test_counter_matches_brute_force(model, max_ell):
             stat = M.suff_stat_of_counts(model, letter_counts(model, seq))
             idx, _ = Q.cell_of(model, grid, ell, stat)
             tally[idx] = tally.get(idx, 0) + 1
-        assert tally == row_dict(counter.row(ell))
+        assert tally == counter.row(ell).sizes()
 
 
 def test_size_of_sequence():
@@ -102,27 +106,29 @@ def test_size_of_sequence():
 def test_counting_cap():
     counter = Q.TypeCounter(TERN, Q.Grid())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Q, "MAX_CELLS", 10)
+        patch.setattr(Q, "MAX_ENTRIES", 10)
         with pytest.raises(Q.CountingCapError, match="cap 10;"):
             counter.row(10)
+    # A refused count leaves the counter as it was.
+    assert sum(counter.row(10).sizes().values()) == 3 ** 10
 
 
 def test_counting_cap_fails_before_allocating():
-    # The default cap admits the rows of ternary M=2^18 (ell 5490, about
-    # 18 M cells), and refuses a far longer length without counting.
+    # The length cap admits the rows of ternary M=2^20 (ell 17214), and
+    # refuses a far longer length without counting.
+    assert 17214 <= Q.MAX_LENGTH
     counter = Q.TypeCounter(TERN, Q.construction_grid())
-    counter._check_caps(5490)
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        with pytest.raises(Q.CountingCapError, match=r"ell=100000 .*cap 33554432"):
+        with pytest.raises(Q.CountingCapError, match=r"ell=100000 .*cap 32768;"):
             counter.row(100000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert time.perf_counter() - start < 1.0
-    assert row_dict(counter.row(3)) == composition_row(TERN, Q.construction_grid(), 3)
+    assert counter.row(3).sizes() == composition_row(TERN, Q.construction_grid(), 3)
 
 
 def _capped(row, cap):
@@ -130,26 +136,24 @@ def _capped(row, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+@given(model=st.sampled_from(MODELS),
        side=st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)),
        origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
-                       min_size=1, max_size=2),
+                       min_size=1, max_size=3),
        ells=st.lists(st.integers(1, 9), min_size=1, max_size=3),
        cap=st.integers(1, 300))
 def test_saturated_rows_match_capped_oracle(model, side, origin, ells, cap):
-    # Saturating every add at the cap gives min(exact size, cap) in every
-    # cell, through the sum table and through both row reductions.
+    # Keeping only the sums and cells of at most cap sequences gives
+    # min(exact size, cap) in every cell, through the sum table and the row.
     grid = Q.Grid(side=side, origin=tuple(origin))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Q, "SIZE_CAP", cap)
-        counter = Q.TypeCounter(model, grid)
-        for ell in ells:
-            oracle = composition_row(model, grid, ell)
-            assert row_dict(counter.row(ell)) == _capped(oracle, cap)
-            for counts in compositions(ell, model.alphabet_size):
-                idx, _ = Q.cell_of(model, grid, ell,
-                                   M.suff_stat_of_counts(model, counts))
-                assert counter.size_for_counts(counts) == min(oracle[idx], cap)
+    counter = Q.TypeCounter(model, grid, cap=cap)
+    for ell in ells:
+        oracle = composition_row(model, grid, ell)
+        assert counter.row(ell).sizes() == _capped(oracle, cap)
+        for counts in compositions(ell, model.alphabet_size):
+            idx, _ = Q.cell_of(model, grid, ell,
+                               M.suff_stat_of_counts(model, counts))
+            assert counter.size_for_counts(counts) == min(oracle[idx], cap)
 
 
 @pytest.mark.parametrize("model,ell", [(BERN, 80), (TERN, 80), (QUAT, 40)])
@@ -157,26 +161,29 @@ def test_long_rows_match_capped_oracle(model, ell):
     # Exact counts pass 2^63 at these lengths; saturated ones stay exact
     # below SIZE_CAP.
     grid = Q.construction_grid()
-    row = row_dict(Q.TypeCounter(model, grid).row(ell))
+    row = Q.TypeCounter(model, grid).row(ell).sizes()
     assert row == _capped(composition_row(model, grid, ell), Q.SIZE_CAP)
     assert max(row.values()) == Q.SIZE_CAP
 
 
 @pytest.mark.parametrize("side", [2 ** 40, Fraction(2 ** 40, 3)])
 def test_wide_grid_counts_or_fails_fast(side):
-    # A cell window of w sums adds w sizes of up to SIZE_CAP each: wide cells
-    # count exactly while that fits an int64, and fail before counting once
-    # it could not.
+    # Sums and cells are Python integers: wide cells count exactly, however
+    # many sizes a window adds, and a length past the cap fails before
+    # counting.
     grid = Q.Grid(side=side, origin=(Fraction(-1, 3),))
     counter = Q.TypeCounter(BERN, grid)
     for ell in range(1, 10):
-        assert row_dict(counter.row(ell)) == composition_row(BERN, grid, ell)
+        assert counter.row(ell).sizes() == composition_row(BERN, grid, ell)
     start = time.perf_counter()
-    with pytest.raises(Q.CountingCapError, match="overflow"):
+    with pytest.raises(Q.CountingCapError, match="longest length"):
         counter.row(2 ** 23 + 5)
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(Q.CountingCapError, match="overflow"):
-        Q.TypeCounter(BERN, Q.Grid(side=2 ** 63)).row(1)
+    # Scaled sums past 2^63, where int64 counting refused.
+    wide = Q.Grid(side=2 ** 63)
+    counter = Q.TypeCounter(BERN, wide)
+    for ell in range(1, 10):
+        assert counter.row(ell).sizes() == composition_row(BERN, wide, ell)
 
 
 def test_log_type_size_core_values():
@@ -227,7 +234,7 @@ def test_band_cell_count_basic():
     counter = Q.TypeCounter(BERN, Q.Grid())
     # An all-covering band counts every occupied cell.
     total = band_cell_count(counter, 16, 8.0, -100.0, 100.0)
-    assert total == len(row_dict(counter.row(16)))
+    assert total == len(counter.row(16).sizes())
     # An empty band counts none.
     assert band_cell_count(counter, 16, 8.0, 5.0, 5.0) == 0
 
@@ -236,9 +243,9 @@ _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+@given(model=st.sampled_from(MODELS),
        side=st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)),
-       origin=st.lists(_RATIONALS, min_size=1, max_size=2),
+       origin=st.lists(_RATIONALS, min_size=1, max_size=3),
        ells=st.lists(st.integers(1, 9), min_size=1, max_size=3))
 def test_row_matches_composition_oracle(model, side, origin, ells):
     # Rows come from integer convolution over statistic sums in any order of
@@ -247,7 +254,7 @@ def test_row_matches_composition_oracle(model, side, origin, ells):
     grid = Q.Grid(side=side, origin=tuple(origin))
     counter = Q.TypeCounter(model, grid)
     for ell in ells:
-        row = row_dict(counter.row(ell))
+        row = counter.row(ell).sizes()
         assert row == composition_row(model, grid, ell)
         for counts in compositions(ell, model.alphabet_size):
             idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
