@@ -15,7 +15,6 @@ from .dictionary import (
     Dictionary,
     DictionaryError,
     LeafCapExceeded,
-    DepthCapExceeded,
     build_tc_dictionary,
     build_tunstall,
     tc_dictionary,

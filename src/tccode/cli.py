@@ -576,8 +576,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _merge_config(build_parser().parse_args(argv))
         return _COMMANDS[args.command][0](args)
     except (CliError, _models.ModelError, _dict.DictionaryError,
-            _dict.DepthCapExceeded, _qtypes.CountingCapError, OSError,
-            ValueError) as exc:
+            _qtypes.CountingCapError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -30,8 +30,6 @@ from .qtypes import SIZE_CAP, Grid, TypeCounter, scaled_statistics
 Segment = Tuple[int, ...]
 # (segment length, letter counts, number of segments with both).
 LeafClass = Tuple[int, Tuple[int, ...], int]
-# Deepest level the first-passage rule descends before giving up.
-MAX_DEPTH = 50000
 
 
 class DictionaryError(ValueError):
@@ -44,11 +42,6 @@ class LeafCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__("leaf count exceeded cap %d" % cap)
         self.cap = cap
-
-
-class DepthCapExceeded(RuntimeError):
-    """Construction aborted: some parse path never crossed the threshold
-    within the depth guard (symptom of a boundary-aligned grid)."""
 
 
 @dataclass
@@ -557,11 +550,6 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     leaf_sizes = set()
     depth = 0
     while frontier:
-        if depth > MAX_DEPTH:
-            raise DepthCapExceeded(
-                "no threshold crossing within depth %d at gamma=%.6g; "
-                "the grid likely isolates an extreme statistic" % (MAX_DEPTH, gamma)
-            )
         depth += 1
         row = counter.row(depth)
         children: Dict[Tuple[int, ...], list] = {}

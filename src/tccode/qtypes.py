@@ -120,6 +120,8 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
 SIZE_CAP = 2 ** 40
 # Longest length one TypeCounter counts, refused before counting anything.
 MAX_LENGTH = 2 ** 15
+# Most statistic sums in the box of one length, refused before counting.
+MAX_BOX = 2 ** 25
 # Most sums and row cells one TypeCounter may count, over all its lengths.
 MAX_ENTRIES = 2 ** 20
 
@@ -127,7 +129,8 @@ MAX_ENTRIES = 2 ** 20
 class Row:
     """Class sizes of length ell, saturated at cap: the cells whose size is
     known to be at most the cap, keyed by cell index.  Any other cell of the
-    box from lowest to highest reads as the cap, and a cell outside it as 0."""
+    box from lowest to highest that holds a sequence reads as the cap, and a
+    cell outside the box as 0."""
 
     __slots__ = ("cells", "lowest", "highest", "cap", "ell", "_counter")
 
@@ -141,8 +144,8 @@ class Row:
         self._counter = counter
 
     def at(self, cell: CellIndex) -> int:
-        """The size of the class of cell, a cell that holds some sum of the
-        row's length."""
+        """The size of the class of cell, a cell that holds some sequence of
+        the row's length."""
         size = self.cells.get(cell)
         if size is not None:
             return size
@@ -153,14 +156,17 @@ class Row:
 
     def sizes(self) -> Dict[CellIndex, int]:
         """Every class of the row with its size: the cells that hold a
-        sequence, read one by one over the whole box."""
-        axes = self._counter._axis_cells(self.ell)
-        sizes = {}
-        for cell in itertools.product(*axes):
-            size = self.at(cell)
-            if size:
-                sizes[cell] = size
-        return sizes
+        sequence, found by walking the length's reachable sums one by one."""
+        counter = self._counter
+        base, steps = counter._cell_base(self.ell), counter._cell_step
+        den = counter._cell_den
+        reached = {(0,) * len(base)}
+        for _ in range(self.ell):
+            reached = {tuple(map(operator.add, t, s))
+                       for t in reached for s in counter._shifts}
+        cells = {tuple([(b + g * v) // den for b, g, v in zip(base, steps, t)])
+                 for t in reached}
+        return {cell: self.at(cell) for cell in cells}
 
 
 class TypeCounter:
@@ -177,19 +183,25 @@ class TypeCounter:
     is monotone along each axis.
 
     The sum table of length l maps t to its number of sequences, in Python
-    integers, and keeps only the sums whose number is at most cap: any other
-    sum of the box is saturated.  The number at t adds the numbers at
-    t - shift over the letters whose t - shift lies in the box of l - 1, so a
-    sum with a saturated predecessor there is saturated too, and a sum that
-    no letter reaches from that box holds no sequence and is kept as an
-    explicit 0.  The row of l keeps each cell whose window of sums is all in
-    the table and whose size is at most cap.  Only the latest sum table is
-    kept; the row of every length passed is memoized, and rows may be read
-    concurrently once construction-time writes have finished.
+    integers, and keeps only the sums that some sequence reaches and whose
+    number is at most cap.  The number at t adds the numbers at t - shift
+    over the letters, so a sum with a saturated predecessor is saturated too.
+    The row of l keeps each cell whose reached sums are all in the table and
+    whose size is at most cap.  Only the latest sum table is kept; the row of
+    every length passed is memoized, and rows may be read concurrently once
+    construction-time writes have finished.
 
-    Counting refuses a length above MAX_LENGTH before it counts anything, and
-    stops once the sums and row cells it has counted pass MAX_ENTRIES; either
-    raises CountingCapError.
+    A sum of the box outside the table is either saturated or reached by no
+    sequence; which one, a bit set of the length's reached sums tells.  That
+    set is the previous one shifted by each letter, one Python integer with
+    axis i at stride prod_{j>i} w_j.  It is dropped once it fills the box of
+    some l >= 1: only a letter at a corner of the box of one letter, repeated,
+    reaches the same corner of the box of l, so every corner is a letter's
+    shift, and those shifts carry a full box of l onto the full box of l + 1.
+
+    Counting refuses a length above MAX_LENGTH, or one whose box holds more
+    than MAX_BOX sums, before it counts anything, and stops once the sums and
+    row cells it has counted pass MAX_ENTRIES; each raises CountingCapError.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid, cap: int = SIZE_CAP):
@@ -216,20 +228,11 @@ class TypeCounter:
         self._span = tuple(max(s[i] for s in self._shifts) for i in range(d))
         # t_i moves the cell's numerator by g_i * cell_num per lattice step.
         self._cell_step = tuple(g * self._cell_num for g in step)
-        # From l = 2 on, letter x reaches t from the box of l - 1 when
-        # shift_i <= t_i <= (l-1) span_i + shift_i on every axis.  That fails
-        # only in the low zone t_i < span_i or the high zone
-        # t_i > (l-1) span_i, so per axis a choice of (v, False) for t_i = v
-        # in the low zone, (u, True) for t_i = (l-1) span_i + u in the high
-        # zone, or None for anywhere between decides it for every l.  These
-        # are the combinations of choices that no letter reaches.
-        zones = [[(v, False) for v in range(s)] + [(u, True) for u in range(1, s + 1)]
-                 + [None] for s in self._span]
-        self._unreached = [
-            choice for choice in itertools.product(*zones)
-            if not any(all(z is None or (sh >= z[0] if z[1] else sh <= z[0])
-                           for sh, z in zip(shift, choice))
-                       for shift in self._shifts)]
+        # Reached sums of the latest length as bits, None once they fill the
+        # box for good.  Axis i > 0 is widths[i] bits wide, the last axis a
+        # multiple of 8, so every line of the last axis starts on a byte.
+        self._reach = 1
+        self._widths = (1,) * (d - 1) + (8,)
         self._rows: Dict[int, Row] = {}
         self._counted = 0
         self._sums: Dict[Tuple[int, ...], int] = {(0,) * d: 1}
@@ -247,25 +250,34 @@ class TypeCounter:
         return [ell * (lo - o) * self._cell_num - 1
                 for lo, o in zip(self._low, self._origin)]
 
-    def _axis_cells(self, ell: int) -> List[List[int]]:
-        """Per axis, the cells that some sum of length ell lies in."""
-        den = self._cell_den
-        return [sorted({(b + g * t) // den for t in range(ell * s + 1)})
-                for b, g, s in zip(self._cell_base(ell), self._cell_step, self._span)]
+    def _strides(self, widths) -> List[int]:
+        strides = [1]
+        for w in reversed(widths[1:]):
+            strides.append(strides[-1] * w)
+        return strides[::-1]
 
-    def _unreached_sums(self, ell: int) -> List[Tuple[int, ...]]:
-        """The sums of the box of ell that no letter reaches from the box of
-        ell - 1."""
-        if ell == 1:
-            box = itertools.product(*(range(s + 1) for s in self._span))
-            return list(set(box).difference(self._shifts))
-        sums = []
-        for choice in self._unreached:
-            sums.extend(itertools.product(*(
-                range(s, (ell - 1) * s + 1) if z is None
-                else ((ell - 1) * s + z[0],) if z[1] else (z[0],)
-                for z, s in zip(choice, self._span))))
-        return sums
+    def _box_bytes(self, ell: int, strides) -> int:
+        """Bytes that hold a bit for every sum of the box of ell."""
+        return sum(ell * s * k for s, k in zip(self._span, strides)) // 8 + 1
+
+    def _widen(self, ell: int) -> None:
+        """Lay the reached sums of length ell - 1 out on axis widths that fit
+        the box of ell, moving whole lines of the last axis."""
+        need = [ell * s + 1 for s in self._span]
+        if all(n <= w for n, w in zip(need[1:], self._widths[1:])):
+            return
+        widths = [max(w, n + n // 2) for n, w in zip(need, self._widths)]
+        widths[-1] = -(-widths[-1] // 8) * 8
+        old, new = self._strides(self._widths), self._strides(widths)
+        data = self._reach.to_bytes(self._box_bytes(ell - 1, old), "little")
+        out = bytearray(self._box_bytes(ell - 1, new))
+        line = ((ell - 1) * self._span[-1]) // 8 + 1
+        for prefix in itertools.product(*(range((ell - 1) * s + 1)
+                                          for s in self._span[:-1])):
+            src = sum(map(operator.mul, prefix, old)) // 8
+            dst = sum(map(operator.mul, prefix, new)) // 8
+            out[dst:dst + line] = data[src:src + line]
+        self._reach, self._widths = int.from_bytes(out, "little"), tuple(widths)
 
     def row(self, ell: int) -> Row:
         """Class sizes of length ell, saturated at cap."""
@@ -277,7 +289,13 @@ class TypeCounter:
         if ell > MAX_LENGTH:
             raise CountingCapError(
                 "counting at ell=%d would pass the longest length, the cap %d; "
-                "use a smaller M or a wider grid side W" % (ell, MAX_LENGTH))
+                "use a smaller M, a wider grid side W, or a grid that does not "
+                "isolate an extreme statistic" % (ell, MAX_LENGTH))
+        if math.prod(ell * s + 1 for s in self._span) > MAX_BOX:
+            raise CountingCapError(
+                "counting at ell=%d would pass the most sums of one length, "
+                "the cap %d; use a smaller M or a model whose statistics span "
+                "fewer lattice steps" % (ell, MAX_BOX))
         while self._sums_len < ell:
             self._extend()
         return self._rows[ell]
@@ -287,7 +305,19 @@ class TypeCounter:
         ell = self._sums_len + 1
         cap, shifts, old = self.cap, self._shifts, self._sums
         top = tuple((ell - 1) * s for s in self._span)
-        sums = dict.fromkeys(self._unreached_sums(ell), 0)
+        # Which absent sums of length ell - 1 are reached, and so saturated.
+        reach = self._reach
+        if reach is not None:
+            self._widen(ell)
+            strides = self._strides(self._widths)
+            old_bits = self._reach.to_bytes(self._box_bytes(ell - 1, strides), "little")
+            reach = 0
+            for shift in shifts:
+                reach |= self._reach << sum(map(operator.mul, shift, strides))
+            new_bits = reach.to_bytes(self._box_bytes(ell, strides), "little")
+            if reach.bit_count() == math.prod(ell * s + 1 for s in self._span):
+                reach = None
+        sums = {}
         for t in {tuple(map(operator.add, base, shift))
                   for base in old for shift in shifts}:
             total = 0
@@ -297,17 +327,23 @@ class TypeCounter:
                 if n is not None:
                     total += n
                 elif min(p) >= 0 and min(map(operator.sub, top, p)) >= 0:
-                    break  # a saturated sum of the previous box
+                    if self._reach is None:
+                        break  # a saturated sum of the previous box
+                    i = sum(map(operator.mul, p, strides))
+                    if old_bits[i >> 3] >> (i & 7) & 1:
+                        break
             else:
                 if total <= cap:
                     sums[t] = total
-        cells = self._row_cells(ell, sums)
+        cells = self._row_cells(ell, sums, None if self._reach is None
+                                else (new_bits, strides))
         counted = self._counted + len(sums) + len(cells)
         if counted > MAX_ENTRIES:
             raise CountingCapError(
                 "counting at ell=%d would count more sums and row cells than "
                 "the cap %d; use a smaller M, ell or alphabet" % (ell, MAX_ENTRIES))
         self._counted, self._sums, self._sums_len = counted, sums, ell
+        self._reach = reach
         base, den = self._cell_base(ell), self._cell_den
         self._rows[ell] = Row(
             cells, tuple(b // den for b in base),
@@ -315,10 +351,12 @@ class TypeCounter:
                   for b, g, s in zip(base, self._cell_step, self._span)),
             cap, ell, self)
 
-    def _row_cells(self, ell: int, sums: Dict[Tuple[int, ...], int]
+    def _row_cells(self, ell: int, sums: Dict[Tuple[int, ...], int], bits
                    ) -> Dict[CellIndex, int]:
-        """The cells of length ell whose window of sums is all in sums, and
-        whose size is at most cap, with their sizes."""
+        """The cells of length ell whose reached sums are all in sums, and
+        whose size is at most cap, with their sizes.  bits is the reached
+        sums of ell as bytes with their strides, or None when every sum of
+        the box is reached."""
         base, steps, den = self._cell_base(ell), self._cell_step, self._cell_den
         found: Dict[CellIndex, list] = {}
         for t, n in sums.items():
@@ -333,13 +371,15 @@ class TypeCounter:
         for cell, (size, known) in found.items():
             if size > self.cap:
                 continue
-            window = 1
-            for j, b, g, s in zip(cell, base, steps, self._span):
-                # The t with j den <= b + g t < (j + 1) den, within 0 .. ell s.
-                first = max(0, -((b - j * den) // g))
-                last = min(ell * s, ((j + 1) * den - 1 - b) // g)
-                window *= last - first + 1
-            if known == window:
+            # Per axis, the t with j den <= b + g t < (j + 1) den in 0 .. ell s.
+            window = [(max(0, -((b - j * den) // g)),
+                       min(ell * s, ((j + 1) * den - 1 - b) // g))
+                      for j, b, g, s in zip(cell, base, steps, self._span)]
+            if bits is None:
+                reached = math.prod(last - first + 1 for first, last in window)
+            else:
+                reached = _bits_in(*bits, window)
+            if known == reached:
                 cells[cell] = size
         return cells
 
@@ -353,3 +393,17 @@ class TypeCounter:
     def size_for_counts(self, counts) -> int:
         stat_sum = self._stat_sum(counts)
         return self.size_of_sum(self.row(sum(counts)), stat_sum)
+
+
+def _bits_in(data: bytes, strides, window) -> int:
+    """How many bits of data are set in the box of window, one (first, last)
+    pair per axis, at the given strides."""
+    first, last = window[-1]
+    width = last - first + 1
+    mask = (1 << width) - 1
+    count = 0
+    for prefix in itertools.product(*(range(f, l + 1) for f, l in window[:-1])):
+        i = sum(map(operator.mul, prefix, strides)) + first
+        chunk = int.from_bytes(data[i >> 3:((i + width - 1) >> 3) + 1], "little")
+        count += (chunk >> (i & 7) & mask).bit_count()
+    return count

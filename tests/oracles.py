@@ -294,9 +294,6 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
     leaf_sizes = set()
     depth = 0
     while frontier:
-        if depth > D.MAX_DEPTH:
-            raise D.DepthCapExceeded("no threshold crossing within depth %d"
-                                     % D.MAX_DEPTH)
         nxt, nxt_sizes = {}, {}
         for counts, (clean, dipped) in frontier.items():
             parent_size = sizes[counts]

@@ -470,6 +470,24 @@ def test_custom_model_file(tmp_path, capsys):
     assert json.loads(out)["model"] == "ternary"
 
 
+@pytest.mark.parametrize("tau,m,gamma,size,longest", [
+    ([["0", "0"], ["1", "0"], ["0", "1"]], 2 ** 24, 18.332875731152672, 14265141, 476),
+    ([["0"], ["1/100"], ["1"]], 2 ** 20, 17.63482522752974, 1040225, 326),
+], ids=["simplex", "hundredths"])
+def test_partly_reached_model_files_build(tmp_path, capsys, tau, m, gamma, size, longest):
+    # Letters that leave most sums of the box unreached: those sums cost the
+    # counter nothing, so these searches build within its caps.
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "name": "partly-reached", "alphabet_size": 3, "stat_dim": len(tau[0]),
+        "tau": tau, "theta_box": [[-1.0, 1.0]] * len(tau[0])}))
+    code, out, err = run(capsys, "build-dict", "--model", str(model_path),
+                         "--M", str(m), "--out", str(tmp_path / "d.txt"))
+    assert code == 0, err
+    stats = json.loads(out)
+    assert (stats["gamma"], stats["size"], stats["max_length"]) == (gamma, size, longest)
+
+
 def test_sweep_rejects_small_m(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--model", "bernoulli", "--theta", "-2",
                        "--M", "2", "--eps", "0.1", "--out", str(tmp_path / "s.csv"))
@@ -478,16 +496,15 @@ def test_sweep_rejects_small_m(tmp_path, capsys):
 
 
 def test_depth_cap_is_reported(tmp_path, capsys, monkeypatch):
-    from tccode import dictionary as D
+    # 64 binary leaves need segments longer than 3 letters, which the
+    # counter's longest length refuses.
+    from tccode import qtypes as Q
 
-    def capped(*args, **kwargs):
-        raise D.DepthCapExceeded("no threshold crossing within depth 1")
-
-    monkeypatch.setattr(D, "choose_gamma", capped)
+    monkeypatch.setattr(Q, "MAX_LENGTH", 3)
     code, _, err = run(capsys, "build-dict", "--model", "bernoulli", "--M", "64",
                        "--out", str(tmp_path / "d.txt"))
     assert code == 2
-    assert "depth" in json.loads(err)["error"]
+    assert "ell=4 would pass the longest length" in json.loads(err)["error"]
 
 
 def test_config_sets_boolean_flags(tmp_path, capsys):

@@ -39,10 +39,10 @@ def threshold_builds(draw):
     m = draw(st.integers(model.alphabet_size, 512))
     grid = Q.Grid(side=side, origin=tuple(origin))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "MAX_DEPTH", 80)
+        patch.setattr(Q, "MAX_LENGTH", 80)
         try:
             _, profile = D.choose_gamma_profile(model, grid, m)
-        except (D.DepthCapExceeded, D.DictionaryError, Q.CountingCapError):
+        except (D.DictionaryError, Q.CountingCapError):
             assume(False)
     return model, grid, profile
 

@@ -13,10 +13,10 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import (FRAC, enumerate_complete_trees, first_passage_oracle,
-                     format1_text, fraction_length_masses, leaf_classes_of, leaf_mass,
-                     letter_counts, segment_length_masses,
-                     size_for_counts_leaf_profile)
+from oracles import (FRAC, SIMPLEX, enumerate_complete_trees,
+                     first_passage_oracle, format1_text, fraction_length_masses,
+                     leaf_classes_of, leaf_mass, letter_counts,
+                     segment_length_masses, size_for_counts_leaf_profile)
 
 
 BERN = M.bernoulli()
@@ -114,7 +114,7 @@ def _profile_or_raised(build, *args, **kwargs):
     """The profile build returns, or the type of the cap error it raises."""
     try:
         return build(*args, **kwargs)
-    except (D.LeafCapExceeded, D.DepthCapExceeded, D.DictionaryError) as exc:
+    except (D.LeafCapExceeded, D.DictionaryError, Q.CountingCapError) as exc:
         return type(exc)
 
 
@@ -132,7 +132,7 @@ def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma)
     counter = Q.TypeCounter(model, grid)
     kwargs = dict(leaf_cap=3000, counter=counter)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "MAX_DEPTH", 80)
+        patch.setattr(Q, "MAX_LENGTH", 80)
         got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
         want = _profile_or_raised(size_for_counts_leaf_profile, model, grid,
                                   gamma, **kwargs)
@@ -244,7 +244,7 @@ def test_gamma_search_is_exact_at_a_cap_just_above_m(model, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC]),
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC, SIMPLEX]),
        side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
        origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
                        min_size=1, max_size=2),
@@ -255,7 +255,7 @@ def test_gamma_search_at_cap_m_matches_the_full_cap(model, side, origin, m):
     assume(m >= model.alphabet_size)
     grid = Q.Grid(side=side, origin=tuple(origin))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "MAX_DEPTH", 80)
+        patch.setattr(Q, "MAX_LENGTH", 80)
         full = _profile_or_raised(D.choose_gamma_profile, model, grid, m,
                                   counter=Q.TypeCounter(model, grid))
         capped = _profile_or_raised(D.choose_gamma_profile, model, grid, m)
@@ -291,9 +291,9 @@ def test_ternary_gamma_at_scale():
 def test_depth_cap_on_aligned_grid():
     # The aligned W=1 grid pins the all-zeros path at class size 1 forever.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "MAX_DEPTH", 200)
+        patch.setattr(Q, "MAX_LENGTH", 200)
         for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
-            with pytest.raises(D.DepthCapExceeded, match="depth 200"):
+            with pytest.raises(Q.CountingCapError, match="ell=201 .*isolate"):
                 build(BERN, Q.Grid(), 2.0)
 
 

@@ -114,9 +114,9 @@ def test_counting_cap():
 
 
 def test_counting_cap_fails_before_allocating():
-    # The length cap admits the rows of ternary M=2^20 (ell 17214), and
-    # refuses a far longer length without counting.
-    assert 17214 <= Q.MAX_LENGTH
+    # The caps admit the rows the ternary M=2^20 search counts (cap 2^20 up
+    # to ell 17214), and refuse a far longer length without counting.
+    Q.TypeCounter(TERN, Q.construction_grid(), cap=2 ** 20).row(17214)
     counter = Q.TypeCounter(TERN, Q.construction_grid())
     start = time.perf_counter()
     tracemalloc.start()
@@ -129,6 +129,27 @@ def test_counting_cap_fails_before_allocating():
     assert peak < 2 ** 20
     assert time.perf_counter() - start < 1.0
     assert counter.row(3).sizes() == composition_row(TERN, Q.construction_grid(), 3)
+
+
+def test_wide_span_fails_before_allocating(tmp_path):
+    # A model file whose letter statistics lie 2^30 lattice steps apart puts
+    # 2^30 + 1 sums in the box of one letter: refused at ell=1 before counting.
+    path = tmp_path / "wide.json"
+    path.write_text('{"name": "wide", "alphabet_size": 3, "stat_dim": 1, '
+                    '"tau": [["0"], ["1"], ["%d"]], "theta_box": [[-1e-10, 1e-10]]}'
+                    % 2 ** 30)
+    wide = M.load_model(path)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        counter = Q.TypeCounter(wide, Q.construction_grid())
+        with pytest.raises(Q.CountingCapError, match=r"ell=1 .*cap 33554432;"):
+            counter.row(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert time.perf_counter() - start < 1.0
 
 
 def _capped(row, cap):
@@ -164,6 +185,17 @@ def test_long_rows_match_capped_oracle(model, ell):
     row = Q.TypeCounter(model, grid).row(ell).sizes()
     assert row == _capped(composition_row(model, grid, ell), Q.SIZE_CAP)
     assert max(row.values()) == Q.SIZE_CAP
+
+
+@pytest.mark.parametrize("model,ell", [(SIMPLEX, 30), (CORNER, 14), (FRAC, 30)])
+@pytest.mark.parametrize("cap", [1, 40, 10 ** 6])
+def test_partly_reached_rows_match_capped_oracle(model, ell, cap):
+    # Sums no sequence reaches read as 0 at every length, also after the
+    # bit set of reached sums is laid out on wider axes.
+    grid = Q.construction_grid()
+    counter = Q.TypeCounter(model, grid, cap=cap)
+    for n in range(1, ell + 1):
+        assert counter.row(n).sizes() == _capped(composition_row(model, grid, n), cap)
 
 
 @pytest.mark.parametrize("side", [2 ** 40, Fraction(2 ** 40, 3)])
