@@ -10,7 +10,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .qtypes import Grid, TypeCounter, CountingCapError, cell_of
+from .qtypes import Grid, TypeCounter, CountingCapError
 from .dictionary import (
     Dictionary,
     DictionaryError,

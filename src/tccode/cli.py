@@ -122,12 +122,28 @@ def _check_rate_m(m: int, model, source: str = "--M") -> None:
                        % (source, m, model.alphabet_size, _qtypes.SIZE_CAP))
 
 
+def _config_value(key: str, value):
+    """A config value as its flag reads it: true or false for a boolean flag,
+    else a string or number passed through the flag's type as its
+    command-line text would be."""
+    options = _FLAGS[key.replace("-", "_")]
+    boolean = options.get("action") == "store_true"
+    try:
+        if isinstance(value, bool) != boolean or not isinstance(value, (str, int, float)):
+            raise ValueError
+        return value if boolean else options.get("type", str)(
+            value if isinstance(value, str) else json.dumps(value))
+    except ValueError:
+        raise CliError("config key %r cannot take %s, a value its flag would "
+                       "refuse" % (key, json.dumps(value)))
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given.  Its
     keys are the command's flag names, with '-' read as '_', and its values
-    scalars; any other key or value is an error.  Setting one flag of a
-    mutually exclusive pair on the command line keeps the config from
-    setting the other."""
+    read as _config_value reads them; any other key or value is an error.
+    Setting one flag of a mutually exclusive pair on the command line keeps
+    the config from setting the other."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -135,20 +151,18 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
-    flags = set(vars(args)) - {"command"}
+    flags = set(vars(args)) - {"command", "config"}
+    values = {}
     for key, value in config.items():
         if key.replace("-", "_") not in flags:
             raise CliError("config key %r names no flag of %s" % (key, args.command))
-        if isinstance(value, (list, dict)):
-            raise CliError("config key %r must be a string, number or boolean, "
-                           "not %s" % (key, json.dumps(value)))
+        values[key.replace("-", "_")] = _config_value(key, value)
     explicit = {attr for attr, value in vars(args).items() if value is not None}
     for word in _COMMANDS[args.command][1].split():
         group = word.split("|")
         if explicit.intersection(group):
             explicit.update(group)
-    for key, value in config.items():
-        attr = key.replace("-", "_")
+    for attr, value in values.items():
         if attr not in explicit:
             setattr(args, attr, value)
     return args

@@ -528,9 +528,9 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     linear in the number of reachable count classes rather than in the number
     of segments; the test suite checks it against a per-sequence oracle.
 
-    Each class carries its integer statistic sum, so a child's sum is its
-    parent's plus one letter's and its size one lookup in the row of its
-    length, fetched once per depth."""
+    Each class carries its statistic sum as a point t of the counter's
+    lattice, so a child's t is its parent's plus the letter's shift and its
+    size one lookup in the row of its length, fetched once per depth."""
     limit = size_limit(gamma)
     counter = counter or TypeCounter(model, grid)
     if limit >= counter.cap:
@@ -538,8 +538,8 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
         raise DictionaryError("gamma=%.6g needs class sizes above the counting "
                               "cap %d" % (gamma, counter.cap))
     size_of_sum = counter.size_of_sum
-    letters = tuple(enumerate(counter.letter_stats))
-    # counts -> [class size, integer statistic sum on the counter's lattice,
+    letters = tuple(enumerate(counter.shifts))
+    # counts -> [class size, statistic sum t on the counter's lattice,
     #            clean multiplicity, dipped multiplicity]
     frontier: Dict[Tuple[int, ...], list] = {
         (0,) * model.alphabet_size: [0, (0,) * model.stat_dim, 1, 0]}
@@ -553,14 +553,14 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
         depth += 1
         row = counter.row(depth)
         children: Dict[Tuple[int, ...], list] = {}
-        for counts, (parent_size, parent_sum, clean, dipped) in frontier.items():
-            for x, stat in letters:
+        for counts, (parent_size, parent_t, clean, dipped) in frontier.items():
+            for x, shift in letters:
                 child = _bump(counts, x)
                 slot = children.get(child)
                 if slot is None:
-                    child_sum = tuple(map(operator.add, parent_sum, stat))
-                    slot = children[child] = [size_of_sum(row, child_sum),
-                                              child_sum, 0, 0]
+                    child_t = tuple(map(operator.add, parent_t, shift))
+                    slot = children[child] = [size_of_sum(row, child_t),
+                                              child_t, 0, 0]
                 if slot[0] < parent_size:
                     # A dip makes every path through the parent a dipped one.
                     slot[3] += clean + dipped
@@ -697,16 +697,25 @@ def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,
 # ---------------------------------------------------------------------------
 # Tunstall baseline.
 
+# Largest m build_tunstall accepts.  Its heap holds every segment, at about
+# 360 bytes and 4.5 us each, so m = 2^20 takes some 5 s and 380 MB.
+MAX_TUNSTALL_M = 2 ** 20
+
+
 def build_tunstall(model: ExpFamilyModel, theta, m: int,
                    grid: Optional[Grid] = None) -> Dictionary:
     """Classical most-probable-leaf splitting for a known source.
 
     Ties between equal-probability leaves break toward the lexicographically
-    smallest segment so construction is deterministic.
+    smallest segment so construction is deterministic.  An m above
+    MAX_TUNSTALL_M is refused before anything is built.
     """
     k = model.alphabet_size
     if m < k:
         raise DictionaryError("m must be at least the alphabet size")
+    if m > MAX_TUNSTALL_M:
+        raise DictionaryError("Tunstall m=%d is above the cap %d: it keeps every "
+                              "segment in memory" % (m, MAX_TUNSTALL_M))
     lp = _models.letter_log_probs(model, theta)
     heap = [(-float(lp[x]), (x,)) for x in range(k)]
     heapq.heapify(heap)

@@ -130,20 +130,6 @@ def probs(model: ExpFamilyModel, theta):
     return np.exp2(letter_log_probs(model, theta))
 
 
-def suff_stat_of_counts(model: ExpFamilyModel, counts) -> Tuple[Fraction, ...]:
-    """Average statistic of any sequence with the given letter counts."""
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != model.alphabet_size or any(c < 0 for c in counts):
-        raise ModelError("counts must be nonnegative, one per letter")
-    ell = sum(counts)
-    if ell == 0:
-        raise ModelError("empty sequence has no sufficient statistic")
-    return tuple(
-        sum(counts[x] * model.tau[x][i] for x in range(model.alphabet_size)) / ell
-        for i in range(model.stat_dim)
-    )
-
-
 def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     """Entropy (bits) and varentropy (bits^2) of p_theta."""
     import numpy as np

@@ -4,10 +4,12 @@ Sequences of length l share a quantized type class when their average
 sufficient statistics fall in the same cuboid of side W/l.  Cells are
 lower-open and upper-closed in every coordinate, and all membership tests are
 exact so that boundary points classify deterministically: cell_of works in
-rational arithmetic, TypeCounter on an integer lattice of statistic sums.
-Class sizes are exact counts saturated at a counter's cap, obtained by
-counting the sequences per statistic sum one letter at a time in Python
-integers and keeping only the sums and cells whose count is at most the cap.
+rational arithmetic, TypeCounter on an integer lattice of statistic sums,
+whose point t is the one integer form of a sum in counting and in
+construction, placed in its cell by TypeCounter.cell alone.  Class sizes are
+exact counts saturated at a counter's cap, obtained by counting the
+sequences per statistic sum one letter at a time in Python integers and
+keeping only the sums and cells whose count is at most the cap.
 scaled_statistics is the one scaling of the rational letter statistics onto
 that lattice; the normality diagnostic in rates convolves float masses over
 the same sums.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .models import ExpFamilyModel, ModelError, _as_fraction
+from .models import ExpFamilyModel, _as_fraction
 
 CellIndex = Tuple[int, ...]
 
@@ -127,46 +129,22 @@ MAX_ENTRIES = 2 ** 20
 
 
 class Row:
-    """Class sizes of length ell, saturated at cap: the cells whose size is
-    known to be at most the cap, keyed by cell index.  Any other cell of the
-    box from lowest to highest that holds a sequence reads as the cap, and a
-    cell outside the box as 0."""
+    """Class sizes of one length, saturated at cap: the cells whose size is
+    known to be at most the cap, keyed by cell index.  Any other cell that
+    holds a sequence of the length reads as the cap.  base is the length's
+    per-axis cell base, TypeCounter's input to placing a sum in its cell."""
 
-    __slots__ = ("cells", "lowest", "highest", "cap", "ell", "_counter")
+    __slots__ = ("cells", "cap", "base")
 
-    def __init__(self, cells: Dict[CellIndex, int], lowest: CellIndex,
-                 highest: CellIndex, cap: int, ell: int, counter: "TypeCounter"):
+    def __init__(self, cells: Dict[CellIndex, int], cap: int, base: Tuple[int, ...]):
         self.cells = cells
-        self.lowest = lowest
-        self.highest = highest
         self.cap = cap
-        self.ell = ell
-        self._counter = counter
+        self.base = base
 
     def at(self, cell: CellIndex) -> int:
         """The size of the class of cell, a cell that holds some sequence of
         the row's length."""
-        size = self.cells.get(cell)
-        if size is not None:
-            return size
-        for j, lo, hi in zip(cell, self.lowest, self.highest):
-            if not lo <= j <= hi:
-                return 0
-        return self.cap
-
-    def sizes(self) -> Dict[CellIndex, int]:
-        """Every class of the row with its size: the cells that hold a
-        sequence, found by walking the length's reachable sums one by one."""
-        counter = self._counter
-        base, steps = counter._cell_base(self.ell), counter._cell_step
-        den = counter._cell_den
-        reached = {(0,) * len(base)}
-        for _ in range(self.ell):
-            reached = {tuple(map(operator.add, t, s))
-                       for t in reached for s in counter._shifts}
-        cells = {tuple([(b + g * v) // den for b, g, v in zip(base, steps, t)])
-                 for t in reached}
-        return {cell: self.at(cell) for cell in cells}
+        return self.cells.get(cell, self.cap)
 
 
 class TypeCounter:
@@ -175,12 +153,13 @@ class TypeCounter:
 
     The letter statistics and the grid origin are scaled by one common
     denominator D, so a letter's statistic is an integer vector a_x and a
-    sequence's statistic sum an integer vector A.  Axis i of the box of
-    length l holds A_i = l low_i + g_i t_i for t_i = 0 .. l span_i, where
-    low_i = min_x a_{x,i} and g_i is the gcd of the differences
-    a_{x,i} - low_i; letter x moves t by its shift (a_x - low) / g.  A sum lies
-    in cell j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, which
-    is monotone along each axis.
+    statistic sum of length l, on axis i, is A_i = l low_i + g_i t_i for
+    t_i = 0 .. l span_i, where low_i = min_x a_{x,i} and g_i is the gcd of the
+    differences a_{x,i} - low_i.  The lattice point t is the one integer form
+    of a sum, in counting and in construction: letter x moves it by
+    shifts[x] = (a_x - low) / g, and cell() places it in cell
+    j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, which is
+    monotone along each axis.
 
     The sum table of length l maps t to its number of sequences, in Python
     integers, and keeps only the sums that some sequence reaches and whose
@@ -213,9 +192,6 @@ class TypeCounter:
         d = model.stat_dim
         scale, stats, self._origin = scaled_statistics(
             model, [grid.origin_at(i) for i in range(d)])
-        # a_x per letter x: a sequence's statistic sum adds its letters' a_x.
-        self.letter_stats = stats
-        self._axis_stats = tuple(tuple(a[i] for a in stats) for i in range(d))
         # Cell width D*W = cell_den / cell_num in units of the integer sums.
         self._cell_num = grid.side.denominator
         self._cell_den = scale * grid.side.numerator
@@ -223,9 +199,10 @@ class TypeCounter:
         # A statistic constant along an axis has gcd 0; its axis has one sum.
         step = [math.gcd(*(a[i] - low[i] for a in stats)) or 1 for i in range(d)]
         self._low = tuple(low)
-        self._shifts = [tuple((a[i] - low[i]) // step[i] for i in range(d))
-                        for a in stats]
-        self._span = tuple(max(s[i] for s in self._shifts) for i in range(d))
+        # Each letter's move of t: a sequence's t adds its letters' shifts.
+        self.shifts = tuple(tuple((a[i] - low[i]) // step[i] for i in range(d))
+                            for a in stats)
+        self._span = tuple(max(s[i] for s in self.shifts) for i in range(d))
         # t_i moves the cell's numerator by g_i * cell_num per lattice step.
         self._cell_step = tuple(g * self._cell_num for g in step)
         # Reached sums of the latest length as bits, None once they fill the
@@ -238,17 +215,21 @@ class TypeCounter:
         self._sums: Dict[Tuple[int, ...], int] = {(0,) * d: 1}
         self._sums_len = 0
 
-    def _stat_sum(self, counts) -> Tuple[int, ...]:
-        if len(counts) != self.model.alphabet_size or min(counts) < 0:
-            raise ModelError("counts must be nonnegative, one per letter")
-        return tuple(sum(map(operator.mul, counts, axis))
-                     for axis in self._axis_stats)
+    def _cell_base(self, ell: int) -> Tuple[int, ...]:
+        """Per axis, the numerator of t_i = 0's cell at ell, less one."""
+        return tuple([ell * (lo - o) * self._cell_num - 1
+                      for lo, o in zip(self._low, self._origin)])
 
-    def _cell_base(self, ell: int) -> List[int]:
-        """Per axis, the numerator of t_i = 0's cell at ell, less one: the
-        cell of t is (base_i + cell_step_i t_i) // cell_den."""
-        return [ell * (lo - o) * self._cell_num - 1
-                for lo, o in zip(self._low, self._origin)]
+    def cell(self, base: Sequence[int], t) -> CellIndex:
+        """The cell of the statistic sum t of the length whose cell base is
+        base: (base_i + cell_step_i t_i) // cell_den on axis i."""
+        den = self._cell_den
+        return tuple([(b + g * v) // den for b, g, v in zip(base, self._cell_step, t)])
+
+    def size_of_sum(self, row: Row, t) -> int:
+        """Size of the class of the statistic sum t, read from row, the row
+        of the sum's length."""
+        return row.at(self.cell(row.base, t))
 
     def _strides(self, widths) -> List[int]:
         strides = [1]
@@ -303,7 +284,7 @@ class TypeCounter:
     def _extend(self) -> None:
         """Advance the sum table by one letter and memoize that length's row."""
         ell = self._sums_len + 1
-        cap, shifts, old = self.cap, self._shifts, self._sums
+        cap, shifts, old = self.cap, self.shifts, self._sums
         top = tuple((ell - 1) * s for s in self._span)
         # Which absent sums of length ell - 1 are reached, and so saturated.
         reach = self._reach
@@ -344,12 +325,7 @@ class TypeCounter:
                 "the cap %d; use a smaller M, ell or alphabet" % (ell, MAX_ENTRIES))
         self._counted, self._sums, self._sums_len = counted, sums, ell
         self._reach = reach
-        base, den = self._cell_base(ell), self._cell_den
-        self._rows[ell] = Row(
-            cells, tuple(b // den for b in base),
-            tuple((b + g * ell * s) // den
-                  for b, g, s in zip(base, self._cell_step, self._span)),
-            cap, ell, self)
+        self._rows[ell] = Row(cells, cap, self._cell_base(ell))
 
     def _row_cells(self, ell: int, sums: Dict[Tuple[int, ...], int], bits
                    ) -> Dict[CellIndex, int]:
@@ -358,9 +334,10 @@ class TypeCounter:
         sums of ell as bytes with their strides, or None when every sum of
         the box is reached."""
         base, steps, den = self._cell_base(ell), self._cell_step, self._cell_den
+        cell_of_sum = self.cell
         found: Dict[CellIndex, list] = {}
         for t, n in sums.items():
-            cell = tuple([(b + g * v) // den for b, g, v in zip(base, steps, t)])
+            cell = cell_of_sum(base, t)
             slot = found.get(cell)
             if slot is None:
                 found[cell] = [n, 1]
@@ -382,17 +359,6 @@ class TypeCounter:
             if known == reached:
                 cells[cell] = size
         return cells
-
-    def size_of_sum(self, row: Row, stat_sum) -> int:
-        """Size of the class whose integer statistic sum is stat_sum, read
-        from row, the row of the sum's length."""
-        ell, num, den = row.ell, self._cell_num, self._cell_den
-        return row.at(tuple([((a - o * ell) * num - 1) // den
-                             for a, o in zip(stat_sum, self._origin)]))
-
-    def size_for_counts(self, counts) -> int:
-        stat_sum = self._stat_sum(counts)
-        return self.size_of_sum(self.row(sum(counts)), stat_sum)
 
 
 def _bits_in(data: bytes, strides, window) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -61,6 +62,43 @@ def letter_counts(model, seq) -> Tuple[int, ...]:
     return tuple(seq.count(x) for x in range(model.alphabet_size))
 
 
+def suff_stat_of_counts(model, counts) -> Tuple[Fraction, ...]:
+    """Average statistic of any sequence with the given letter counts."""
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != model.alphabet_size or any(c < 0 for c in counts):
+        raise M.ModelError("counts must be nonnegative, one per letter")
+    ell = sum(counts)
+    if ell == 0:
+        raise M.ModelError("empty sequence has no sufficient statistic")
+    return tuple(
+        sum(counts[x] * model.tau[x][i] for x in range(model.alphabet_size)) / ell
+        for i in range(model.stat_dim)
+    )
+
+
+def size_for_counts(counter, counts) -> int:
+    """Size of the class of the sequences with these letter counts, from the
+    counter's row of their length: their statistic sum t adds each letter's
+    shift once per occurrence."""
+    if len(counts) != counter.model.alphabet_size or min(counts) < 0:
+        raise M.ModelError("counts must be nonnegative, one per letter")
+    t = tuple(sum(map(operator.mul, counts, axis)) for axis in zip(*counter.shifts))
+    return counter.size_of_sum(counter.row(sum(counts)), t)
+
+
+def row_sizes(counter, ell: int) -> Dict[Tuple[int, ...], int]:
+    """Every class of length ell with its size from the counter's row: the
+    cells that hold a sequence, found by walking the length's reachable sums
+    one by one."""
+    row = counter.row(ell)
+    reached = {(0,) * counter.model.stat_dim}
+    for _ in range(ell):
+        reached = {tuple(map(operator.add, t, s))
+                   for t in reached for s in counter.shifts}
+    return {cell: row.at(cell)
+            for cell in {counter.cell(row.base, t) for t in reached}}
+
+
 def counts_log_prob(model, theta, counts) -> float:
     """log2 p_theta of any sequence with the given letter counts, through
     the rational average statistic: ell (<theta, float(stat)> - psi)."""
@@ -69,7 +107,7 @@ def counts_log_prob(model, theta, counts) -> float:
     ell = sum(counts)
     if ell == 0:
         raise M.ModelError("sequence must be nonempty")
-    stat = M.suff_stat_of_counts(model, counts)
+    stat = suff_stat_of_counts(model, counts)
     dot = float(sum(float(s) * t for s, t in zip(stat, theta)))
     return ell * (dot - M.log_partition(model, theta))
 
@@ -102,7 +140,7 @@ def log_type_size_core_counts(model, counts) -> float:
     ell = sum(counts)
     if ell < 2:
         raise M.ModelError("core statistic requires ell >= 2")
-    tau = M.suff_stat_of_counts(model, counts)
+    tau = suff_stat_of_counts(model, counts)
     return ml_code_length(model, ell, tau) - 0.5 * model.stat_dim * math.log2(ell)
 
 
@@ -115,8 +153,8 @@ def info_increment_counts(model, counts, letter: int) -> float:
     if ell < 1:
         raise M.ModelError("ell must be at least 1")
     extended = tuple(c + (x == letter) for x, c in enumerate(counts))
-    before = ml_code_length(model, ell, M.suff_stat_of_counts(model, counts))
-    after = ml_code_length(model, ell + 1, M.suff_stat_of_counts(model, extended))
+    before = ml_code_length(model, ell, suff_stat_of_counts(model, counts))
+    after = ml_code_length(model, ell + 1, suff_stat_of_counts(model, extended))
     return after - before
 
 
@@ -132,7 +170,7 @@ def band_cell_count(counter, ell: int, gamma: float, lo_slack: float,
     mid = gamma + 0.5 * model.stat_dim * math.log2(ell)
     lo_stat, hi_stat = min(model.tau)[0], max(model.tau)[0]
     hits = 0
-    for idx in counter.row(ell).sizes():
+    for idx in row_sizes(counter, ell):
         (center,) = Q.cell_center(model, grid, ell, idx)
         rep = (min(max(center, lo_stat), hi_stat),)
         if mid - hi_slack < ml_code_length(model, ell, rep) < mid - lo_slack:
@@ -279,7 +317,7 @@ def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
 def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
                                  counter=None):
     """tc_leaf_profile with each child's size looked up from its whole count
-    vector by TypeCounter.size_for_counts, and one leaf row per parent edge
+    vector by size_for_counts, and one leaf row per parent edge
     merged at the end."""
     limit = D.size_limit(gamma)
     counter = counter or Q.TypeCounter(model, grid)
@@ -301,7 +339,7 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
                 child = counts[:x] + (counts[x] + 1,) + counts[x + 1:]
                 size = nxt_sizes.get(child)
                 if size is None:
-                    size = nxt_sizes[child] = counter.size_for_counts(child)
+                    size = nxt_sizes[child] = size_for_counts(counter, child)
                 child_dips = size < parent_size
                 c_clean = 0 if child_dips else clean
                 c_dipped = dipped + (clean if child_dips else 0)
@@ -328,7 +366,7 @@ def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
     placing each with the rational cell_of."""
     row: Dict[Tuple[int, ...], int] = {}
     for counts in compositions(ell, model.alphabet_size):
-        idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
+        idx, _ = Q.cell_of(model, grid, ell, suff_stat_of_counts(model, counts))
         row[idx] = row.get(idx, 0) + multinomial(counts)
     return row
 
@@ -347,7 +385,7 @@ def first_passage_oracle(model, grid, gamma: float, max_depth: int = 12,
         ell = len(seq)
         if ell not in rows:
             rows[ell] = composition_row(model, grid, ell)
-        stat = M.suff_stat_of_counts(model, letter_counts(model, seq))
+        stat = suff_stat_of_counts(model, letter_counts(model, seq))
         idx, _ = Q.cell_of(model, grid, ell, stat)
         return rows[ell][idx]
 

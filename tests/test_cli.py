@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import tccode
+from tccode import dictionary as D
 from tccode.cli import main
 
 
@@ -309,6 +311,28 @@ def test_tunstall_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["size"] == 3
     assert report["expected_length"] == pytest.approx(1.7, abs=1e-9)
+
+
+def test_tunstall_refuses_a_huge_m_before_building(tmp_path, capsys):
+    # Tunstall keeps every segment in memory; an M past its cap exits 2
+    # before any segment is made.
+    path = tmp_path / "t.txt"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "tunstall", "--model", "quaternary",
+                             "--theta=0.5,-1", "--M", "1099511627775",
+                             "--out", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "cap %d" % D.MAX_TUNSTALL_M in json.loads(err)["error"]
+    assert not path.exists()
 
 
 def test_converse_check_pass_and_fail(tmp_path, capsys):
@@ -990,12 +1014,27 @@ def test_flag_prefixes_are_not_abbreviations(tmp_path, capsys, argv, prefix):
     assert not out.exists()
 
 
+EVALUATE_64 = ["evaluate", "--model", "bernoulli", "--M", "64", "--eps", "0.1"]
+
+
 @pytest.mark.parametrize("argv,key,value", [
     (["evaluate", "--model", "bernoulli", "--M", "64"], "theta", [[-1.0], [1.0]]),
     (["evaluate", "--model", "bernoulli", "--M", "64"], "eps", [0.1, 0.2]),
     (["build-dict", "--model", "bernoulli"], "M", {"a": 1}),
     (["sweep", "--model", "bernoulli", "--eps", "0.1"], "M", [64, 128]),
-], ids=["theta-list", "eps-list", "M-object", "sweep-M-list"])
+    # A boolean flag takes only JSON true or false; any other value must
+    # pass its flag's type as its command-line text would.
+    (EVALUATE_64, "mc", "false"),
+    (EVALUATE_64, "mc", 1),
+    (EVALUATE_64, "exact", "true"),
+    (EVALUATE_64, "trials", 2.9),
+    (EVALUATE_64, "trials", True),
+    (EVALUATE_64, "trials", None),
+    (EVALUATE_64, "seed", 1.5),
+    (EVALUATE_64, "seed", "3.0"),
+], ids=["theta-list", "eps-list", "M-object", "sweep-M-list", "mc-string",
+        "mc-number", "exact-string", "trials-float", "trials-bool", "trials-null",
+        "seed-float", "seed-float-string"])
 def test_config_values_must_be_scalars(tmp_path, capsys, argv, key, value):
     out = tmp_path / "out.txt"
     config = tmp_path / "config.json"
@@ -1006,6 +1045,19 @@ def test_config_values_must_be_scalars(tmp_path, capsys, argv, key, value):
     assert err.count("\n") == 1
     assert repr(key) in json.loads(err)["error"]
     assert not out.exists()
+
+
+def test_config_numbers_and_strings_read_as_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    base = ["evaluate", "--model", "bernoulli", "--theta=-2", "--eps", "0.1"]
+    config.write_text(json.dumps({"M": 64, "mc": True, "trials": "500", "seed": 3}))
+    code, from_config, _ = run(capsys, *base, "--config", str(config))
+    assert code == 0
+    code, from_flags, _ = run(capsys, *base, "--M", "64", "--mc", "--trials", "500",
+                              "--seed", "3")
+    assert code == 0
+    assert from_config == from_flags
+    assert json.loads(from_config)["results"][0]["mode"] == "mc"
 
 
 @pytest.mark.parametrize("theta,want", [(["--theta=1.5,1.5;0,0"], (1.5, 1.5)),

@@ -16,7 +16,8 @@ from tccode import rates as R
 from oracles import (FRAC, SIMPLEX, enumerate_complete_trees,
                      first_passage_oracle, format1_text, fraction_length_masses,
                      leaf_classes_of, leaf_mass, letter_counts,
-                     segment_length_masses, size_for_counts_leaf_profile)
+                     segment_length_masses, size_for_counts,
+                     size_for_counts_leaf_profile)
 
 
 BERN = M.bernoulli()
@@ -44,11 +45,11 @@ def test_tc_first_passage_semantics():
     gamma, dictionary = tc64()
     counter = Q.TypeCounter(BERN, GRID)
     for seg in dictionary.segments:
-        size = counter.size_for_counts(letter_counts(BERN, seg))
+        size = size_for_counts(counter, letter_counts(BERN, seg))
         assert size > 2 ** gamma * (1 - 1e-12)
         for cut in range(1, len(seg)):
-            assert math.log2(counter.size_for_counts(
-                letter_counts(BERN, seg[:cut]))) <= gamma + 1e-12
+            assert math.log2(size_for_counts(
+                counter, letter_counts(BERN, seg[:cut]))) <= gamma + 1e-12
 
 
 def _assert_expansion_matches_oracle(model, gamma, counter):
@@ -220,7 +221,7 @@ def test_next_size_above_gamma_exceeds_m(model, m):
     # size; a threshold there must blow past the leaf budget.
     counter = Q.TypeCounter(model, GRID)
     gamma, profile = D.choose_gamma_profile(model, GRID, m, counter=counter)
-    leaf_sizes = {counter.size_for_counts(c) for _, c, _ in profile.leaf_classes}
+    leaf_sizes = {size_for_counts(counter, c) for _, c, _ in profile.leaf_classes}
     assert tuple(sorted(leaf_sizes)) == profile.leaf_sizes
     nxt = profile.min_leaf_size
     assert math.log2(nxt) > gamma
@@ -358,6 +359,13 @@ def test_tunstall_uniform_source_balanced():
     d = D.build_tunstall(BERN, [0.0], 8)
     assert d.segments == tuple(sorted(
         (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)))
+
+
+def test_tunstall_cap_admits_its_own_m(monkeypatch):
+    monkeypatch.setattr(D, "MAX_TUNSTALL_M", 8)
+    assert D.build_tunstall(BERN, [0.0], 8).size == 8
+    with pytest.raises(D.DictionaryError, match="above the cap 8"):
+        D.build_tunstall(BERN, [0.0], 9)
 
 
 def test_tunstall_optimal_among_complete_trees():

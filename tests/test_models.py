@@ -50,11 +50,6 @@ def test_sequence_log_prob_matches_product():
                                             abs=1e-12)
 
 
-def test_suff_stat_is_exact_rational():
-    stat = M.suff_stat_of_counts(TERN, (1, 1, 1))
-    assert stat == (Fraction(4, 3),)
-
-
 def test_mle_closed_form_binary():
     # Interior solution: theta_hat = log2(tau / (1 - tau)).
     assert bernoulli_mle(BERN, 0.25) == pytest.approx(math.log2(1.0 / 3.0), abs=1e-9)
@@ -103,12 +98,6 @@ def test_model_validation_errors():
         M.ExpFamilyModel(alphabet_size=2, stat_dim=1,
                          tau=((Fraction(0),), (Fraction(1),)),
                          theta_box=((1, -1),))
-
-
-def test_suff_stat_of_counts_rejects_bad_counts():
-    for counts in ((0, 0), (1, -1), (1,)):
-        with pytest.raises(M.ModelError):
-            M.suff_stat_of_counts(BERN, counts)
 
 
 def test_serialization_round_trip(tmp_path):

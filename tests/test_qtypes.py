@@ -14,7 +14,8 @@ from tccode import qtypes as Q
 from oracles import (CORNER, CUBE, FRAC, SIMPLEX, band_cell_count,
                      composition_count, composition_row,
                      compositions, info_increment_counts, letter_counts,
-                     log_type_size_core_counts, multinomial)
+                     log_type_size_core_counts, multinomial, row_sizes,
+                     size_for_counts, suff_stat_of_counts)
 
 
 BERN = M.bernoulli()
@@ -72,13 +73,13 @@ def test_multinomial_and_compositions():
 def test_partition_identity_binary(grid):
     counter = Q.TypeCounter(BERN, grid)
     for ell in range(1, 13):
-        assert sum(counter.row(ell).sizes().values()) == 2 ** ell
+        assert sum(row_sizes(counter, ell).values()) == 2 ** ell
 
 
 def test_partition_identity_ternary():
     counter = Q.TypeCounter(TERN, Q.construction_grid())
     for ell in range(1, 9):
-        assert sum(counter.row(ell).sizes().values()) == 3 ** ell
+        assert sum(row_sizes(counter, ell).values()) == 3 ** ell
 
 
 @pytest.mark.parametrize("model,max_ell", [(BERN, 8), (TERN, 6)])
@@ -89,18 +90,18 @@ def test_counter_matches_brute_force(model, max_ell):
     for ell in range(1, max_ell + 1):
         tally = {}
         for seq in itertools.product(range(k), repeat=ell):
-            stat = M.suff_stat_of_counts(model, letter_counts(model, seq))
+            stat = suff_stat_of_counts(model, letter_counts(model, seq))
             idx, _ = Q.cell_of(model, grid, ell, stat)
             tally[idx] = tally.get(idx, 0) + 1
-        assert tally == counter.row(ell).sizes()
+        assert tally == row_sizes(counter, ell)
 
 
 def test_size_of_sequence():
     counter = Q.TypeCounter(BERN, Q.Grid())
     # On the aligned grid each cell is one exact type: C(4, 1) = 4.
-    assert counter.size_for_counts((3, 1)) == 4
-    assert counter.size_for_counts((0, 4)) == 1
-    assert counter.size_for_counts((2, 2)) == 6
+    assert size_for_counts(counter, (3, 1)) == 4
+    assert size_for_counts(counter, (0, 4)) == 1
+    assert size_for_counts(counter, (2, 2)) == 6
 
 
 def test_counting_cap():
@@ -110,7 +111,7 @@ def test_counting_cap():
         with pytest.raises(Q.CountingCapError, match="cap 10;"):
             counter.row(10)
     # A refused count leaves the counter as it was.
-    assert sum(counter.row(10).sizes().values()) == 3 ** 10
+    assert sum(row_sizes(counter, 10).values()) == 3 ** 10
 
 
 def test_counting_cap_fails_before_allocating():
@@ -128,7 +129,7 @@ def test_counting_cap_fails_before_allocating():
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert time.perf_counter() - start < 1.0
-    assert counter.row(3).sizes() == composition_row(TERN, Q.construction_grid(), 3)
+    assert row_sizes(counter, 3) == composition_row(TERN, Q.construction_grid(), 3)
 
 
 def test_wide_span_fails_before_allocating(tmp_path):
@@ -170,11 +171,11 @@ def test_saturated_rows_match_capped_oracle(model, side, origin, ells, cap):
     counter = Q.TypeCounter(model, grid, cap=cap)
     for ell in ells:
         oracle = composition_row(model, grid, ell)
-        assert counter.row(ell).sizes() == _capped(oracle, cap)
+        assert row_sizes(counter, ell) == _capped(oracle, cap)
         for counts in compositions(ell, model.alphabet_size):
             idx, _ = Q.cell_of(model, grid, ell,
-                               M.suff_stat_of_counts(model, counts))
-            assert counter.size_for_counts(counts) == min(oracle[idx], cap)
+                               suff_stat_of_counts(model, counts))
+            assert size_for_counts(counter, counts) == min(oracle[idx], cap)
 
 
 @pytest.mark.parametrize("model,ell", [(BERN, 80), (TERN, 80), (QUAT, 40)])
@@ -182,7 +183,7 @@ def test_long_rows_match_capped_oracle(model, ell):
     # Exact counts pass 2^63 at these lengths; saturated ones stay exact
     # below SIZE_CAP.
     grid = Q.construction_grid()
-    row = Q.TypeCounter(model, grid).row(ell).sizes()
+    row = row_sizes(Q.TypeCounter(model, grid), ell)
     assert row == _capped(composition_row(model, grid, ell), Q.SIZE_CAP)
     assert max(row.values()) == Q.SIZE_CAP
 
@@ -195,7 +196,7 @@ def test_partly_reached_rows_match_capped_oracle(model, ell, cap):
     grid = Q.construction_grid()
     counter = Q.TypeCounter(model, grid, cap=cap)
     for n in range(1, ell + 1):
-        assert counter.row(n).sizes() == _capped(composition_row(model, grid, n), cap)
+        assert row_sizes(counter, n) == _capped(composition_row(model, grid, n), cap)
 
 
 @pytest.mark.parametrize("side", [2 ** 40, Fraction(2 ** 40, 3)])
@@ -206,7 +207,7 @@ def test_wide_grid_counts_or_fails_fast(side):
     grid = Q.Grid(side=side, origin=(Fraction(-1, 3),))
     counter = Q.TypeCounter(BERN, grid)
     for ell in range(1, 10):
-        assert counter.row(ell).sizes() == composition_row(BERN, grid, ell)
+        assert row_sizes(counter, ell) == composition_row(BERN, grid, ell)
     start = time.perf_counter()
     with pytest.raises(Q.CountingCapError, match="longest length"):
         counter.row(2 ** 23 + 5)
@@ -215,7 +216,25 @@ def test_wide_grid_counts_or_fails_fast(side):
     wide = Q.Grid(side=2 ** 63)
     counter = Q.TypeCounter(BERN, wide)
     for ell in range(1, 10):
-        assert counter.row(ell).sizes() == composition_row(BERN, wide, ell)
+        assert row_sizes(counter, ell) == composition_row(BERN, wide, ell)
+
+
+def test_suff_stat_is_exact_rational():
+    stat = suff_stat_of_counts(TERN, (1, 1, 1))
+    assert stat == (Fraction(4, 3),)
+
+
+def test_suff_stat_of_counts_rejects_bad_counts():
+    for counts in ((0, 0), (1, -1), (1,)):
+        with pytest.raises(M.ModelError):
+            suff_stat_of_counts(BERN, counts)
+
+
+def test_size_for_counts_rejects_bad_counts():
+    counter = Q.TypeCounter(BERN, Q.construction_grid())
+    for counts in ((1, -1), (1,), (1, 1, 1)):
+        with pytest.raises(M.ModelError):
+            size_for_counts(counter, counts)
 
 
 def test_log_type_size_core_values():
@@ -248,7 +267,7 @@ def test_class_size_at_least_own_type(seq):
     # A quantized class contains at least the exact type of its member.
     counter = Q.TypeCounter(BERN, Q.construction_grid())
     counts = (seq.count(0), seq.count(1))
-    assert counter.size_for_counts(counts) >= multinomial(counts)
+    assert size_for_counts(counter, counts) >= multinomial(counts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,7 +285,7 @@ def test_band_cell_count_basic():
     counter = Q.TypeCounter(BERN, Q.Grid())
     # An all-covering band counts every occupied cell.
     total = band_cell_count(counter, 16, 8.0, -100.0, 100.0)
-    assert total == len(counter.row(16).sizes())
+    assert total == len(row_sizes(counter, 16))
     # An empty band counts none.
     assert band_cell_count(counter, 16, 8.0, 5.0, 5.0) == 0
 
@@ -286,8 +305,8 @@ def test_row_matches_composition_oracle(model, side, origin, ells):
     grid = Q.Grid(side=side, origin=tuple(origin))
     counter = Q.TypeCounter(model, grid)
     for ell in ells:
-        row = counter.row(ell).sizes()
+        row = row_sizes(counter, ell)
         assert row == composition_row(model, grid, ell)
         for counts in compositions(ell, model.alphabet_size):
-            idx, _ = Q.cell_of(model, grid, ell, M.suff_stat_of_counts(model, counts))
-            assert counter.size_for_counts(counts) == row[idx]
+            idx, _ = Q.cell_of(model, grid, ell, suff_stat_of_counts(model, counts))
+            assert size_for_counts(counter, counts) == row[idx]
