@@ -171,9 +171,16 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _models.write_text(out, text)
     sys.stdout.write(text)
+
+
+def _write_out(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout if out is not given."""
+    if out:
+        _models.write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +260,7 @@ def cmd_encode(args) -> int:
                     len(letters) - covered)
     log.info("encoded %d segments (%d letters consumed)", len(indices), covered)
     fmt = "0%db" % dictionary.codeword_width
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.writelines(format(index, fmt) + "\n" for index in indices)
-    finally:
-        if args.out:
-            out.close()
+    _write_out("".join(format(index, fmt) + "\n" for index in indices), args.out)
     return 0
 
 
@@ -285,12 +287,7 @@ def cmd_decode(args) -> int:
     for i in indices:
         if i not in lines:
             lines[i] = " ".join(map(str, dictionary.decode(i))) + "\n"
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.writelines(lines[i] for i in indices)
-    finally:
-        if args.out:
-            out.close()
+    _write_out("".join(lines[i] for i in indices), args.out)
     return 0
 
 

@@ -740,8 +740,7 @@ KINDS = ("tc", "tunstall")
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dictionary_to_text(dictionary))
+    _models.write_text(path, dictionary_to_text(dictionary))
 
 
 def dictionary_to_text(dictionary: Dictionary) -> str:

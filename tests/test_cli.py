@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -31,11 +32,83 @@ def test_build_dict_deterministic(tmp_path, capsys):
     stats = json.loads(out)
     assert stats["size"] <= 64
     assert sum(stats["length_histogram"].values()) == stats["size"]
-    assert (tmp_path / "d.txt.stats.json").exists()
-    code, _, _ = run(capsys, "build-dict", "--model", "bernoulli",
-                     "--M", "64", "--out", str(path))
+    sidecar = tmp_path / "d.txt.stats.json"
+    assert sidecar.read_text(encoding="utf-8") == out
+    inodes = (path.stat().st_ino, sidecar.stat().st_ino)
+    code, again, _ = run(capsys, "build-dict", "--model", "bernoulli",
+                         "--M", "64", "--out", str(path))
     assert code == 0
+    assert again == out
+    # A re-run rewrites both files in place, with the same bytes.
+    assert (path.stat().st_ino, sidecar.stat().st_ino) == inodes
     assert path.read_bytes() == first
+    assert sidecar.read_text(encoding="utf-8") == out
+
+
+def _out_call(tmp_path, capsys, command):
+    """The argv of one command with --out, and the bytes it writes to stdout."""
+    dict_path, letters = tmp_path / "d.txt", tmp_path / "in.txt"
+    run(capsys, "build-dict", "--model", "bernoulli", "--M", "32",
+        "--out", str(dict_path))
+    letters.write_text("0 1 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0\n")
+    argv = {
+        "evaluate": ["evaluate", "--model", "bernoulli", "--theta", "-2",
+                     "--M", "64", "--eps", "0.1,0.2"],
+        "encode": ["encode", "--dict", str(dict_path), "--input", str(letters)],
+    }[command]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    return argv, out.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "encode"])
+def test_out_is_rewritten_in_place_and_cut_to_its_new_length(tmp_path, capsys,
+                                                             command):
+    argv, want = _out_call(tmp_path, capsys, command)
+    target, twin = tmp_path / "out.txt", tmp_path / "twin.txt"
+    target.write_bytes(b"junk " * 2048)
+    os.chmod(target, 0o640)
+    os.link(target, twin)
+    inode = target.stat().st_ino
+    code, _, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == want
+    # Same inode, mode and hard link: the file was not replaced.
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert twin.read_bytes() == want
+
+
+def test_a_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
+    argv, want = _out_call(tmp_path, capsys, "encode")
+    target = tmp_path / "new.txt"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, *argv, "--out", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert target.read_bytes() == want
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def test_a_symlinked_out_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.dict", tmp_path / "link.dict"
+    target.write_bytes(b"junk " * 2048)
+    link.symlink_to(target.name)
+    code, out, _ = run(capsys, "build-dict", "--model", "bernoulli",
+                       "--M", "64", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert D.load_dictionary(target).size == json.loads(out)["size"]
+    assert (tmp_path / "link.dict.stats.json").read_text(encoding="utf-8") == out
+
+
+def test_encode_to_devnull_succeeds(tmp_path, capsys):
+    # /dev/null is not a regular file, so it is written but not truncated.
+    argv, _ = _out_call(tmp_path, capsys, "encode")
+    code, out, err = run(capsys, *argv, "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize("flags", [["--W", "5/2"], ["--origin=-1/3"],
@@ -761,6 +834,36 @@ def test_no_module_imports_scipy():
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), (
                 "%s:%d imports scipy" % (source.name, node.lineno))
+
+
+def test_only_the_in_place_writer_opens_files_for_writing():
+    # open(path, "w") truncates to zero, after which ext4 flushes the file's
+    # old data when it is closed (see models.write_text, the one writer).
+    # Appending ("a") and reading ("r") are allowed; a mode that is not a
+    # string literal cannot be checked, so it is refused too.
+    package = Path(tccode.__file__).parent
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        allowed = {id(node) for func in tree.body
+                   if source.name == "models.py" and isinstance(func, ast.FunctionDef)
+                   and func.name == "write_text" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+                found.append("%s:%d O_TRUNC" % (source.name, node.lineno))
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name not in ("open", "fdopen"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            readable = mode is None or (isinstance(mode, ast.Constant)
+                                        and isinstance(mode.value, str))
+            if not readable or "w" in (mode.value if mode else ""):
+                found.append("%s:%d" % (source.name, node.lineno))
+    assert found == []
 
 
 @pytest.mark.parametrize("command,header", [
