@@ -74,10 +74,18 @@ def _parse_theta_list(text, stat_dim: int) -> List[Tuple[float, ...]]:
 
 
 def _thetas(args, model) -> List[Tuple[float, ...]]:
-    """--theta parsed against the model; its zero vector when absent."""
+    """--theta parsed against the model, or its zero vector when absent;
+    each must lie inside the model's box, edges included."""
     if args.theta is None:
-        return [(0.0,) * model.stat_dim]
-    return _parse_theta_list(args.theta, model.stat_dim)
+        thetas = [(0.0,) * model.stat_dim]
+    else:
+        thetas = _parse_theta_list(args.theta, model.stat_dim)
+    for theta in thetas:
+        if not all(lo <= t <= hi for t, (lo, hi) in zip(theta, model.theta_box)):
+            raise CliError("theta %s lies outside the box %s of model %s"
+                           % (list(theta), [list(edge) for edge in model.theta_box],
+                              model.name))
+    return thetas
 
 
 def _resolve_model(value: Optional[str]):
@@ -220,6 +228,8 @@ def cmd_build_dict(args) -> int:
 def cmd_tunstall(args) -> int:
     model = _resolve_model(args.model)
     thetas = _thetas(args, model)
+    if len(thetas) != 1:
+        raise CliError("tunstall needs exactly one --theta value")
     m_values = _parse_int_list(args.M) if args.M is not None else None
     if not m_values or len(m_values) != 1:
         raise CliError("tunstall needs exactly one --M value")

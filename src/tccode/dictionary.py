@@ -717,13 +717,13 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
         raise DictionaryError("Tunstall m=%d is above the cap %d: it keeps every "
                               "segment in memory" % (m, MAX_TUNSTALL_M))
     lp = _models.letter_log_probs(model, theta)
-    heap = [(-float(lp[x]), (x,)) for x in range(k)]
+    heap = [(-lp[x], (x,)) for x in range(k)]
     heapq.heapify(heap)
     leaves = k
     while leaves + (k - 1) <= m:
         neg, seg = heapq.heappop(heap)
         for x in range(k):
-            heapq.heappush(heap, (neg - float(lp[x]), seg + (x,)))
+            heapq.heappush(heap, (neg - lp[x], seg + (x,)))
         leaves += k - 1
     segments = tuple(sorted(seg for _, seg in heap))
     return Dictionary(model, grid or Grid(), segments=segments, m_target=m,

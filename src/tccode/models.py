@@ -14,7 +14,6 @@ import os
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Tuple
 
 
@@ -66,9 +65,8 @@ class ExpFamilyModel:
                 raise ModelError("theta_box entries must be finite with lo < hi")
         object.__setattr__(self, "theta_box", box)
         # Compactness of the box gives uniform probability bounds; probe corners.
-        tau_floats = [[float(v) for v in row] for row in tau]
         for corner in _box_corners(box):
-            if not all(0.0 < p < 1.0 for p in _corner_probs(tau_floats, corner)):
+            if not all(0.0 < p < 1.0 for p in probs(self, corner)):
                 raise ModelError("probabilities must stay inside (0, 1) over the box")
 
 
@@ -79,15 +77,6 @@ def _box_corners(box):
     return corners
 
 
-def _corner_probs(tau: List[List[float]], theta) -> List[float]:
-    """The letter probabilities by the formula of letter_log_probs, in math
-    floats: the box check only asks whether they lie inside (0, 1)."""
-    s = [sum(v * t for v, t in zip(row, theta)) for row in tau]
-    m = max(s)
-    psi = m + math.log2(sum(2.0 ** (v - m) for v in s))
-    return [2.0 ** (v - psi) for v in s]
-
-
 def theta_floats(theta) -> List[float]:
     """A parameter vector, or a bare number for d = 1, as a list of floats."""
     try:
@@ -96,50 +85,39 @@ def theta_floats(theta) -> List[float]:
         return [float(theta)]
 
 
-@lru_cache(maxsize=None)
-def _tau_matrix(model: ExpFamilyModel):
-    import numpy as np
+# The float math: each dot product <theta, tau(x)> and each sum over letters
+# is a math.fsum, so these few scalars need no arrays.
 
-    m = np.array([[float(v) for v in row] for row in model.tau])
-    m.setflags(write=False)
-    return m
+def _dots(model: ExpFamilyModel, theta) -> List[float]:
+    """<theta, tau(x)> for each letter x."""
+    theta = theta_floats(theta)
+    return [math.fsum(float(v) * t for v, t in zip(row, theta)) for row in model.tau]
 
-
-# The float math below runs on numpy, imported on first use: a math-module
-# log_partition differs from it in the last bit for some thetas.
 
 def log_partition(model: ExpFamilyModel, theta) -> float:
     """psi(theta) = log2 sum_x 2^<theta, tau(x)>."""
-    import numpy as np
-
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    s = _tau_matrix(model) @ theta
-    m = float(s.max())
-    return m + math.log2(float(np.exp2(s - m).sum()))
+    s = _dots(model, theta)
+    m = max(s)
+    return m + math.log2(math.fsum(math.exp2(v - m) for v in s))
 
 
-def letter_log_probs(model: ExpFamilyModel, theta):
-    import numpy as np
-
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    s = _tau_matrix(model) @ theta
-    return s - log_partition(model, theta)
+def letter_log_probs(model: ExpFamilyModel, theta) -> List[float]:
+    """log2 p_theta(x) for each letter x."""
+    psi = log_partition(model, theta)
+    return [v - psi for v in _dots(model, theta)]
 
 
-def probs(model: ExpFamilyModel, theta):
-    import numpy as np
-
-    return np.exp2(letter_log_probs(model, theta))
+def probs(model: ExpFamilyModel, theta) -> List[float]:
+    """p_theta(x) for each letter x."""
+    return [math.exp2(v) for v in letter_log_probs(model, theta)]
 
 
 def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     """Entropy (bits) and varentropy (bits^2) of p_theta."""
-    import numpy as np
-
     lp = letter_log_probs(model, theta)
-    p = np.exp2(lp)
-    h = float(-(p * lp).sum())
-    var = float((p * lp * lp).sum() - h * h)
+    p = [math.exp2(v) for v in lp]
+    h = -math.fsum(px * v for px, v in zip(p, lp))
+    var = math.fsum(px * v * v for px, v in zip(p, lp)) - h * h
     return h, max(var, 0.0)
 
 

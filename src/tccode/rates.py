@@ -14,8 +14,8 @@ from .models import (
     ExpFamilyModel,
     ModelError,
     entropy_varentropy,
-    letter_log_probs,
     log_partition,
+    probs,
     sample_blocks,
 )
 from .normal import gaussian_quantile, gaussian_tail
@@ -197,7 +197,7 @@ def _sum_masses(model: ExpFamilyModel, theta, ell: int):
         raise CountingCapError(
             "normality at ell=%d needs %d adds over %d cells (caps %d, %d)"
             % (ell, adds, cells, NORMALITY_MAX_ADDS, NORMALITY_MAX_CELLS))
-    p = np.exp2(letter_log_probs(model, theta))
+    p = probs(model, theta)
     masses = np.ones((1,) * model.stat_dim)
     for length in range(1, ell + 1):
         grown = np.zeros([s * length + 1 for s in span])

@@ -112,6 +112,33 @@ def counts_log_prob(model, theta, counts) -> float:
     return ell * (dot - M.log_partition(model, theta))
 
 
+def mp_model_math(model, theta, prec: int = 160):
+    """(psi, letter log-probabilities, letter probabilities, entropy,
+    varentropy) of p_theta as mpmath numbers of prec bits, from the exact
+    rational statistics and the float theta: the reference for the float
+    math of tccode.models."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        theta = [mpmath.mpf(t) for t in M.theta_floats(theta)]
+        s = [mpmath.fsum(mpmath.mpf(v.numerator) / v.denominator * t
+                         for v, t in zip(row, theta)) for row in model.tau]
+        psi = mpmath.log(mpmath.fsum(mpmath.power(2, v) for v in s), 2)
+        lp = [v - psi for v in s]
+        p = [mpmath.power(2, v) for v in lp]
+        h = -mpmath.fsum(px * v for px, v in zip(p, lp))
+        var = mpmath.fsum(px * (v + h) ** 2 for px, v in zip(p, lp))
+    return psi, lp, p, h, var
+
+
+def mp_abs_error(value: float, ref, prec: int = 160) -> float:
+    """|value - ref| for an mpmath reference, subtracted at prec bits."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        return float(abs(mpmath.mpf(value) - ref))
+
+
 def bernoulli_mle(model, tau: float) -> float:
     """Maximum-likelihood theta of the two-letter family with statistics 0
     and 1 at average statistic tau: log2(tau / (1 - tau)) clipped into the
@@ -419,7 +446,7 @@ def sampled_words(model, theta, seed: int, rows: int, width: int) -> Iterator[Se
     """The rows models.sample_blocks draws, one at a time: 4096 rows a draw
     from one generator of the seed."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    p = np.exp2(M.letter_log_probs(model, theta))
+    p = M.probs(model, theta)
     for start in range(0, rows, 4096):
         block = rng.choice(model.alphabet_size, size=(min(4096, rows - start), width), p=p)
         yield from map(tuple, block.tolist())

@@ -511,6 +511,78 @@ def test_non_finite_theta_is_rejected(tmp_path, capsys, value):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("command,theta", [
+    ("evaluate", "2000"), ("evaluate-dict", "-3.2"), ("sweep", "2000"),
+    ("tunstall", "2000"), ("converse-check", "9"), ("normality", "-3.18"),
+    ("sweep", "0;3.5"),
+])
+def test_theta_outside_the_box_exits_2_before_any_work(tmp_path, capsys, command,
+                                                      theta):
+    # Bernoulli's box is [-3.17, 3.17]; a theta outside it is no source of
+    # the family, whichever command reads it.
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "tunstall", "--model", "bernoulli", "--M", "4",
+                     "--out", str(dict_path))
+    assert code == 0
+    out = tmp_path / "out.txt"
+    argv = {
+        "evaluate": ["evaluate", "--model", "bernoulli", "--M", "64"],
+        "evaluate-dict": ["evaluate", "--dict", str(dict_path)],
+        "sweep": ["sweep", "--model", "bernoulli", "--M", "64", "--eps", "0.1"],
+        "tunstall": ["tunstall", "--model", "bernoulli", "--M", "16"],
+        "converse-check": ["converse-check", "--dict", str(dict_path), "--n", "4"],
+        "normality": ["normality", "--model", "bernoulli", "--n", "16"],
+    }[command] + ["--theta=" + theta, "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"]
+    assert "theta [%r]" % float(theta.split(";")[-1]) in message
+    assert "box [[-3.17, 3.17]]" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,theta", [
+    ("bernoulli", "-3.17"), ("bernoulli", "3.17"), ("quaternary", "2,-2"),
+    ("quaternary", "-2,2"),
+])
+def test_thetas_on_the_box_edge_are_accepted(tmp_path, capsys, model, theta):
+    for argv in (["evaluate", "--model", model, "--M", "64", "--eps", "0.1"],
+                 ["sweep", "--model", model, "--M", "64", "--eps", "0.1",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["tunstall", "--model", model, "--M", "16"]):
+        code, _, err = run(capsys, *(argv + ["--theta=" + theta]))
+        assert code == 0, err
+
+
+def test_a_missing_theta_outside_the_box_exits_2(tmp_path, capsys):
+    # A missing --theta means the zero vector, which this box leaves out.
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "name": "shifted", "alphabet_size": 2, "stat_dim": 1,
+        "tau": [["0"], ["1"]], "theta_box": [[0.5, 2.0]]}))
+    code, out, err = run(capsys, "evaluate", "--model", str(model_path),
+                         "--M", "64", "--eps", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "theta [0.0] lies outside the box [[0.5, 2.0]]" in json.loads(err)["error"]
+    code, _, err = run(capsys, "evaluate", "--model", str(model_path),
+                       "--M", "64", "--eps", "0.1", "--theta", "0.5")
+    assert code == 0, err
+
+
+def test_tunstall_refuses_more_than_one_theta(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    code, out, err = run(capsys, "tunstall", "--model", "bernoulli",
+                         "--theta=0;1", "--M", "16", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "exactly one --theta" in json.loads(err)["error"]
+    assert not path.exists()
+
+
 def test_m_at_the_size_cap_fails_fast(tmp_path, capsys):
     from tccode import qtypes as Q
 
@@ -942,6 +1014,37 @@ def test_encode_and_decode_do_not_import_numpy(tmp_path, capsys, command):
             "--out", str(tmp_path / ("probe-%s.out" % command))]
     _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
     assert (tmp_path / ("probe-%s.out" % command)).read_text()
+
+
+def test_sweep_without_trials_does_not_import_numpy(tmp_path):
+    # Exact rates and the prediction need H, sigma and psi only: math floats.
+    argv = ["sweep", "--model", "quaternary", "--theta=0.5,-1;0,0", "--M", "256,1024",
+            "--eps", "0.1,0.2", "--out", str(tmp_path / "s.csv")]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 9
+
+
+@pytest.mark.parametrize("source", ["M", "dict"])
+def test_exact_evaluate_does_not_import_numpy(tmp_path, capsys, source):
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "ternary", "--M", "256",
+                     "--out", str(dict_path))
+    assert code == 0
+    argv = ["evaluate", "--theta=0.3;-1.5", "--eps", "0.1",
+            "--out", str(tmp_path / "e.json")]
+    argv += (["--model", "ternary", "--M", "256"] if source == "M"
+             else ["--dict", str(dict_path)])
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert len(json.loads((tmp_path / "e.json").read_text())["results"]) == 2
+
+
+@pytest.mark.parametrize("model,theta", [("bernoulli", "-1.2"), ("ternary", "0.7"),
+                                         ("quaternary", "0.5,-1")])
+def test_tunstall_does_not_import_numpy(tmp_path, model, theta):
+    argv = ["tunstall", "--model", model, "--theta=" + theta, "--M", "512",
+            "--out", str(tmp_path / "t.dict")]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert D.load_dictionary(tmp_path / "t.dict").kind == "tunstall"
 
 
 # Each subcommand's flags besides --config: each is read by the command.

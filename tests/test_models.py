@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tccode import dictionary as D
 from tccode import models as M
 
-from oracles import bernoulli_mle, ml_code_length
+from oracles import (CUBE, FRAC, SIMPLEX, bernoulli_mle, ml_code_length,
+                     mp_abs_error, mp_model_math)
 
 
 BERN = M.bernoulli()
@@ -27,7 +28,7 @@ def test_letter_probs_theta_minus_two():
     p = M.probs(BERN, [-2.0])
     assert p[0] == pytest.approx(0.8, abs=1e-14)
     assert p[1] == pytest.approx(0.2, abs=1e-14)
-    assert p.sum() == pytest.approx(1.0, abs=1e-14)
+    assert math.fsum(p) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_entropy_varentropy_bernoulli_02():
@@ -84,6 +85,45 @@ def test_sequence_prob_normalizes_per_letter(theta, seq):
     mass = D.length_masses(BERN, [(len(seq), counts, 1)], [theta])[len(seq)]
     direct = sum(float(M.letter_log_probs(BERN, [theta])[x]) for x in seq)
     assert math.log2(mass) == pytest.approx(direct, abs=1e-9)
+
+
+MATH_MODELS = [M.get_model(name) for name in sorted(M.BUILTIN_MODELS)] + [
+    FRAC, SIMPLEX, CUBE]
+
+
+@st.composite
+def model_and_theta(draw):
+    model = draw(st.sampled_from(MATH_MODELS))
+    return model, tuple(draw(st.floats(min_value=lo, max_value=hi))
+                        for lo, hi in model.theta_box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_and_theta())
+def test_float_math_matches_a_160_bit_reference(case):
+    """The math-module floats against mp_model_math at 160 bits, theta drawn
+    from each model's box.  Bands:
+    - psi and H within 8 ulps of the reference value;
+    - each letter log-probability s_x - psi within 8 ulps of psi plus
+      2 ulps of its own value (psi's error plus the rounding of s_x and of
+      the difference);
+    - each probability, relative, within ln 2 times that log band plus
+      2 ulps of its own value;
+    - varentropy within 1e-12 absolute, since it cancels near 0.
+    """
+    model, theta = case
+    psi, lp, p, h, var = mp_model_math(model, theta)
+    psi_band = 8 * math.ulp(float(psi))
+    assert mp_abs_error(M.log_partition(model, theta), psi) <= psi_band
+    for value, ref in zip(M.letter_log_probs(model, theta), lp):
+        assert mp_abs_error(value, ref) <= psi_band + 2 * math.ulp(float(ref))
+    for value, ref, log_ref in zip(M.probs(model, theta), p, lp):
+        log_band = psi_band + 2 * math.ulp(float(log_ref))
+        assert mp_abs_error(value, ref) <= (math.log(2) * log_band * float(ref)
+                                            + 2 * math.ulp(float(ref)))
+    entropy, varentropy = M.entropy_varentropy(model, theta)
+    assert mp_abs_error(entropy, h) <= 8 * math.ulp(float(h))
+    assert mp_abs_error(varentropy, var) <= 1e-12
 
 
 def test_model_validation_errors():
