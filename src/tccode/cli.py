@@ -598,8 +598,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command][0](args)
     except (CliError, _models.ModelError, _dict.DictionaryError,
             _qtypes.CountingCapError, OSError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+        error = str(exc)
+    except MemoryError as exc:  # e.g. a sampled block too large to allocate
+        error = str(exc) or "out of memory"
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

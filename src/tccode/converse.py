@@ -9,13 +9,14 @@ two codes coincide, which is what the length analysis needs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .dictionary import (Dictionary, DictionaryError, Segment, Trie, length_masses,
                          prune, table_leaf_classes, walk_block)
-from .models import BLOCK_ROWS, ExpFamilyModel, sample_blocks
+from .models import ExpFamilyModel, sample_blocks
 
 
 @dataclass
@@ -81,42 +82,94 @@ def check_event_equivalence(dictionary: Dictionary, n: int,
                             theta=None, seed: int = 0) -> EquivalenceReport:
     """Verify {VF parse length < n} iff {FV codeword length > base_width}.
 
-    Exhaustive over all k^n words, in lexicographic order, when affordable;
-    otherwise sample_budget words drawn under p_theta (theta = 0 when not
-    given) by models.sample_blocks.  Counterexamples are listed in the order
-    checked.
+    When k^n <= exhaustive_cap the check covers all k^n words by co-walking
+    the dictionary's table and the pruned table (see _mismatched_words), at
+    a cost set by the rows of the count-class DAG, not by k^n; otherwise it
+    checks sample_budget words drawn under p_theta (theta = 0 when not
+    given) by models.sample_blocks.  exhaustive_cap thus only fixes when the
+    report is sampled.  Counterexamples are listed in lexicographic order,
+    or in the order drawn.
     """
-    import numpy as np
-
     code = vf_to_fv(dictionary, n)
     width = code.base_width if base_width is None else int(base_width)
     k = dictionary.model.alphabet_size
-    counterexamples: List[Tuple[Segment, bool, bool]] = []
     exhaustive = k ** n <= exhaustive_cap
 
-    def check(words: np.ndarray) -> None:
-        """Compare the two events on every row of a (rows, n) word block:
-        a parse shorter than n, and a codeword longer than width, walked in
-        bulk."""
-        vf_index, vf_depth = walk_block(dictionary.trie(), words)
-        vf_event = (vf_index >= 0) & (vf_depth < n)
-        _, fv_depth = walk_block(code.table, words)
-        fv_event = code.base_width + (n - fv_depth) * code.per_letter_suffix_bits > width
-        for row in np.flatnonzero(vf_event != fv_event):
-            counterexamples.append((tuple(words[row].tolist()), bool(vf_event[row]),
-                                    bool(fv_event[row])))
+    def overflows(depth):
+        """The FV event of words whose pruned walk ends at depth (an int or
+        an array of them)."""
+        return code.base_width + (n - depth) * code.per_letter_suffix_bits > width
 
     if exhaustive:
         checked = k ** n
-        # Word i spells i in base k, most significant letter first.
-        powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        for start in range(0, checked, BLOCK_ROWS):
-            ids = np.arange(start, min(start + BLOCK_ROWS, checked), dtype=np.int64)
-            check(ids[:, None] // powers % k)
+        counterexamples = _mismatched_words(dictionary.trie(), code.table, n, overflows)
     else:
+        import numpy as np
+
         checked = sample_budget
+        counterexamples = []
         if theta is None:
             theta = np.zeros(dictionary.model.stat_dim)
         for words in sample_blocks(dictionary.model, theta, seed, sample_budget, n):
-            check(words)
+            vf_index, vf_depth = walk_block(dictionary.trie(), words)
+            vf_event = (vf_index >= 0) & (vf_depth < n)
+            _, fv_depth = walk_block(code.table, words)
+            fv_event = overflows(fv_depth)
+            for row in np.flatnonzero(vf_event != fv_event):
+                counterexamples.append((tuple(words[row].tolist()), bool(vf_event[row]),
+                                        bool(fv_event[row])))
     return EquivalenceReport(n, width, checked, exhaustive, counterexamples, code)
+
+
+def _mismatched_words(trie: Trie, table: Trie, n: int,
+                      overflows: Callable[[int], bool]
+                      ) -> List[Tuple[Segment, bool, bool]]:
+    """Every length-n word whose two events differ, in lexicographic order,
+    with its VF and FV events.
+
+    Both tables are walked letter by letter at once.  A walk's state is its
+    row while it goes on and ~depth once it has ended at a leaf of that
+    depth, so a word's events depend only on its path of states (VF walk,
+    FV walk, depth).  Once both walks have ended, or at depth n, the events
+    are decided for every word below.  A state with no mismatch below is
+    clean and is remembered, so a DAG row that many paths share is walked
+    once; words are spelled out only under states that are not clean.  A
+    missing child raises DictionaryError, as in walk_block.
+    """
+    k = trie.k
+    clean = set()
+    found: List[Tuple[Segment, bool, bool]] = []
+    prefix: List[int] = []
+
+    def step(cells: List[int], node: int, x: int, depth: int) -> int:
+        if node < 0:
+            return node
+        child = cells[node + x]
+        if not child:
+            raise DictionaryError("letter not parseable at depth %d" % depth)
+        return child if child > 0 else ~depth
+
+    def visit(vf: int, fv: int, depth: int) -> bool:
+        state = (vf, fv, depth)
+        if state in clean:
+            return True
+        if depth == n or (vf < 0 and fv < 0):
+            vf_event = vf < 0 and ~vf < n
+            fv_event = overflows(~fv if fv < 0 else n)
+            if vf_event == fv_event:
+                return True
+            for tail in itertools.product(range(k), repeat=n - depth):
+                found.append((tuple(prefix) + tail, vf_event, fv_event))
+            return False
+        ok = True
+        for x in range(k):
+            prefix.append(x)
+            ok = visit(step(trie.cells, vf, x, depth + 1),
+                       step(table.cells, fv, x, depth + 1), depth + 1) and ok
+            prefix.pop()
+        if ok:
+            clean.add(state)
+        return ok
+
+    visit(0, 0, 0)
+    return found

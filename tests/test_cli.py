@@ -622,6 +622,32 @@ def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
     assert built == [2, 3]
 
 
+@pytest.mark.parametrize("message,want", [
+    ("Unable to allocate 6.10 GiB for an array with shape (4096, 200000)",
+     "Unable to allocate 6.10 GiB for an array with shape (4096, 200000)"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, want):
+    # A sampled converse check at a huge --n asks numpy for one block of
+    # 4096 x n floats; running out of memory exits 2 like any other failure.
+    from tccode import cli
+
+    path = tmp_path / "q.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "64",
+                     "--out", str(path))
+    assert code == 0
+
+    def exhausted(dictionary, n, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "check_event_equivalence", exhausted)
+    code, out, err = run(capsys, "converse-check", "--dict", str(path), "--n", "200000")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": want}
+
+
 def test_unknown_model_is_reported(capsys):
     code, _, err = run(capsys, "evaluate", "--model", "nope", "--M", "64",
                        "--eps", "0.1")
@@ -1045,6 +1071,21 @@ def test_tunstall_does_not_import_numpy(tmp_path, model, theta):
             "--out", str(tmp_path / "t.dict")]
     _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
     assert D.load_dictionary(tmp_path / "t.dict").kind == "tunstall"
+
+
+def test_exhaustive_converse_check_does_not_import_numpy(tmp_path, capsys):
+    # Up to 10^7 words the check co-walks the two tables in Python; only the
+    # sampled check past that makes arrays.
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "4096",
+                     "--out", str(dict_path))
+    assert code == 0
+    argv = ["converse-check", "--dict", str(dict_path), "--n", "4,8", "--theta=0.5,-1",
+            "--out", str(tmp_path / "c.json")]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    reports = json.loads((tmp_path / "c.json").read_text())["reports"]
+    assert [(r["checked"], r["exhaustive"], r["event_equivalence"]) for r in reports] \
+        == [(4 ** 4, True, True), (4 ** 8, True, True)]
 
 
 # Each subcommand's flags besides --config: each is read by the command.

@@ -1,5 +1,6 @@
-"""The bulk walks (walk_block, Monte-Carlo sampling, the exhaustive and
-sampled converse checks) against the scalar oracle walk, row by row."""
+"""The bulk walks (walk_block, Monte-Carlo sampling, the sampled converse
+check) and the exhaustive converse check's co-walk of both tables against
+the scalar oracle walk, word by word."""
 
 import itertools
 
@@ -78,23 +79,57 @@ def test_mc_masses_match_scalar_oracle(d, theta, n_samples, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(dictionaries(), st.integers(min_value=1, max_value=6), st.booleans())
-def test_exhaustive_counterexamples_match_oracle(d, n, narrow):
-    base_width = C.vf_to_fv(d, n).base_width - 1 if narrow else None
+@given(dictionaries(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=-2, max_value=1))
+def test_exhaustive_counterexamples_match_oracle(d, n, shift):
+    # Base widths around the code's: below it every codeword overflows, above
+    # it a short suffix no longer does.
+    base_width = C.vf_to_fv(d, n).base_width + shift
     words = itertools.product(range(d.model.alphabet_size), repeat=n)
     report = C.check_event_equivalence(d, n, base_width=base_width)
-    assert report.exhaustive
+    assert report.exhaustive and report.checked == d.model.alphabet_size ** n
     assert report.counterexamples == event_counterexamples(d, n, words, base_width)
-    assert report.passed == (not narrow or report.counterexamples == [])
+    assert report.passed == (report.counterexamples == [])
+    assert report.passed or shift != 0
+
+
+@pytest.mark.parametrize("model,m,n", [(BERN, 4096, 15), (TERN, 2048, 9), (QUAT, 16384, 8)])
+def test_narrow_threshold_check_counts_the_long_parses(model, m, n):
+    # One bit below the code's base width every codeword overflows, so the
+    # counterexamples are the words that no segment shorter than n starts:
+    # k^n minus mult k^(n - ell) over the leaf classes of length ell < n, a
+    # count that depends on neither walk.  The count-class DAG shares its
+    # rows among many paths, so this exercises the co-walk's memo.
+    _, d = D.choose_gamma(model, GRID, m)
+    k = model.alphabet_size
+    report = C.check_event_equivalence(d, n, base_width=C.vf_to_fv(d, n).base_width - 1)
+    short = sum(mult * k ** (n - ell) for ell, _, mult in d.leaf_classes() if ell < n)
+    assert 0 < len(report.counterexamples) == k ** n - short < k ** n
+    words = [word for word, _, _ in report.counterexamples]
+    assert words == sorted(set(words))
+    assert {(vf, fv) for _, vf, fv in report.counterexamples} == {(False, True)}
+
+
+@pytest.mark.parametrize("model,segments,n", [
+    (BERN, ((0, 0), (1,)), 2),
+    (QUAT, ((0,), (1,), (2, 0), (2, 1), (2, 2), (3,)), 3),
+])
+def test_converse_check_rejects_a_missing_child(model, segments, n):
+    d = D.Dictionary(model=model, grid=GRID, segments=segments, m_target=8)
+    with pytest.raises(D.DictionaryError, match="not parseable at depth 2"):
+        C.check_event_equivalence(d, n)
+    with pytest.raises(D.DictionaryError, match="not parseable at depth 2"):
+        C.check_event_equivalence(d, n, exhaustive_cap=1, sample_budget=1000,
+                                  theta=[0.0] * model.stat_dim)
 
 
 @pytest.mark.parametrize("theta", [-2.0, 2.0])
 @pytest.mark.parametrize("base_width", [None, 2])
 def test_exhaustive_check_over_a_partial_last_block(theta, base_width):
-    # 3^9 = 19683 words: four full blocks of 4096 and a partial one.  The
-    # dictionary has segments up to length 13 along the letter 0 (theta < 0)
-    # or 2 (theta > 0), so a base width below the code's makes the words
-    # parsed at length >= 9, in the first or the last block, counterexamples.
+    # 3^9 = 19683 words.  The dictionary has segments up to length 13 along
+    # the letter 0 (theta < 0) or 2 (theta > 0), so a base width below the
+    # code's makes the words parsed at length >= 9, first or last in
+    # lexicographic order, counterexamples.
     d = D.build_tunstall(TERN, [theta], 27)
     words = itertools.product(range(3), repeat=9)
     report = C.check_event_equivalence(d, 9, base_width=base_width)
