@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .dictionary import (Dictionary, DictionaryError, Segment, Trie, length_masses,
-                         prune, table_leaf_classes, walk_block)
-from .models import ExpFamilyModel, sample_blocks
+                         prune, table_leaf_classes)
+from .models import ExpFamilyModel
 
 
 @dataclass
@@ -61,85 +61,54 @@ def fv_overflow_mass(code: FVCode, theta) -> float:
     return math.fsum(length_masses(code.model, short, theta).values())
 
 
+# Counterexamples a report lists, the first in lexicographic order.
+LISTED = 20
+
+
 @dataclass
 class EquivalenceReport:
     n: int
     base_width: int
-    checked: int
-    exhaustive: bool
-    counterexamples: List[Tuple[Segment, bool, bool]]
+    checked: int  # k^n, every length-n word
+    mismatches: int
+    counterexamples: List[Tuple[Segment, bool, bool]]  # the first LISTED
     code: FVCode
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples
+        return self.mismatches == 0
 
 
 def check_event_equivalence(dictionary: Dictionary, n: int,
-                            base_width: Optional[int] = None,
-                            exhaustive_cap: int = 10 ** 7,
-                            sample_budget: int = 10 ** 5,
-                            theta=None, seed: int = 0) -> EquivalenceReport:
-    """Verify {VF parse length < n} iff {FV codeword length > base_width}.
-
-    When k^n <= exhaustive_cap the check covers all k^n words by co-walking
-    the dictionary's table and the pruned table (see _mismatched_words), at
-    a cost set by the rows of the count-class DAG, not by k^n; otherwise it
-    checks sample_budget words drawn under p_theta (theta = 0 when not
-    given) by models.sample_blocks.  exhaustive_cap thus only fixes when the
-    report is sampled.  Counterexamples are listed in lexicographic order,
-    or in the order drawn.
+                            base_width: Optional[int] = None) -> EquivalenceReport:
+    """Verify {VF parse length < n} iff {FV codeword length > base_width}
+    on all k^n words, at a cost set by the rows of the count-class DAG, not
+    by k^n (see _mismatched_words).
     """
     code = vf_to_fv(dictionary, n)
     width = code.base_width if base_width is None else int(base_width)
-    k = dictionary.model.alphabet_size
-    exhaustive = k ** n <= exhaustive_cap
-
-    def overflows(depth):
-        """The FV event of words whose pruned walk ends at depth (an int or
-        an array of them)."""
-        return code.base_width + (n - depth) * code.per_letter_suffix_bits > width
-
-    if exhaustive:
-        checked = k ** n
-        counterexamples = _mismatched_words(dictionary.trie(), code.table, n, overflows)
-    else:
-        import numpy as np
-
-        checked = sample_budget
-        counterexamples = []
-        if theta is None:
-            theta = np.zeros(dictionary.model.stat_dim)
-        for words in sample_blocks(dictionary.model, theta, seed, sample_budget, n):
-            vf_index, vf_depth = walk_block(dictionary.trie(), words)
-            vf_event = (vf_index >= 0) & (vf_depth < n)
-            _, fv_depth = walk_block(code.table, words)
-            fv_event = overflows(fv_depth)
-            for row in np.flatnonzero(vf_event != fv_event):
-                counterexamples.append((tuple(words[row].tolist()), bool(vf_event[row]),
-                                        bool(fv_event[row])))
-    return EquivalenceReport(n, width, checked, exhaustive, counterexamples, code)
+    mismatches, counterexamples = _mismatched_words(dictionary.trie(), code, width)
+    return EquivalenceReport(n, width, dictionary.model.alphabet_size ** n, mismatches,
+                             counterexamples, code)
 
 
-def _mismatched_words(trie: Trie, table: Trie, n: int,
-                      overflows: Callable[[int], bool]
-                      ) -> List[Tuple[Segment, bool, bool]]:
-    """Every length-n word whose two events differ, in lexicographic order,
-    with its VF and FV events.
+def _mismatched_words(trie: Trie, code: FVCode, width: int
+                      ) -> Tuple[int, List[Tuple[Segment, bool, bool]]]:
+    """The number of length-n words whose VF parse is shorter than n while
+    their codeword fits in width bits, or the other way round, and the first
+    LISTED of them in lexicographic order, with their VF and FV events.
 
-    Both tables are walked letter by letter at once.  A walk's state is its
-    row while it goes on and ~depth once it has ended at a leaf of that
-    depth, so a word's events depend only on its path of states (VF walk,
-    FV walk, depth).  Once both walks have ended, or at depth n, the events
-    are decided for every word below.  A state with no mismatch below is
-    clean and is remembered, so a DAG row that many paths share is walked
-    once; words are spelled out only under states that are not clean.  A
-    missing child raises DictionaryError, as in walk_block.
+    The dictionary's table and the pruned one are walked letter by letter at
+    once.  A walk's state is its row while it goes on and ~depth once it
+    has ended at a leaf of that depth, so a word's events depend only on its
+    path of states (VF walk, FV walk, depth).  Once both walks have ended,
+    or at depth n, the events are decided for all k^(n - depth) words
+    below.  Each state's mismatch count is computed once, so a DAG row that
+    many paths share is walked once, and words are spelled out only under
+    states with a nonzero count.  Explicit stacks keep n clear of the
+    recursion limit.  A missing child raises DictionaryError.
     """
-    k = trie.k
-    clean = set()
-    found: List[Tuple[Segment, bool, bool]] = []
-    prefix: List[int] = []
+    k, n, table = trie.k, code.n, code.table
 
     def step(cells: List[int], node: int, x: int, depth: int) -> int:
         if node < 0:
@@ -149,27 +118,48 @@ def _mismatched_words(trie: Trie, table: Trie, n: int,
             raise DictionaryError("letter not parseable at depth %d" % depth)
         return child if child > 0 else ~depth
 
-    def visit(vf: int, fv: int, depth: int) -> bool:
-        state = (vf, fv, depth)
-        if state in clean:
-            return True
-        if depth == n or (vf < 0 and fv < 0):
-            vf_event = vf < 0 and ~vf < n
-            fv_event = overflows(~fv if fv < 0 else n)
-            if vf_event == fv_event:
-                return True
-            for tail in itertools.product(range(k), repeat=n - depth):
-                found.append((tuple(prefix) + tail, vf_event, fv_event))
-            return False
-        ok = True
-        for x in range(k):
-            prefix.append(x)
-            ok = visit(step(trie.cells, vf, x, depth + 1),
-                       step(table.cells, fv, x, depth + 1), depth + 1) and ok
-            prefix.pop()
-        if ok:
-            clean.add(state)
-        return ok
+    def children(state: Tuple[int, int, int]) -> List[Tuple[int, int, int]]:
+        vf, fv, depth = state
+        return [(step(trie.cells, vf, x, depth + 1), step(table.cells, fv, x, depth + 1),
+                 depth + 1) for x in range(k)]
 
-    visit(0, 0, 0)
-    return found
+    def events(state: Tuple[int, int, int]) -> Optional[Tuple[bool, bool]]:
+        """The (VF, FV) events of every word below a decided state, or None."""
+        vf, fv, depth = state
+        if depth < n and (vf >= 0 or fv >= 0):
+            return None
+        suffix_bits = (n - ~fv if fv < 0 else 0) * code.per_letter_suffix_bits
+        return vf < 0 and ~vf < n, code.base_width + suffix_bits > width
+
+    root = (0, 0, 0)
+    count = {}
+    stack = [(root, None)]  # (state, its children once they are pushed)
+    while stack:
+        state, below = stack.pop()
+        if state in count:
+            continue
+        decided = events(state)
+        if decided is not None:
+            count[state] = k ** (n - state[2]) if decided[0] != decided[1] else 0
+        elif below is None:
+            below = children(state)
+            stack.append((state, below))
+            stack.extend((child, None) for child in below if child not in count)
+        else:
+            count[state] = sum(count[child] for child in below)
+
+    found: List[Tuple[Segment, bool, bool]] = []
+    prefix: List[int] = []
+    spell = [(root, None)]  # (state, the letter that led to it)
+    while spell and len(found) < LISTED:
+        state, letter = spell.pop()
+        if letter is not None:
+            prefix[state[2] - 1:] = [letter]
+        decided = events(state)
+        if decided is None:
+            spell += [(c, x) for x, c in enumerate(children(state)) if count[c]][::-1]
+            continue
+        tails = itertools.product(range(k), repeat=n - state[2])
+        for tail in itertools.islice(tails, LISTED - len(found)):
+            found.append((tuple(prefix) + tail,) + decided)
+    return count[root], found

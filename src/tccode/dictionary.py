@@ -376,7 +376,7 @@ def unrank(trie: Trie, index: int) -> Segment:
 
 def walk_block(trie: Trie, letters):
     """Descend the table along every row of a (rows, width) letter array
-    at once, for Monte-Carlo sampling and the converse check.
+    at once, for Monte-Carlo sampling.
 
     Returns (leaf rank, depth) arrays; a row that reaches no leaf within
     the width has rank -1 and depth width.  A letter outside 0..k-1 or with

@@ -628,8 +628,8 @@ def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
     ("", "out of memory"),
 ], ids=["numpy", "bare"])
 def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, want):
-    # A sampled converse check at a huge --n asks numpy for one block of
-    # 4096 x n floats; running out of memory exits 2 like any other failure.
+    # Monte-Carlo evaluate asks numpy for blocks of 4096 rows as wide as the
+    # longest segment; running out of memory exits 2 like any other failure.
     from tccode import cli
 
     path = tmp_path / "q.txt"
@@ -637,11 +637,12 @@ def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, w
                      "--out", str(path))
     assert code == 0
 
-    def exhausted(dictionary, n, **kwargs):
+    def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "check_event_equivalence", exhausted)
-    code, out, err = run(capsys, "converse-check", "--dict", str(path), "--n", "200000")
+    monkeypatch.setattr(cli._rates, "mc_rate_distribution", exhausted)
+    code, out, err = run(capsys, "evaluate", "--dict", str(path), "--mc",
+                         "--trials", "1000", "--theta=0.5,-1", "--eps", "0.1")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
@@ -1074,18 +1075,18 @@ def test_tunstall_does_not_import_numpy(tmp_path, model, theta):
 
 
 def test_exhaustive_converse_check_does_not_import_numpy(tmp_path, capsys):
-    # Up to 10^7 words the check co-walks the two tables in Python; only the
-    # sampled check past that makes arrays.
+    # The check co-walks the two tables in Python at every n, 4^12 > 10^7
+    # words included.
     dict_path = tmp_path / "d.txt"
     code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "4096",
                      "--out", str(dict_path))
     assert code == 0
-    argv = ["converse-check", "--dict", str(dict_path), "--n", "4,8", "--theta=0.5,-1",
+    argv = ["converse-check", "--dict", str(dict_path), "--n", "4,8,12", "--theta=0.5,-1",
             "--out", str(tmp_path / "c.json")]
     _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
     reports = json.loads((tmp_path / "c.json").read_text())["reports"]
     assert [(r["checked"], r["exhaustive"], r["event_equivalence"]) for r in reports] \
-        == [(4 ** 4, True, True), (4 ** 8, True, True)]
+        == [(4 ** 4, True, True), (4 ** 8, True, True), (4 ** 12, True, True)]
 
 
 # Each subcommand's flags besides --config: each is read by the command.
@@ -1097,7 +1098,7 @@ SUBCOMMAND_FLAGS = {
     "evaluate": "dict model W origin M theta eps trials seed out "
                 "exact mc formula iterative",
     "sweep": "model W origin M theta eps trials seed out",
-    "converse-check": "dict n theta seed out",
+    "converse-check": "dict n theta out",
     "normality": "model theta n out",
 }
 
@@ -1122,7 +1123,7 @@ def test_each_subparser_declares_exactly_its_flags():
         assert options == {"--config"} | {"--" + flag
                                           for flag in SUBCOMMAND_FLAGS[name].split()}, name
         settable += len(options)
-    assert settable == 55
+    assert settable == 54
     groups = [sorted(action.dest for action in group._group_actions)
               for group in subparsers["evaluate"]._mutually_exclusive_groups]
     assert sorted(groups) == [["exact", "mc"], ["formula", "iterative"]]
@@ -1169,6 +1170,7 @@ def test_every_declared_flag_is_read_by_its_command():
     (["evaluate", "--model", "bernoulli", "--M", "64"], "n", "4"),
     (["sweep", "--model", "bernoulli", "--M", "64", "--eps", "0.1"], "dict", "x"),
     (["converse-check", "--dict", "d.txt", "--n", "4"], "M", "64"),
+    (["converse-check", "--dict", "d.txt", "--n", "4"], "seed", "1"),
     (["normality", "--model", "bernoulli", "--n", "16"], "seed", "3"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -1248,7 +1250,7 @@ def test_evaluate_dict_takes_model_grid_and_m_from_the_file(tmp_path, capsys):
     (["evaluate", "--model", "bernoulli", "--M", "64", "--e", "0.1"], "--e"),
     (["build-dict", "--model", "bernoulli", "--M", "64", "--ou", "OUT"], "--ou"),
     (["normality", "--mod", "bernoulli", "--n", "16"], "--mod"),
-    (["converse-check", "--dict", "d.txt", "--n", "4", "--se", "1"], "--se"),
+    (["converse-check", "--dict", "d.txt", "--n", "4", "--th", "1"], "--th"),
 ], ids=["tunstall", "evaluate", "build-dict", "normality", "converse-check"])
 def test_flag_prefixes_are_not_abbreviations(tmp_path, capsys, argv, prefix):
     out = tmp_path / "out.txt"
@@ -1307,30 +1309,52 @@ def test_config_numbers_and_strings_read_as_flags(tmp_path, capsys):
     assert json.loads(from_config)["results"][0]["mode"] == "mc"
 
 
-@pytest.mark.parametrize("theta,want", [(["--theta=1.5,1.5;0,0"], (1.5, 1.5)),
-                                        ([], (0.0, 0.0))], ids=["given", "absent"])
-def test_converse_check_samples_under_its_first_theta(tmp_path, capsys, monkeypatch,
-                                                      theta, want):
-    # 4^12 words are past the exhaustive cap, so the check samples them, at
-    # the theta of the first mass row the command reports.
-    from tccode import cli
-
+@pytest.mark.parametrize("theta,want", [(["--theta=1.5,1.5;0,0"], [[1.5, 1.5], [0, 0]]),
+                                        ([], [[0, 0]])], ids=["given", "absent"])
+def test_converse_check_samples_under_its_first_theta(tmp_path, capsys, theta, want):
+    # 4^12 words, past 10^7, are all decided; --theta feeds only the mass
+    # rows, the zero vector when absent.
     path = tmp_path / "q.txt"
     code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "256",
                      "--out", str(path))
     assert code == 0
-    seen = []
-    original = cli.check_event_equivalence
-
-    def spy(dictionary, n, **kwargs):
-        seen.append(kwargs.get("theta"))
-        return original(dictionary, n, **kwargs)
-
-    monkeypatch.setattr(cli, "check_event_equivalence", spy)
     code, out, _ = run(capsys, "converse-check", "--dict", str(path), "--n", "12",
                        *theta)
     assert code == 0
     (report,) = json.loads(out)["reports"]
-    assert not report["exhaustive"] and report["checked"] == 10 ** 5
-    assert report["mass_identity"][0]["theta"] == list(want)
-    assert seen == [want]
+    assert report["exhaustive"] and report["checked"] == 4 ** 12
+    assert report["event_equivalence"] and report["counterexamples"] == []
+    assert [row["theta"] for row in report["mass_identity"]] == want
+
+
+@pytest.fixture(scope="module")
+def codec_dict(tmp_path_factory):
+    """The benchmark's quaternary M = 16384 dictionary, longest segment 16."""
+    path = tmp_path_factory.mktemp("codec") / "q.txt"
+    assert main(["build-dict", "--model", "quaternary", "--M", "16384",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_converse_check_decides_n_far_past_the_segments(tmp_path, capsys, codec_dict):
+    out = tmp_path / "c.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "converse-check", "--dict", str(codec_dict), "--n", "3000",
+                     "--theta=0.5,-1", "--out", str(out))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    report = json.loads(out.read_text())
+    (row,) = report["reports"]
+    assert report["passed"] and row["exhaustive"] and row["checked"] == 4 ** 3000
+
+
+def test_converse_check_refuses_an_n_it_cannot_print(tmp_path, capsys, codec_dict):
+    # 4^8000 has 4 817 decimal digits, past the 4 300 Python prints by default.
+    out = tmp_path / "c.json"
+    code, stdout, err = run(capsys, "converse-check", "--dict", str(codec_dict),
+                            "--n", "4,8000", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert "--n 8000" in json.loads(err)["error"]
+    assert not out.exists()

@@ -31,7 +31,7 @@ def test_hand_case_tunstall_m3_n2():
     assert fv_length(code, (0, 0)) == 2
     assert fv_length(code, (0, 1)) == 2
     report = C.check_event_equivalence(d, 2)
-    assert report.passed and report.exhaustive and report.checked == 4
+    assert report.passed and report.mismatches == 0 and report.checked == 4
     theta = [math.log2(0.3 / 0.7)]
     assert C.vf_short_mass(d, theta, 2) == pytest.approx(0.3, abs=1e-12)
     assert C.fv_overflow_mass(code, theta) == pytest.approx(0.3, abs=1e-12)
@@ -86,12 +86,12 @@ def test_mass_identity_exact():
 
 
 def test_sampled_equivalence_branch():
+    # n = 20 is past every segment of the dictionary; all 2^20 words are
+    # decided, none of them spelled out.
     _, d = D.choose_gamma(BERN, GRID, 64)
-    report = C.check_event_equivalence(d, 20, exhaustive_cap=100,
-                                       sample_budget=200, theta=[-2.0])
-    assert not report.exhaustive
-    assert report.checked == 200
-    assert report.passed
+    report = C.check_event_equivalence(d, 20)
+    assert report.checked == 2 ** 20
+    assert report.passed and report.counterexamples == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,8 +1,9 @@
-"""The bulk walks (walk_block, Monte-Carlo sampling, the sampled converse
-check) and the exhaustive converse check's co-walk of both tables against
-the scalar oracle walk, word by word."""
+"""The bulk walks (walk_block, Monte-Carlo sampling) and the converse
+check's co-walk of both tables against the scalar oracle walk, word by
+word."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import event_counterexamples, mc_length_masses, sampled_words, walk
+from oracles import event_counterexamples, mc_length_masses, walk
 
 
 BERN = M.bernoulli()
@@ -80,17 +81,21 @@ def test_mc_masses_match_scalar_oracle(d, theta, n_samples, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(dictionaries(), st.integers(min_value=1, max_value=8),
-       st.integers(min_value=-2, max_value=1))
+       st.sampled_from([None, -2, -1, 1]))
 def test_exhaustive_counterexamples_match_oracle(d, n, shift):
     # Base widths around the code's: below it every codeword overflows, above
     # it a short suffix no longer does.
-    base_width = C.vf_to_fv(d, n).base_width + shift
+    width = C.vf_to_fv(d, n).base_width
+    base_width = None if shift is None else width + shift
     words = itertools.product(range(d.model.alphabet_size), repeat=n)
     report = C.check_event_equivalence(d, n, base_width=base_width)
-    assert report.exhaustive and report.checked == d.model.alphabet_size ** n
-    assert report.counterexamples == event_counterexamples(d, n, words, base_width)
-    assert report.passed == (report.counterexamples == [])
-    assert report.passed or shift != 0
+    oracle = event_counterexamples(d, n, words, base_width)
+    assert report.checked == d.model.alphabet_size ** n
+    assert report.base_width == (width if shift is None else base_width)
+    assert report.mismatches == len(oracle)
+    assert report.counterexamples == oracle[:20]
+    assert report.passed == (oracle == [])
+    assert report.passed or shift is not None
 
 
 @pytest.mark.parametrize("model,m,n", [(BERN, 4096, 15), (TERN, 2048, 9), (QUAT, 16384, 8)])
@@ -102,12 +107,15 @@ def test_narrow_threshold_check_counts_the_long_parses(model, m, n):
     # rows among many paths, so this exercises the co-walk's memo.
     _, d = D.choose_gamma(model, GRID, m)
     k = model.alphabet_size
-    report = C.check_event_equivalence(d, n, base_width=C.vf_to_fv(d, n).base_width - 1)
+    base_width = C.vf_to_fv(d, n).base_width - 1
+    report = C.check_event_equivalence(d, n, base_width=base_width)
     short = sum(mult * k ** (n - ell) for ell, _, mult in d.leaf_classes() if ell < n)
-    assert 0 < len(report.counterexamples) == k ** n - short < k ** n
-    words = [word for word, _, _ in report.counterexamples]
-    assert words == sorted(set(words))
-    assert {(vf, fv) for _, vf, fv in report.counterexamples} == {(False, True)}
+    assert 0 < report.mismatches == k ** n - short < k ** n
+    # The listed prefix: the first mismatched words in lexicographic order.
+    first = itertools.islice(
+        (word for word in itertools.product(range(k), repeat=n)
+         if event_counterexamples(d, n, [word], base_width)), 20)
+    assert report.counterexamples == [(word, False, True) for word in first]
 
 
 @pytest.mark.parametrize("model,segments,n", [
@@ -118,9 +126,6 @@ def test_converse_check_rejects_a_missing_child(model, segments, n):
     d = D.Dictionary(model=model, grid=GRID, segments=segments, m_target=8)
     with pytest.raises(D.DictionaryError, match="not parseable at depth 2"):
         C.check_event_equivalence(d, n)
-    with pytest.raises(D.DictionaryError, match="not parseable at depth 2"):
-        C.check_event_equivalence(d, n, exhaustive_cap=1, sample_budget=1000,
-                                  theta=[0.0] * model.stat_dim)
 
 
 @pytest.mark.parametrize("theta", [-2.0, 2.0])
@@ -135,18 +140,37 @@ def test_exhaustive_check_over_a_partial_last_block(theta, base_width):
     report = C.check_event_equivalence(d, 9, base_width=base_width)
     assert report.checked == 3 ** 9
     oracle = event_counterexamples(d, 9, words, base_width)
-    assert report.counterexamples == oracle
+    assert report.mismatches == len(oracle)
+    assert report.counterexamples == oracle[:20]
     assert bool(oracle) == (base_width is not None)
 
 
 @pytest.mark.parametrize("base_width", [None, 3])
 def test_sampled_counterexamples_match_oracle(base_width):
-    # Segments reach length 11; at theta = (3, 3) long parses are common.
+    # Segments reach length 11, so some of the 4^7 words parse at length 7
+    # or more; with 3 base bits they are the counterexamples.
     d = D.build_tunstall(QUAT, [3.0, 3.0], 40)
-    report = C.check_event_equivalence(d, 7, base_width=base_width, exhaustive_cap=100,
-                                       sample_budget=5000, theta=[3.0, 3.0], seed=4)
-    assert not report.exhaustive and report.checked == 5000
-    words = sampled_words(QUAT, [3.0, 3.0], 4, 5000, 7)
+    report = C.check_event_equivalence(d, 7, base_width=base_width)
+    assert report.checked == 4 ** 7
+    words = itertools.product(range(4), repeat=7)
     oracle = event_counterexamples(d, 7, words, base_width)
-    assert report.counterexamples == oracle
+    assert report.mismatches == len(oracle)
+    assert report.counterexamples == oracle[:20]
     assert bool(oracle) == (base_width is not None)
+
+
+@pytest.fixture(scope="module")
+def ternary_64k():
+    return D.choose_gamma(TERN, GRID, 2 ** 16)[1]
+
+
+@pytest.mark.parametrize("n", [1919, 1920, 2000])
+def test_check_decides_n_past_the_recursion_limit(ternary_64k, n):
+    # Ternary M = 2^16 has segments of up to 1 920 letters, so the co-walk
+    # goes about n states deep: far past Python's recursion limit.
+    d = ternary_64k
+    assert d.max_segment_length() == 1920
+    start = time.perf_counter()
+    report = C.check_event_equivalence(d, n)
+    assert time.perf_counter() - start < 2.0
+    assert report.passed and report.checked == 3 ** n
