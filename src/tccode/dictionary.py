@@ -17,15 +17,19 @@ from __future__ import annotations
 
 import heapq
 import json
+import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import models as _models
 from .models import ExpFamilyModel
 from .qtypes import SIZE_CAP, Grid, TypeCounter, scaled_statistics
+
+log = logging.getLogger("tccode.dictionary")
 
 Segment = Tuple[int, ...]
 # (segment length, letter counts, number of segments with both).
@@ -37,11 +41,13 @@ class DictionaryError(ValueError):
 
 
 class LeafCapExceeded(RuntimeError):
-    """Construction aborted: the leaf count passed the configured cap."""
+    """Construction aborted: the leaf count passed the configured cap after
+    the walk had expanded walked internal classes."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, walked: int = 0):
         super().__init__("leaf count exceeded cap %d" % cap)
         self.cap = cap
+        self.walked = walked
 
 
 @dataclass
@@ -478,6 +484,10 @@ def _bump(counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return counts[:x] + (counts[x] + 1,) + counts[x + 1:]
 
 
+# Per leaf class: (class size, number of its root paths that dipped).
+LeafPaths = Tuple[int, int]
+
+
 @dataclass
 class TCProfile:
     """Aggregate view of the threshold dictionary over letter-count classes.
@@ -492,6 +502,14 @@ class TCProfile:
     saturated at its cap: every internal size is at most the limit, below
     the cap, and so exact, while leaf_sizes may hold the cap itself for
     leaves whose class is larger.
+
+    leaf_paths, in the order of leaf_classes, holds each class's size and
+    how many of its root paths dipped.  With the class's counts, which give
+    its lattice point t, and its multiplicity, the clean paths plus the
+    dipped ones, that is all tc_leaf_profile needs to walk on from the class
+    when a larger limit makes it internal.  walked is the number of internal
+    classes the walk that built the profile expanded.  Neither field
+    compares or prints, and a profile built by hand may leave them out.
     """
 
     gamma: float
@@ -499,6 +517,9 @@ class TCProfile:
     max_internal_size: int
     leaf_sizes: Tuple[int, ...]  # distinct leaf class sizes, ascending
     monotone_mismatch_leaves: int
+    leaf_paths: Optional[List[LeafPaths]] = field(
+        default=None, compare=False, repr=False)
+    walked: int = field(default=0, compare=False, repr=False)
 
     @property
     def min_leaf_size(self) -> int:
@@ -523,14 +544,29 @@ class TCProfile:
 
 def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                     leaf_cap: Optional[int] = None,
-                    counter: Optional[TypeCounter] = None) -> TCProfile:
+                    counter: Optional[TypeCounter] = None,
+                    base: Optional[TCProfile] = None) -> TCProfile:
     """The first-passage rule as a dynamic program over letter-count classes,
     linear in the number of reachable count classes rather than in the number
     of segments; the test suite checks it against a per-sequence oracle.
 
     Each class carries its statistic sum as a point t of the counter's
     lattice, so a child's t is its parent's plus the letter's shift and its
-    size one lookup in the row of its length, fetched once per depth."""
+    size one lookup in the row of its length, fetched once per depth.
+
+    Given base, a profile of the same counter whose internal sizes are all
+    within the new limit, the walk extends it instead of starting at the
+    root.  Raising the limit turns internal exactly base's leaf classes of
+    size at most the new limit, and every path new to the tree runs through
+    one of them.  Path counts, clean and dipped, add up along paths, so the
+    walk starts from those classes alone, each at its own depth with base's
+    multiplicities, adds the paths it brings to a class base already holds
+    (a leaf base keeps, or a class it starts from later), and jumps over
+    depths where it has no class.  Base's other leaf classes stay leaves.
+    The result equals the walk from the root at the new limit.  The leaf
+    count only grows while the walk runs, so the cap raises
+    LeafCapExceeded no later than the walk from the root would; base is
+    read, never changed."""
     limit = size_limit(gamma)
     counter = counter or TypeCounter(model, grid)
     if limit >= counter.cap:
@@ -539,20 +575,47 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                               "cap %d" % (gamma, counter.cap))
     size_of_sum = counter.size_of_sum
     letters = tuple(enumerate(counter.shifts))
-    # counts -> [class size, statistic sum t on the counter's lattice,
-    #            clean multiplicity, dipped multiplicity]
-    frontier: Dict[Tuple[int, ...], list] = {
-        (0,) * model.alphabet_size: [0, (0,) * model.stat_dim, 1, 0]}
-    leaf_classes: List[LeafClass] = []
+    # depth -> {counts: [class size, t, clean multiplicity, dipped
+    #                    multiplicity]}: the internal classes the walk starts
+    # from, merged with the paths it brings to them.
+    seeds: Dict[int, Dict[Tuple[int, ...], list]] = {}
     leaf_total = 0
-    mismatch_total = 0
-    max_internal = 0
-    leaf_sizes = set()
+    if base is None:
+        seeds[0] = {(0,) * model.alphabet_size: [0, (0,) * model.stat_dim, 1, 0]}
+        max_internal = 0
+    else:
+        if base.leaf_paths is None or base.max_internal_size > limit:
+            raise DictionaryError("a profile extends only with its leaf paths, "
+                                  "to a limit that keeps its internal classes")
+        axes = tuple(zip(*counter.shifts))
+        for (ell, counts, mult), (size, dipped) in zip(base.leaf_classes,
+                                                       base.leaf_paths):
+            if size > limit:
+                leaf_total += mult
+            else:
+                t = tuple(sum(map(operator.mul, counts, axis)) for axis in axes)
+                seeds.setdefault(ell, {})[counts] = [size, t, mult - dipped, dipped]
+        max_internal = base.max_internal_size
+    # The leaves the walk reached, in order: depths come in increasing order
+    # and each depth's leaves are sorted by their counts.
+    leaf_classes: List[LeafClass] = []
+    leaf_paths: List[LeafPaths] = []
+    walked = 0
+    frontier: Dict[Tuple[int, ...], list] = {}
     depth = 0
-    while frontier:
-        depth += 1
-        row = counter.row(depth)
-        children: Dict[Tuple[int, ...], list] = {}
+    while True:
+        if leaf_cap is not None and leaf_total > leaf_cap:
+            raise LeafCapExceeded(leaf_cap, walked)
+        if frontier:
+            depth += 1
+        elif seeds:
+            depth = min(seeds)
+        else:
+            break
+        children = seeds.pop(depth, {})
+        if frontier:
+            row = counter.row(depth)
+            walked += len(frontier)
         for counts, (parent_size, parent_t, clean, dipped) in frontier.items():
             for x, shift in letters:
                 child = _bump(counts, x)
@@ -568,22 +631,56 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
                     slot[2] += clean
                     slot[3] += dipped
         frontier = {}
+        leaves = []
         for child, slot in children.items():
             size, _, clean, dipped = slot
             if size > limit:
-                leaf_classes.append((depth, child, clean + dipped))
+                leaves.append(child)
                 leaf_total += clean + dipped
-                mismatch_total += dipped
-                leaf_sizes.add(size)
             else:
                 frontier[child] = slot
                 if size > max_internal:
                     max_internal = size
-        if leaf_cap is not None and leaf_total > leaf_cap:
-            raise LeafCapExceeded(leaf_cap)
-    # Each (length, counts) pair is one child of one depth: no merge needed.
-    return TCProfile(float(gamma), sorted(leaf_classes), max_internal,
-                     tuple(sorted(leaf_sizes)), mismatch_total)
+        leaves.sort()
+        for child in leaves:
+            size, _, clean, dipped = children[child]
+            leaf_classes.append((depth, child, clean + dipped))
+            leaf_paths.append((size, dipped))
+    if base is not None:
+        leaf_classes, leaf_paths = _merge_kept_leaves(base, limit, leaf_classes,
+                                                      leaf_paths)
+    return TCProfile(float(gamma), leaf_classes, max_internal,
+                     tuple(sorted({size for size, _ in leaf_paths})),
+                     sum(dipped for _, dipped in leaf_paths), leaf_paths, walked)
+
+
+def _merge_kept_leaves(base: TCProfile, limit: int, new_classes: List[LeafClass],
+                       new_paths: List[LeafPaths]
+                       ) -> Tuple[List[LeafClass], List[LeafPaths]]:
+    """Base's leaf classes that stay leaves at limit, merged in order with
+    the sorted leaves an extension reached.  A class in both takes the paths
+    of both; the others keep their objects, shared with base."""
+    classes: List[LeafClass] = []
+    paths: List[LeafPaths] = []
+    i, n = 0, len(new_classes)
+    for leaf, kept in zip(base.leaf_classes, base.leaf_paths):
+        if kept[0] <= limit:
+            continue
+        key = leaf[:2]
+        while i < n and new_classes[i][:2] < key:
+            classes.append(new_classes[i])
+            paths.append(new_paths[i])
+            i += 1
+        if i < n and new_classes[i][:2] == key:
+            classes.append(key + (leaf[2] + new_classes[i][2],))
+            paths.append((kept[0], kept[1] + new_paths[i][1]))
+            i += 1
+        else:
+            classes.append(leaf)
+            paths.append(kept)
+    classes += new_classes[i:]
+    paths += new_paths[i:]
+    return classes, paths
 
 
 def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
@@ -652,12 +749,19 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
     makes more than m leaves.  Each probe, at gamma = log2(n), takes for n the
     best dictionary's leaf size nearest the geometric middle of [lo, hi) (the
     geometric middle itself before any probe was feasible): a leaf splits
-    once the limit reaches its size.  The returned gamma is log2 of the
-    largest internal class size, the smallest threshold with the same
-    dictionary.  Every probed limit is below m and the search reads only
-    leaf sizes below hi <= m, so class sizes saturated at m decide it
-    exactly: the counter it builds has cap m, and a given counter needs a cap
-    of at least m.
+    once the limit reaches its size.  Every probe after the first feasible
+    one is at a limit of at least lo, so it extends the best profile
+    (tc_leaf_profile's base) from the leaf classes that split instead of
+    walking from the root, with the same result; a probe over m leaves the
+    best profile as it was.  The returned gamma is log2 of the largest
+    internal class size, the smallest threshold with the same dictionary.
+    Every probed limit is below m and the search reads only leaf sizes below
+    hi <= m, so class sizes saturated at m decide it exactly: the counter it
+    builds has cap m, and a given counter needs a cap of at least m.
+
+    Each probe logs one DEBUG line to the "tccode.dictionary" logger: the
+    limit, whether it fits in m, the leaf count, the classes walked and the
+    wall time.
     """
     if m < model.alphabet_size:
         raise DictionaryError("m must be at least the alphabet size")
@@ -674,12 +778,17 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
             mid = 0.5 * (math.log(lo) + math.log(hi))
             n = min((v for v in best.leaf_sizes if v < hi),
                     key=lambda v: abs(math.log(v) - mid))
+        start = perf_counter()
         try:
             best = tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
-                                   counter=counter)
-            lo = best.min_leaf_size
-        except LeafCapExceeded:
-            hi = n
+                                   counter=counter, base=best)
+            lo, fits, walked = best.min_leaf_size, True, best.walked
+        except LeafCapExceeded as exc:
+            hi, fits, walked = n, False, exc.walked
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("gamma probe: limit %d %s, %d classes walked, %.3f ms", n,
+                      "fits, %d leaves" % best.leaf_count if fits
+                      else "over m=%d" % m, walked, 1e3 * (perf_counter() - start))
     if best is None:
         best = tc_leaf_profile(model, grid, -1.0, counter=counter)
     best.gamma = best.max_internal_value if best.max_internal_size else -1.0

@@ -388,6 +388,37 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
                        tuple(sorted(leaf_sizes)), mismatch_total)
 
 
+def rerun_gamma_profile(model, grid, m: int, counter=None):
+    """choose_gamma_profile with every probe walking the first-passage DP
+    from the root: the same bisection over the best profile's leaf sizes,
+    with no base profile to extend."""
+    if m < model.alphabet_size:
+        raise D.DictionaryError("m must be at least the alphabet size")
+    if m >= Q.SIZE_CAP:
+        raise D.DictionaryError("m must be below the class-size counting cap %d"
+                                % Q.SIZE_CAP)
+    counter = counter or Q.TypeCounter(model, grid, cap=m)
+    best = None
+    lo, hi = 1, m
+    while lo < hi:
+        if best is None:
+            n = math.isqrt(lo * hi)
+        else:
+            mid = 0.5 * (math.log(lo) + math.log(hi))
+            n = min((v for v in best.leaf_sizes if v < hi),
+                    key=lambda v: abs(math.log(v) - mid))
+        try:
+            best = D.tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
+                                     counter=counter)
+            lo = best.min_leaf_size
+        except D.LeafCapExceeded:
+            hi = n
+    if best is None:
+        best = D.tc_leaf_profile(model, grid, -1.0, counter=counter)
+    best.gamma = best.max_internal_value if best.max_internal_size else -1.0
+    return best.gamma, best
+
+
 def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
     """Cell -> class size at length ell, enumerating letter compositions and
     placing each with the rational cell_of."""

@@ -1010,6 +1010,28 @@ def _numpy_free(tmp_path, body: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_debug_log_shows_the_gamma_probes_and_changes_no_output(tmp_path):
+    # TCCODE_LOG=DEBUG puts one stderr line per gamma probe; stdout and the
+    # files are the bytes of a run at the default level, which prints nothing.
+    src = Path(tccode.__file__).resolve().parents[1]
+    out = tmp_path / "d.dict"
+    runs = {}
+    for level in ("", "DEBUG"):
+        env = dict(os.environ, PYTHONPATH=str(src), TCCODE_LOG=level or "WARNING")
+        proc = subprocess.run([sys.executable, "-m", "tccode.cli", "build-dict",
+                               "--model", "ternary", "--M", "500", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (proc.stdout, out.read_bytes(),
+                       Path(str(out) + ".stats.json").read_bytes(), proc.stderr)
+    assert runs[""][:3] == runs["DEBUG"][:3]
+    assert runs[""][3] == ""
+    lines = runs["DEBUG"][3].splitlines()
+    assert len(lines) > 2
+    assert all(line.startswith("DEBUG tccode.dictionary: gamma probe: limit ")
+               for line in lines)
+
+
 def test_cli_import_does_not_import_numpy(tmp_path):
     # numpy costs every CLI call about 60 ms of start-up; only commands that
     # make arrays import it.
@@ -1311,7 +1333,8 @@ def test_config_numbers_and_strings_read_as_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("theta,want", [(["--theta=1.5,1.5;0,0"], [[1.5, 1.5], [0, 0]]),
                                         ([], [[0, 0]])], ids=["given", "absent"])
-def test_converse_check_samples_under_its_first_theta(tmp_path, capsys, theta, want):
+def test_converse_check_decides_4_to_the_12_words_and_masses_each_theta(tmp_path, capsys,
+                                                                       theta, want):
     # 4^12 words, past 10^7, are all decided; --theta feeds only the mass
     # rows, the zero vector when absent.
     path = tmp_path / "q.txt"

@@ -85,7 +85,7 @@ def test_mass_identity_exact():
             assert short == pytest.approx(over, abs=1e-12)
 
 
-def test_sampled_equivalence_branch():
+def test_check_decides_all_words_past_the_longest_segment():
     # n = 20 is past every segment of the dictionary; all 2^20 words are
     # decided, none of them spelled out.
     _, d = D.choose_gamma(BERN, GRID, 64)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import logging
 import math
 from fractions import Fraction
 
@@ -16,8 +18,8 @@ from tccode import rates as R
 from oracles import (FRAC, SIMPLEX, enumerate_complete_trees,
                      first_passage_oracle, format1_text, fraction_length_masses,
                      leaf_classes_of, leaf_mass, letter_counts,
-                     segment_length_masses, size_for_counts,
-                     size_for_counts_leaf_profile)
+                     rerun_gamma_profile, segment_length_masses,
+                     size_for_counts, size_for_counts_leaf_profile)
 
 
 BERN = M.bernoulli()
@@ -154,6 +156,82 @@ def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
         D.tc_leaf_profile(model, GRID, math.log2(cap), counter=counter)
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC, SIMPLEX]),
+       side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=2),
+       gamma=st.floats(min_value=-0.5, max_value=10.0),
+       step=st.floats(min_value=0.0, max_value=4.0))
+def test_extending_a_profile_equals_the_walk_from_the_root(model, side, origin,
+                                                           gamma, step):
+    # Raising the limit from gamma's to gamma + step's and walking on from
+    # the leaf classes that split gives every TCProfile field, leaf paths
+    # included, of the walk from the root, or the same error.
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    counter = Q.TypeCounter(model, grid)
+    kwargs = dict(leaf_cap=3000, counter=counter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "MAX_LENGTH", 80)
+        base = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
+        assume(not isinstance(base, type))
+        got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma + step,
+                                 base=base, **kwargs)
+        want = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma + step,
+                                  **kwargs)
+    if (got, want) == (D.LeafCapExceeded, Q.CountingCapError):
+        # The extension counts base's kept leaves from the start, so it can
+        # pass the leaf cap before the walk from the root reaches a length
+        # past MAX_LENGTH.
+        return
+    assert got == want
+    if not isinstance(want, type):
+        assert got.leaf_paths == want.leaf_paths
+
+
+@pytest.mark.parametrize("model,n,extended_n", [(BERN, 8, 10), (TERN, 5, 7),
+                                                (QUAT, 50, 100)])
+def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
+                                                                 extended_n):
+    # The walk from the classes that split brings paths to leaf classes the
+    # base keeps, and its frontier empties before the depth of a class it
+    # starts from, so the rows it reads skip a length.
+    counter = Q.TypeCounter(model, GRID)
+    base = D.tc_leaf_profile(model, GRID, math.log2(n), counter=counter)
+    rows = []
+    real_row = Q.TypeCounter.row
+
+    def row(self, ell):
+        rows.append(ell)
+        return real_row(self, ell)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q.TypeCounter, "row", row)
+        got = D.tc_leaf_profile(model, GRID, math.log2(extended_n),
+                                counter=counter, base=base)
+    want = D.tc_leaf_profile(model, GRID, math.log2(extended_n), counter=counter)
+    assert got == want and got.leaf_paths == want.leaf_paths
+    mult = {cls[:2]: cls[2] for cls in got.leaf_classes}
+    assert any(paths[0] > extended_n and mult[cls[:2]] > cls[2]
+               for cls, paths in zip(base.leaf_classes, base.leaf_paths))
+    assert set(range(min(rows), max(rows) + 1)) - set(rows)
+    assert got.walked < want.walked
+
+
+def test_an_extension_over_the_cap_leaves_its_base_as_it_was():
+    counter = Q.TypeCounter(BERN, GRID)
+    base = D.tc_leaf_profile(BERN, GRID, 3.0, counter=counter)
+    before = copy.deepcopy(base)
+    with pytest.raises(D.LeafCapExceeded):
+        D.tc_leaf_profile(BERN, GRID, math.log2(10), leaf_cap=47,
+                          counter=counter, base=base)
+    assert base == before
+    assert (base.leaf_paths, base.walked) == (before.leaf_paths, before.walked)
+    # A limit below base's internal sizes cannot be reached by extending.
+    with pytest.raises(D.DictionaryError, match="extends"):
+        D.tc_leaf_profile(BERN, GRID, 1.0, counter=counter, base=base)
+
+
 def test_leaf_mass_normalizes():
     _, dictionary = tc64()
     for theta in (-2.0, 0.0, 1.3):
@@ -267,6 +345,71 @@ def test_gamma_search_at_cap_m_matches_the_full_cap(model, side, origin, m):
     assert capped_gamma == gamma
     assert capped.leaf_sizes == tuple(sorted({min(v, m) for v in full.leaf_sizes}))
     assert capped == dataclasses.replace(full, leaf_sizes=capped.leaf_sizes)
+
+
+def _probed(search, model, grid, m):
+    """search's result or error type, and the gammas it probed, with
+    MAX_LENGTH at 80."""
+    gammas = []
+    real = D.tc_leaf_profile
+
+    def probe(model, grid, gamma, *args, **kwargs):
+        gammas.append(gamma)
+        return real(model, grid, gamma, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "MAX_LENGTH", 80)
+        patch.setattr(D, "tc_leaf_profile", probe)
+        return _profile_or_raised(search, model, grid, m), gammas
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC, SIMPLEX]),
+       side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=2),
+       m=st.integers(4, 4096))
+def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
+    # Extending the best profile probes the gammas the search that walks
+    # every probe from the root probes, and returns its gamma and profile.
+    assume(m >= model.alphabet_size)
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    got, got_probes = _probed(D.choose_gamma_profile, model, grid, m)
+    want, want_probes = _probed(rerun_gamma_profile, model, grid, m)
+    if want is Q.CountingCapError and got is not want:
+        # A probe over m can stop on the leaf cap before the walk from the
+        # root reaches a length past MAX_LENGTH; the search then goes on.
+        assert got_probes[:len(want_probes)] == want_probes
+        return
+    assert got_probes == want_probes
+    assert got == want
+    if not isinstance(want, type):
+        assert got[1].leaf_paths == want[1].leaf_paths
+
+
+def test_gamma_search_logs_each_probe_at_debug(caplog, monkeypatch):
+    limits = []
+    real = D.tc_leaf_profile
+
+    def probe(model, grid, gamma, *args, **kwargs):
+        limits.append(D.size_limit(gamma))
+        return real(model, grid, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(D, "tc_leaf_profile", probe)
+    with caplog.at_level(logging.DEBUG, logger="tccode.dictionary"):
+        D.choose_gamma_profile(TERN, GRID, 500)
+    assert len(limits) > 2
+    assert [r.args[0] for r in caplog.records] == limits
+    assert all(r.name == "tccode.dictionary" and r.levelno == logging.DEBUG
+               for r in caplog.records)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(" fits, " in text for text in messages)
+    assert any(" over m=500," in text for text in messages)
+    assert all("classes walked" in text for text in messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        D.choose_gamma_profile(TERN, GRID, 500)
+    assert not caplog.records
 
 
 def test_gamma_search_refuses_sizes_past_the_cap():

@@ -130,7 +130,7 @@ def test_converse_check_rejects_a_missing_child(model, segments, n):
 
 @pytest.mark.parametrize("theta", [-2.0, 2.0])
 @pytest.mark.parametrize("base_width", [None, 2])
-def test_exhaustive_check_over_a_partial_last_block(theta, base_width):
+def test_counterexamples_at_either_end_of_the_order_match_oracle(theta, base_width):
     # 3^9 = 19683 words.  The dictionary has segments up to length 13 along
     # the letter 0 (theta < 0) or 2 (theta > 0), so a base width below the
     # code's makes the words parsed at length >= 9, first or last in
@@ -146,7 +146,7 @@ def test_exhaustive_check_over_a_partial_last_block(theta, base_width):
 
 
 @pytest.mark.parametrize("base_width", [None, 3])
-def test_sampled_counterexamples_match_oracle(base_width):
+def test_counterexamples_of_segments_longer_than_n_match_oracle(base_width):
     # Segments reach length 11, so some of the 4^7 words parse at length 7
     # or more; with 3 base bits they are the counterexamples.
     d = D.build_tunstall(QUAT, [3.0, 3.0], 40)
