@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .dictionary import (Dictionary, DictionaryError, Segment, Trie, length_masses,
-                         prune, table_leaf_classes)
+from .dictionary import (Dictionary, DictionaryError, LeafClass, Segment, Trie,
+                         length_masses, prune, table_leaf_classes)
 from .models import ExpFamilyModel
 
 
@@ -48,16 +48,28 @@ def vf_to_fv(dictionary: Dictionary, n: int) -> FVCode:
     )
 
 
+def vf_short_classes(dictionary: Dictionary, n: int) -> List[LeafClass]:
+    """The leaf classes of the segments shorter than n."""
+    return [c for c in dictionary.leaf_classes() if c[0] < n]
+
+
+def fv_overflow_classes(code: FVCode) -> List[LeafClass]:
+    """The pruned leaf classes shorter than n, the only ones followed by
+    suffix letters: the dictionary's vf_short_classes, since pruning keeps
+    every leaf shorter than n."""
+    return [c for c in table_leaf_classes(code.table) if c[0] < code.n]
+
+
 def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:
     """P(first segment shorter than n) under p_theta, from the leaf classes."""
-    short = [c for c in dictionary.leaf_classes() if c[0] < n]
+    short = vf_short_classes(dictionary, n)
     return math.fsum(length_masses(dictionary.model, short, theta).values())
 
 
 def fv_overflow_mass(code: FVCode, theta) -> float:
-    """P(codeword longer than base_width bits) under p_theta: the mass of the
-    pruned leaves shorter than n, the only ones followed by suffix letters."""
-    short = [c for c in table_leaf_classes(code.table) if c[0] < code.n]
+    """P(codeword longer than base_width bits) under p_theta: the mass of
+    fv_overflow_classes."""
+    short = fv_overflow_classes(code)
     return math.fsum(length_masses(code.model, short, theta).values())
 
 

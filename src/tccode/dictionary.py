@@ -1,7 +1,7 @@
 """Parsing dictionaries: threshold construction, Tunstall baseline, parsing.
 
 The threshold dictionary turns a sequence into a segment at the first length
-where the log quantized-type-class size exceeds gamma (first-passage rule).
+where its quantized-type-class size exceeds the limit (first-passage rule).
 This is equivalent to the two-condition membership rule whenever the log size
 is monotone along the path, and it guarantees a complete, proper parse tree
 unconditionally; paths on which monotonicity failed are counted and reported.
@@ -456,29 +456,8 @@ def length_histogram(leaf_classes: Iterable[LeafClass]) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Threshold construction.  Class sizes are exact integers, so the threshold
-# gamma is turned once into an integer limit and every decision compares
-# integers.
-
-def size_limit(gamma: float) -> int:
-    """Largest n >= 0 with math.log2(n) <= gamma, reading log2(0) as -inf.
-
-    A class size exceeds the limit exactly when its log2 exceeds gamma.
-    """
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    if gamma < 0:
-        return 0
-    # log2 is exact on powers of two: log2(lo) <= gamma < log2(hi).
-    lo, hi = 1 << int(gamma), 1 << (int(gamma) + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.log2(mid) <= gamma:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
+# Threshold construction.  Class sizes are exact integers, and so is the limit
+# they are compared with: gamma is only reported, never decided on.
 
 def _bump(counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return counts[:x] + (counts[x] + 1,) + counts[x + 1:]
@@ -496,7 +475,7 @@ class TCProfile:
     first-passage rule once path feasibility is accounted for, so the leaf set
     aggregates exactly into (length, counts, multiplicity) classes.  This is
     what makes size-2^20 dictionaries evaluable without materializing them.
-    The dictionary is the same for every gamma whose size_limit lies in
+    The dictionary is the same for every integer limit in
     [max_internal_size, min_leaf_size); above that, it changes only where
     the limit reaches one of leaf_sizes.  Sizes come from TypeCounter,
     saturated at its cap: every internal size is at most the limit, below
@@ -512,7 +491,6 @@ class TCProfile:
     compares or prints, and a profile built by hand may leave them out.
     """
 
-    gamma: float
     leaf_classes: List[LeafClass]
     max_internal_size: int
     leaf_sizes: Tuple[int, ...]  # distinct leaf class sizes, ascending
@@ -526,10 +504,10 @@ class TCProfile:
         return self.leaf_sizes[0]
 
     @property
-    def max_internal_value(self) -> float:
-        """log2 of the largest internal class size; -inf with no internal node."""
+    def gamma(self) -> float:
+        """log2 of the largest internal class size, -1.0 with none."""
         n = self.max_internal_size
-        return math.log2(n) if n else float("-inf")
+        return math.log2(n) if n else -1.0
 
     @property
     def leaf_count(self) -> int:
@@ -542,13 +520,14 @@ class TCProfile:
         return self.leaf_classes[-1][0]
 
 
-def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
+def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, limit: int,
                     leaf_cap: Optional[int] = None,
                     counter: Optional[TypeCounter] = None,
                     base: Optional[TCProfile] = None) -> TCProfile:
     """The first-passage rule as a dynamic program over letter-count classes,
     linear in the number of reachable count classes rather than in the number
     of segments; the test suite checks it against a per-sequence oracle.
+    A class is a leaf when its size exceeds limit, an int (not a float).
 
     Each class carries its statistic sum as a point t of the counter's
     lattice, so a child's t is its parent's plus the letter's shift and its
@@ -567,12 +546,12 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     count only grows while the walk runs, so the cap raises
     LeafCapExceeded no later than the walk from the root would; base is
     read, never changed."""
-    limit = size_limit(gamma)
+    limit = operator.index(limit)
     counter = counter or TypeCounter(model, grid)
     if limit >= counter.cap:
         # A size saturated at the cap no longer says whether it passes.
-        raise DictionaryError("gamma=%.6g needs class sizes above the counting "
-                              "cap %d" % (gamma, counter.cap))
+        raise DictionaryError("limit %d needs class sizes above the counting "
+                              "cap %d" % (limit, counter.cap))
     size_of_sum = counter.size_of_sum
     letters = tuple(enumerate(counter.shifts))
     # depth -> {counts: [class size, t, clean multiplicity, dipped
@@ -649,7 +628,7 @@ def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, gamma: float,
     if base is not None:
         leaf_classes, leaf_paths = _merge_kept_leaves(base, limit, leaf_classes,
                                                       leaf_paths)
-    return TCProfile(float(gamma), leaf_classes, max_internal,
+    return TCProfile(leaf_classes, max_internal,
                      tuple(sorted({size for size, _ in leaf_paths})),
                      sum(dipped for _, dipped in leaf_paths), leaf_paths, walked)
 
@@ -739,22 +718,22 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
                          ) -> Tuple[float, TCProfile]:
     """Largest observed-crossing threshold whose dictionary has at most m leaves.
 
-    The dictionary depends on gamma only through its integer limit
-    size_limit(gamma): the internal nodes are the paths whose class sizes all
-    stay within the limit, a set that grows with it, and there are
-    1 + (k-1) * #internal leaves.  The search narrows [lo, hi): limits below
-    lo, the smallest leaf size of the best feasible dictionary, give no larger
-    dictionary, and limits from hi on give more than m leaves.  hi starts at
-    m: every node of depth at most log_k(m) has class size at most m, which
-    makes more than m leaves.  Each probe, at gamma = log2(n), takes for n the
-    best dictionary's leaf size nearest the geometric middle of [lo, hi) (the
-    geometric middle itself before any probe was feasible): a leaf splits
-    once the limit reaches its size.  Every probe after the first feasible
-    one is at a limit of at least lo, so it extends the best profile
-    (tc_leaf_profile's base) from the leaf classes that split instead of
-    walking from the root, with the same result; a probe over m leaves the
-    best profile as it was.  The returned gamma is log2 of the largest
-    internal class size, the smallest threshold with the same dictionary.
+    The dictionary is that of an integer class-size limit: the internal
+    nodes are the paths whose class sizes all stay within the limit, a set
+    that grows with it, and there are 1 + (k-1) * #internal leaves.  The
+    search narrows [lo, hi): limits below lo, the smallest leaf size of the
+    best feasible dictionary, give no larger dictionary, and limits from hi
+    on give more than m leaves.  hi starts at m: every node of depth at most
+    log_k(m) has class size at most m, which makes more than m leaves.  Each
+    probe takes for its limit n the best dictionary's leaf size nearest the
+    geometric middle of [lo, hi) (the geometric middle itself before any
+    probe was feasible): a leaf splits once the limit reaches its size.
+    Every probe after the first feasible one is at a limit of at least lo,
+    so it extends the best profile (tc_leaf_profile's base) from the leaf
+    classes that split instead of walking from the root, with the same
+    result; a probe over m leaves the best profile as it was.  With no
+    feasible probe, the result is the profile at limit 0.  The returned
+    gamma is the profile's, log2 of the largest internal class size.
     Every probed limit is below m and the search reads only leaf sizes below
     hi <= m, so class sizes saturated at m decide it exactly: the counter it
     builds has cap m, and a given counter needs a cap of at least m.
@@ -780,7 +759,7 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
                     key=lambda v: abs(math.log(v) - mid))
         start = perf_counter()
         try:
-            best = tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
+            best = tc_leaf_profile(model, grid, n, leaf_cap=m,
                                    counter=counter, base=best)
             lo, fits, walked = best.min_leaf_size, True, best.walked
         except LeafCapExceeded as exc:
@@ -790,8 +769,7 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
                       "fits, %d leaves" % best.leaf_count if fits
                       else "over m=%d" % m, walked, 1e3 * (perf_counter() - start))
     if best is None:
-        best = tc_leaf_profile(model, grid, -1.0, counter=counter)
-    best.gamma = best.max_internal_value if best.max_internal_size else -1.0
+        best = tc_leaf_profile(model, grid, 0, counter=counter)
     return best.gamma, best
 
 

@@ -341,16 +341,16 @@ def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
-def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
+def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
                                  counter=None):
     """tc_leaf_profile with each child's size looked up from its whole count
     vector by size_for_counts, and one leaf row per parent edge
     merged at the end."""
-    limit = D.size_limit(gamma)
+    limit = operator.index(limit)
     counter = counter or Q.TypeCounter(model, grid)
     if limit >= counter.cap:
-        raise D.DictionaryError("gamma=%.6g needs class sizes above the "
-                                "counting cap %d" % (gamma, counter.cap))
+        raise D.DictionaryError("limit %d needs class sizes above the "
+                                "counting cap %d" % (limit, counter.cap))
     k = model.alphabet_size
     frontier = {(0,) * k: [1, 0]}
     sizes = {(0,) * k: 0}
@@ -384,7 +384,7 @@ def size_for_counts_leaf_profile(model, grid, gamma: float, leaf_cap=None,
                     max_internal = max(max_internal, size)
         frontier, sizes = nxt, nxt_sizes
         depth += 1
-    return D.TCProfile(float(gamma), merge_classes(leaf_classes), max_internal,
+    return D.TCProfile(merge_classes(leaf_classes), max_internal,
                        tuple(sorted(leaf_sizes)), mismatch_total)
 
 
@@ -408,14 +408,13 @@ def rerun_gamma_profile(model, grid, m: int, counter=None):
             n = min((v for v in best.leaf_sizes if v < hi),
                     key=lambda v: abs(math.log(v) - mid))
         try:
-            best = D.tc_leaf_profile(model, grid, math.log2(n), leaf_cap=m,
+            best = D.tc_leaf_profile(model, grid, n, leaf_cap=m,
                                      counter=counter)
             lo = best.min_leaf_size
         except D.LeafCapExceeded:
             hi = n
     if best is None:
-        best = D.tc_leaf_profile(model, grid, -1.0, counter=counter)
-    best.gamma = best.max_internal_value if best.max_internal_size else -1.0
+        best = D.tc_leaf_profile(model, grid, 0, counter=counter)
     return best.gamma, best
 
 
@@ -429,11 +428,11 @@ def composition_row(model, grid, ell) -> Dict[Tuple[int, ...], int]:
     return row
 
 
-def first_passage_oracle(model, grid, gamma: float, max_depth: int = 12,
+def first_passage_oracle(model, grid, limit: int, max_depth: int = 12,
                          max_nodes: int = 2000):
     """(segments, dipped-leaf count) of the threshold dictionary from its
     definition: a path stops at the first length whose class size, from
-    composition_row and rational cells, has log2 above gamma; a leaf is
+    composition_row and rational cells, exceeds limit; a leaf is
     dipped when some class size on its path is smaller than the one before.
     None when a path runs past max_depth or the tree has more than max_nodes
     nodes."""
@@ -456,7 +455,7 @@ def first_passage_oracle(model, grid, gamma: float, max_depth: int = 12,
             return None
         n = size(seq)
         dip = dip or n < parent
-        if math.log2(n) > gamma:
+        if n > limit:
             segments.append(seq)
             dipped += dip
         else:

@@ -14,6 +14,7 @@ import pytest
 
 import tccode
 from tccode import dictionary as D
+from tccode import qtypes as Q
 from tccode.cli import main
 
 
@@ -584,8 +585,6 @@ def test_tunstall_refuses_more_than_one_theta(tmp_path, capsys):
 
 
 def test_m_at_the_size_cap_fails_fast(tmp_path, capsys):
-    from tccode import qtypes as Q
-
     path = tmp_path / "d.txt"
     start = time.perf_counter()
     code, out, err = run(capsys, "build-dict", "--model", "ternary",
@@ -596,6 +595,16 @@ def test_m_at_the_size_cap_fails_fast(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "cap" in json.loads(err)["error"]
     assert not path.exists()
+
+
+def test_build_dict_past_2_47(tmp_path, capsys):
+    # A float log2 names no longer every limit here; the search's integer
+    # limits build the dictionary.
+    m = 2 ** 48
+    code, out, _ = run(capsys, "build-dict", "--model", "bernoulli", "--W", "11/2",
+                       "--M", str(m), "--out", str(tmp_path / "d.txt"))
+    assert code == 0
+    assert json.loads(out)["size"] <= m
 
 
 def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
@@ -844,7 +853,7 @@ def _five_letter_model(tmp_path) -> str:
 
 @pytest.mark.parametrize("model,m_list", [
     ("bernoulli", "3"),
-    ("bernoulli", "1024,2199023255552"),
+    ("bernoulli", "1024,%d" % Q.SIZE_CAP),
     ("five", "4"),
 ], ids=["below-4", "past-the-cap", "below-the-alphabet"])
 def test_sweep_checks_every_m_before_opening_out(tmp_path, capsys, model, m_list):
@@ -862,7 +871,7 @@ def test_sweep_checks_every_m_before_opening_out(tmp_path, capsys, model, m_list
 
 @pytest.mark.parametrize("model,m", [
     ("bernoulli", "3"),
-    ("bernoulli", "2199023255552"),
+    ("bernoulli", str(Q.SIZE_CAP)),
     ("five", "4"),
 ], ids=["below-4", "past-the-cap", "below-the-alphabet"])
 def test_evaluate_checks_m_before_it_builds(tmp_path, capsys, monkeypatch, model, m):
@@ -1369,6 +1378,32 @@ def test_converse_check_decides_n_far_past_the_segments(tmp_path, capsys, codec_
     report = json.loads(out.read_text())
     (row,) = report["reports"]
     assert report["passed"] and row["exhaustive"] and row["checked"] == 4 ** 3000
+
+
+def test_converse_check_decides_the_mass_identity_on_the_classes(tmp_path, capsys,
+                                                               codec_dict, monkeypatch):
+    # One more path in the pruned table's longest class, of mass 4^-16 at
+    # theta = 0, moves the overflow mass by less than 1e-9 and still breaks
+    # the identity.
+    from tccode import converse as C
+
+    real = C.table_leaf_classes
+
+    def one_more(trie):
+        classes = real(trie)
+        ell, counts, mult = classes[-1]
+        return classes[:-1] + [(ell, counts, mult + 1)]
+
+    monkeypatch.setattr(C, "table_leaf_classes", one_more)
+    out = tmp_path / "c.json"
+    code, _, _ = run(capsys, "converse-check", "--dict", str(codec_dict), "--n", "17",
+                     "--out", str(out))
+    report = json.loads(out.read_text())
+    (row,) = report["reports"]
+    (masses,) = row["mass_identity"]
+    assert code == 1 and not report["passed"]
+    assert row["event_equivalence"]
+    assert 0 < masses["gap"] <= 1e-9
 
 
 def test_converse_check_refuses_an_n_it_cannot_print(tmp_path, capsys, codec_dict):

@@ -28,6 +28,13 @@ QUAT = M.quaternary()
 GRID = Q.construction_grid()
 
 
+def limits(bits):
+    """Integer class-size limits up to 2**bits, spread evenly over their
+    log2."""
+    return st.integers(0, bits).flatmap(
+        lambda b: st.integers((1 << b) >> 1, 1 << b))
+
+
 def tc64():
     gamma, dictionary = D.choose_gamma(BERN, GRID, 64)
     return gamma, dictionary
@@ -54,18 +61,18 @@ def test_tc_first_passage_semantics():
                 counter, letter_counts(BERN, seg[:cut]))) <= gamma + 1e-12
 
 
-def _assert_expansion_matches_oracle(model, gamma, counter):
+def _assert_expansion_matches_oracle(model, limit, counter):
     # The explicit dictionary, expanded from the profile, equals the
     # first-passage definition segment by segment, dips included.
-    oracle = first_passage_oracle(model, GRID, gamma, max_depth=200,
+    oracle = first_passage_oracle(model, GRID, limit, max_depth=200,
                                   max_nodes=10 ** 5)
     assert oracle is not None
     segments, dipped = oracle
-    profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+    profile = D.tc_leaf_profile(model, GRID, limit, counter=counter)
     explicit = D.build_tc_dictionary(model, GRID, profile)
     assert explicit.segments == segments
     assert explicit.monotone_mismatches == dipped
-    assert explicit.gamma == gamma
+    assert explicit.gamma == profile.gamma
     assert profile.leaf_count == explicit.size
     assert profile.length_histogram() == explicit.segment_length_histogram()
     assert profile.monotone_mismatch_leaves == dipped
@@ -85,27 +92,28 @@ def test_expansion_hands_over_the_profile_leaf_classes(model, m):
 
 def test_profile_matches_explicit_build():
     counter = Q.TypeCounter(BERN, GRID)
-    for gamma in (2.0, 3.5, 5.0, 8.0):
-        _assert_expansion_matches_oracle(BERN, gamma, counter)
+    for limit in (4, 11, 32, 256):
+        _assert_expansion_matches_oracle(BERN, limit, counter)
 
 
 def test_profile_matches_explicit_build_ternary():
-    _assert_expansion_matches_oracle(TERN, 4.0, Q.TypeCounter(TERN, GRID))
+    _assert_expansion_matches_oracle(TERN, 16, Q.TypeCounter(TERN, GRID))
 
 
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from([BERN, TERN, QUAT]),
        side=st.builds(Fraction, st.integers(8, 30), st.integers(1, 7)),
        origin=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
-       gamma=st.floats(min_value=-0.5, max_value=5.0))
-def test_threshold_builds_match_definition(model, side, origin, gamma):
-    # Integer limits and integer dip checks reproduce the definition (float
-    # log2 against gamma, strict size decrease) on random rational grids.
+       limit=limits(5))
+def test_threshold_builds_match_definition(model, side, origin, limit):
+    # The walk over count classes, with its integer dip checks, reproduces
+    # the definition (each sequence's size against the limit, strict size
+    # decrease) on random rational grids.
     grid = Q.Grid(side=side, origin=origin)
-    oracle = first_passage_oracle(model, grid, gamma)
+    oracle = first_passage_oracle(model, grid, limit)
     assume(oracle is not None)
     segments, dipped = oracle
-    profile = D.tc_leaf_profile(model, grid, gamma)
+    profile = D.tc_leaf_profile(model, grid, limit)
     explicit = D.build_tc_dictionary(model, grid, profile)
     assert explicit.segments == segments
     assert explicit.monotone_mismatches == dipped
@@ -126,8 +134,8 @@ def _profile_or_raised(build, *args, **kwargs):
        side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
        origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
                        min_size=1, max_size=2),
-       gamma=st.floats(min_value=-0.5, max_value=10.0))
-def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma):
+       limit=limits(10))
+def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, limit):
     # Carrying each class's statistic sum from its parent reads the same
     # sizes as looking every child up from its counts: every TCProfile field
     # is equal, or both builds raise the same cap error.
@@ -136,9 +144,9 @@ def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, gamma)
     kwargs = dict(leaf_cap=3000, counter=counter)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q, "MAX_LENGTH", 80)
-        got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
+        got = _profile_or_raised(D.tc_leaf_profile, model, grid, limit, **kwargs)
         want = _profile_or_raised(size_for_counts_leaf_profile, model, grid,
-                                  gamma, **kwargs)
+                                  limit, **kwargs)
     assert got == want
 
 
@@ -147,13 +155,12 @@ def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
     # With the cap one above the limit every leaf size reads the cap itself.
     cap = 40
     counter = Q.TypeCounter(model, GRID, cap=cap)
-    gamma = math.log2(cap - 1)
-    profile = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
-    assert profile == size_for_counts_leaf_profile(model, GRID, gamma,
+    profile = D.tc_leaf_profile(model, GRID, cap - 1, counter=counter)
+    assert profile == size_for_counts_leaf_profile(model, GRID, cap - 1,
                                                    counter=counter)
     assert profile.leaf_sizes == (cap,)
-    with pytest.raises(D.DictionaryError, match="cap 40"):
-        D.tc_leaf_profile(model, GRID, math.log2(cap), counter=counter)
+    with pytest.raises(D.DictionaryError, match="limit 40 .* cap 40"):
+        D.tc_leaf_profile(model, GRID, cap, counter=counter)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,23 +168,23 @@ def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
        side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
        origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
                        min_size=1, max_size=2),
-       gamma=st.floats(min_value=-0.5, max_value=10.0),
-       step=st.floats(min_value=0.0, max_value=4.0))
+       limit=limits(10), step=st.integers(0, 4), nudge=st.integers(0, 15))
 def test_extending_a_profile_equals_the_walk_from_the_root(model, side, origin,
-                                                           gamma, step):
-    # Raising the limit from gamma's to gamma + step's and walking on from
-    # the leaf classes that split gives every TCProfile field, leaf paths
-    # included, of the walk from the root, or the same error.
+                                                           limit, step, nudge):
+    # Raising the limit up to about 2^step-fold and walking on from the leaf
+    # classes that split gives every TCProfile field, leaf paths included, of
+    # the walk from the root, or the same error.
     grid = Q.Grid(side=side, origin=tuple(origin))
     counter = Q.TypeCounter(model, grid)
     kwargs = dict(leaf_cap=3000, counter=counter)
+    raised = (limit << step) + nudge
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q, "MAX_LENGTH", 80)
-        base = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma, **kwargs)
+        base = _profile_or_raised(D.tc_leaf_profile, model, grid, limit, **kwargs)
         assume(not isinstance(base, type))
-        got = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma + step,
+        got = _profile_or_raised(D.tc_leaf_profile, model, grid, raised,
                                  base=base, **kwargs)
-        want = _profile_or_raised(D.tc_leaf_profile, model, grid, gamma + step,
+        want = _profile_or_raised(D.tc_leaf_profile, model, grid, raised,
                                   **kwargs)
     if (got, want) == (D.LeafCapExceeded, Q.CountingCapError):
         # The extension counts base's kept leaves from the start, so it can
@@ -197,7 +204,7 @@ def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
     # base keeps, and its frontier empties before the depth of a class it
     # starts from, so the rows it reads skip a length.
     counter = Q.TypeCounter(model, GRID)
-    base = D.tc_leaf_profile(model, GRID, math.log2(n), counter=counter)
+    base = D.tc_leaf_profile(model, GRID, n, counter=counter)
     rows = []
     real_row = Q.TypeCounter.row
 
@@ -207,9 +214,9 @@ def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q.TypeCounter, "row", row)
-        got = D.tc_leaf_profile(model, GRID, math.log2(extended_n),
-                                counter=counter, base=base)
-    want = D.tc_leaf_profile(model, GRID, math.log2(extended_n), counter=counter)
+        got = D.tc_leaf_profile(model, GRID, extended_n, counter=counter,
+                                base=base)
+    want = D.tc_leaf_profile(model, GRID, extended_n, counter=counter)
     assert got == want and got.leaf_paths == want.leaf_paths
     mult = {cls[:2]: cls[2] for cls in got.leaf_classes}
     assert any(paths[0] > extended_n and mult[cls[:2]] > cls[2]
@@ -220,16 +227,16 @@ def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
 
 def test_an_extension_over_the_cap_leaves_its_base_as_it_was():
     counter = Q.TypeCounter(BERN, GRID)
-    base = D.tc_leaf_profile(BERN, GRID, 3.0, counter=counter)
+    base = D.tc_leaf_profile(BERN, GRID, 8, counter=counter)
     before = copy.deepcopy(base)
     with pytest.raises(D.LeafCapExceeded):
-        D.tc_leaf_profile(BERN, GRID, math.log2(10), leaf_cap=47,
-                          counter=counter, base=base)
+        D.tc_leaf_profile(BERN, GRID, 10, leaf_cap=47, counter=counter,
+                          base=base)
     assert base == before
     assert (base.leaf_paths, base.walked) == (before.leaf_paths, before.walked)
     # A limit below base's internal sizes cannot be reached by extending.
     with pytest.raises(D.DictionaryError, match="extends"):
-        D.tc_leaf_profile(BERN, GRID, 1.0, counter=counter, base=base)
+        D.tc_leaf_profile(BERN, GRID, 2, counter=counter, base=base)
 
 
 def test_leaf_mass_normalizes():
@@ -251,29 +258,17 @@ def test_choose_gamma_is_maximal_step():
     # achievable class size must blow past the leaf budget.
     counter = Q.TypeCounter(BERN, GRID)
     gamma, profile = D.choose_gamma_profile(BERN, GRID, 64, counter=counter)
-    bigger = D.tc_leaf_profile(BERN, GRID, gamma + 1e-9, counter=counter)
+    bigger = D.tc_leaf_profile(BERN, GRID, profile.max_internal_size,
+                               counter=counter)
     assert bigger.leaf_count > 64 or bigger.leaf_count == profile.leaf_count
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=2 ** 70),
-       st.floats(min_value=-2.0, max_value=80.0), st.booleans())
-def test_size_limit_matches_log2(size, gamma, on_size):
-    if on_size:
-        gamma = math.log2(size)  # gamma exactly at an achievable log size
-    limit = D.size_limit(gamma)
-    assert limit == 0 or math.log2(limit) <= gamma < math.log2(limit + 1)
-    for n in (size, limit - 1, limit, limit + 1, limit + 2):
-        if n >= 1:
-            assert (n > limit) == (math.log2(n) > gamma)
 
 
 def _exhaustive_gamma_profile(model, m, counter):
     """The profile of the largest integer limit with at most m leaves, trying
     every limit below m."""
-    best = D.tc_leaf_profile(model, GRID, -1.0, counter=counter)
+    best = D.tc_leaf_profile(model, GRID, 0, counter=counter)
     for n in range(1, m):
-        profile = D.tc_leaf_profile(model, GRID, math.log2(n), counter=counter)
+        profile = D.tc_leaf_profile(model, GRID, n, counter=counter)
         if profile.leaf_count <= m:
             best = profile
     return best
@@ -286,9 +281,12 @@ def test_choose_gamma_matches_exhaustive_search(model, m):
     gamma, profile = D.choose_gamma_profile(model, GRID, m, counter=counter)
     best = _exhaustive_gamma_profile(model, m, counter)
     assert profile.leaf_classes == best.leaf_classes
-    # gamma is log2 of the largest internal size, and reproduces the profile.
-    assert gamma == (best.max_internal_value if best.max_internal_size else -1.0)
-    again = D.tc_leaf_profile(model, GRID, gamma, counter=counter)
+    # gamma is log2 of the largest internal size, a limit that reproduces
+    # the profile.
+    assert gamma == (math.log2(best.max_internal_size) if best.max_internal_size
+                     else -1.0)
+    again = D.tc_leaf_profile(model, GRID, profile.max_internal_size,
+                              counter=counter)
     assert again.leaf_classes == profile.leaf_classes
 
 
@@ -303,8 +301,7 @@ def test_next_size_above_gamma_exceeds_m(model, m):
     assert tuple(sorted(leaf_sizes)) == profile.leaf_sizes
     nxt = profile.min_leaf_size
     assert math.log2(nxt) > gamma
-    assert D.tc_leaf_profile(model, GRID, math.log2(nxt),
-                             counter=counter).leaf_count > m
+    assert D.tc_leaf_profile(model, GRID, nxt, counter=counter).leaf_count > m
 
 
 @settings(max_examples=25, deadline=None)
@@ -348,19 +345,19 @@ def test_gamma_search_at_cap_m_matches_the_full_cap(model, side, origin, m):
 
 
 def _probed(search, model, grid, m):
-    """search's result or error type, and the gammas it probed, with
+    """search's result or error type, and the limits it probed, with
     MAX_LENGTH at 80."""
-    gammas = []
+    probes = []
     real = D.tc_leaf_profile
 
-    def probe(model, grid, gamma, *args, **kwargs):
-        gammas.append(gamma)
-        return real(model, grid, gamma, *args, **kwargs)
+    def probe(model, grid, limit, *args, **kwargs):
+        probes.append(limit)
+        return real(model, grid, limit, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q, "MAX_LENGTH", 80)
         patch.setattr(D, "tc_leaf_profile", probe)
-        return _profile_or_raised(search, model, grid, m), gammas
+        return _profile_or_raised(search, model, grid, m), probes
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +367,7 @@ def _probed(search, model, grid, m):
                        min_size=1, max_size=2),
        m=st.integers(4, 4096))
 def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
-    # Extending the best profile probes the gammas the search that walks
+    # Extending the best profile probes the limits the search that walks
     # every probe from the root probes, and returns its gamma and profile.
     assume(m >= model.alphabet_size)
     grid = Q.Grid(side=side, origin=tuple(origin))
@@ -388,18 +385,18 @@ def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
 
 
 def test_gamma_search_logs_each_probe_at_debug(caplog, monkeypatch):
-    limits = []
+    probes = []
     real = D.tc_leaf_profile
 
-    def probe(model, grid, gamma, *args, **kwargs):
-        limits.append(D.size_limit(gamma))
-        return real(model, grid, gamma, *args, **kwargs)
+    def probe(model, grid, limit, *args, **kwargs):
+        probes.append(limit)
+        return real(model, grid, limit, *args, **kwargs)
 
     monkeypatch.setattr(D, "tc_leaf_profile", probe)
     with caplog.at_level(logging.DEBUG, logger="tccode.dictionary"):
         D.choose_gamma_profile(TERN, GRID, 500)
-    assert len(limits) > 2
-    assert [r.args[0] for r in caplog.records] == limits
+    assert len(probes) > 2
+    assert [r.args[0] for r in caplog.records] == probes
     assert all(r.name == "tccode.dictionary" and r.levelno == logging.DEBUG
                for r in caplog.records)
     messages = [r.getMessage() for r in caplog.records]
@@ -417,7 +414,55 @@ def test_gamma_search_refuses_sizes_past_the_cap():
         D.choose_gamma_profile(BERN, GRID, Q.SIZE_CAP)
     for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
         with pytest.raises(D.DictionaryError, match="cap"):
-            build(BERN, GRID, math.log2(Q.SIZE_CAP))
+            build(BERN, GRID, Q.SIZE_CAP)
+
+
+def test_a_float_limit_is_a_type_error():
+    # A threshold of 3.5 stood for the limit 11, not 3: a float is refused
+    # instead of being read as some integer.
+    for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
+        with pytest.raises(TypeError):
+            build(BERN, GRID, 3.5)
+
+
+def test_gamma_search_probes_the_limits_it_chose_past_2_47():
+    # Past 2^47 a float log2 no longer names every integer, so a probe at
+    # log2(n) would test some other limit.  Each feasible probe's profile
+    # brackets its limit exactly, and the limit just below its smallest leaf
+    # size, often the same float log2, keeps that leaf size a leaf.  Every
+    # probe after the first feasible one is a leaf size of the best profile
+    # so far, and the search returns what the search walking every probe
+    # from the root returns.
+    grid = Q.Grid(side=Fraction(11, 2), origin=(Fraction(-1, 3),))
+    m = 2 ** 52
+    probes = []
+    real = D.tc_leaf_profile
+
+    def probe(model, grid, limit, *args, **kwargs):
+        try:
+            profile = real(model, grid, limit, *args, **kwargs)
+        except D.LeafCapExceeded:
+            probes.append((limit, None, None))
+            raise
+        probes.append((limit, profile, kwargs["counter"]))
+        return profile
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "tc_leaf_profile", probe)
+        got = D.choose_gamma_profile(BERN, grid, m)
+    assert got == rerun_gamma_profile(BERN, grid, m)
+    assert any(limit > 2 ** 47 for limit, profile, _ in probes if profile)
+    best = None
+    for limit, profile, counter in probes:
+        if best is not None:
+            assert limit in best.leaf_sizes
+        if profile is not None:
+            assert profile.max_internal_size <= limit < profile.min_leaf_size
+            below = real(BERN, grid, profile.min_leaf_size - 1, counter=counter,
+                         base=profile)
+            assert below == profile
+            best = profile
+    assert got[1] is best
 
 
 def test_ternary_gamma_at_scale():
@@ -438,19 +483,19 @@ def test_depth_cap_on_aligned_grid():
         patch.setattr(Q, "MAX_LENGTH", 200)
         for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
             with pytest.raises(Q.CountingCapError, match="ell=201 .*isolate"):
-                build(BERN, Q.Grid(), 2.0)
+                build(BERN, Q.Grid(), 4)
 
 
 def test_leaf_cap():
     for build in (D.tc_leaf_profile, size_for_counts_leaf_profile):
         with pytest.raises(D.LeafCapExceeded):
-            build(BERN, GRID, 8.0, leaf_cap=16)
+            build(BERN, GRID, 256, leaf_cap=16)
 
 
 def test_expansion_rejects_a_foreign_profile():
     # A ternary node never has a bernoulli leaf's counts, so the expansion
     # stops at the profile's longest segment instead of descending forever.
-    profile = D.tc_leaf_profile(BERN, GRID, 3.5)
+    profile = D.tc_leaf_profile(BERN, GRID, 11)
     with pytest.raises(D.DictionaryError):
         D.build_tc_dictionary(TERN, GRID, profile)
 
@@ -564,11 +609,11 @@ def test_leaf_class_masses_match_segments_tunstall(model, theta, m, n):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([BERN, TERN, QUAT]), st.sampled_from([1.0, 2.5, 4.0, 5.5]),
+@given(st.sampled_from([BERN, TERN, QUAT]), st.sampled_from([2, 5, 16, 45]),
        _THETAS, st.integers(min_value=1, max_value=12))
-def test_leaf_class_masses_match_segments_threshold(model, gamma, theta, n):
+def test_leaf_class_masses_match_segments_threshold(model, limit, theta, n):
     theta = theta[:model.stat_dim]
-    d = D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
+    d = D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, limit))
     _assert_masses_match_segment_oracle(d, theta, n)
 
 
@@ -681,8 +726,8 @@ def corrupted_dictionary_texts(draw):
     if draw(st.booleans()):
         d = D.build_tunstall(model, [0.5], draw(st.integers(min_value=3, max_value=12)))
     else:
-        gamma = draw(st.sampled_from([1.0, 2.5, 4.0]))
-        d = D.tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
+        limit = draw(st.sampled_from([2, 5, 16]))
+        d = D.tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, limit))
     header_line, *lines = D.dictionary_to_text(d).splitlines()
     header = json.loads(header_line)
     how = draw(st.sampled_from(["header", "drop-key", "set-key", "set-nested",

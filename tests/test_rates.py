@@ -101,8 +101,10 @@ def test_eps_coding_rate_matches_support_scan(weights, eps, n_samples, at):
 
 def test_profile_matches_exact_distribution():
     counter = Q.TypeCounter(BERN, GRID)
-    gamma, dictionary = D.choose_gamma(BERN, GRID, 64)
-    profile = D.tc_leaf_profile(BERN, GRID, gamma, counter=counter)
+    _, searched = D.choose_gamma_profile(BERN, GRID, 64)
+    dictionary = D.tc_dictionary(BERN, GRID, searched, m_target=64)
+    profile = D.tc_leaf_profile(BERN, GRID, searched.max_internal_size,
+                                counter=counter)
     for theta in (-2.0, 0.7):
         a = R.exact_rate_distribution(dictionary, [theta])
         b = R.profile_rate_distribution(profile, BERN, [theta], 64)

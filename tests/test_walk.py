@@ -34,8 +34,8 @@ def dictionaries(draw):
                               min_size=model.stat_dim, max_size=model.stat_dim))
         return D.build_tunstall(model, theta, draw(st.integers(min_value=4,
                                                                max_value=200)))
-    gamma = draw(st.sampled_from([1.0, 2.5, 4.0, 5.5]))
-    return D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, gamma))
+    limit = draw(st.sampled_from([2, 5, 16, 45]))
+    return D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, limit))
 
 
 @settings(max_examples=40, deadline=None)
