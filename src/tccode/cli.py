@@ -121,14 +121,27 @@ def _resolve_grid(args, model) -> _qtypes.Grid:
     return _qtypes.Grid(side=side, origin=origin)
 
 
-def _check_rate_m(m: int, model, source: str = "--M") -> None:
-    """Refuse an M the rate prediction does not cover (M < 4), that no
-    dictionary reaches (M below the alphabet size) or that class sizes
-    cannot decide (M at the cap); source names where M came from."""
-    if m < max(4, model.alphabet_size) or m >= _qtypes.SIZE_CAP:
-        raise CliError("%s %d must satisfy M >= 4, M >= the alphabet size %d "
-                       "and M < the class-size cap %d"
-                       % (source, m, model.alphabet_size, _qtypes.SIZE_CAP))
+def _one_m(command: str, text) -> int:
+    """The single M in the --M text of command, which builds one
+    dictionary."""
+    m_values = _parse_int_list(text) if text is not None else []
+    if len(m_values) != 1:
+        raise CliError("%s needs exactly one --M value" % command)
+    return m_values[0]
+
+
+# The least M the rate prediction covers.
+RATE_MIN_M = 4
+
+
+def _check_m(m: int, model, least: int, source: str = "--M") -> None:
+    """Refuse an M below least, one that no dictionary reaches (below the
+    alphabet size) or one that class sizes cannot decide (at the cap);
+    source names where M came from."""
+    least = max(least, model.alphabet_size)
+    if not least <= m < _qtypes.SIZE_CAP:
+        raise CliError("%s %d must satisfy M >= %d and M < the class-size cap %d"
+                       % (source, m, least, _qtypes.SIZE_CAP))
 
 
 def _config_value(key: str, value):
@@ -198,10 +211,8 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def cmd_build_dict(args) -> int:
     model = _resolve_model(args.model)
     grid = _resolve_grid(args, model)
-    m_values = _parse_int_list(args.M) if args.M is not None else None
-    if not m_values or len(m_values) != 1:
-        raise CliError("build-dict needs exactly one --M value")
-    m = m_values[0]
+    m = _one_m("build-dict", args.M)
+    _check_m(m, model, 0)
     gamma, dictionary = _dict.choose_gamma(model, grid, m)
     if args.out:
         _dict.save_dictionary(dictionary, args.out)
@@ -231,16 +242,14 @@ def cmd_tunstall(args) -> int:
     thetas = _thetas(args, model)
     if len(thetas) != 1:
         raise CliError("tunstall needs exactly one --theta value")
-    m_values = _parse_int_list(args.M) if args.M is not None else None
-    if not m_values or len(m_values) != 1:
-        raise CliError("tunstall needs exactly one --M value")
-    dictionary = _dict.build_tunstall(model, thetas[0], m_values[0])
+    m = _one_m("tunstall", args.M)
+    dictionary = _dict.build_tunstall(model, thetas[0], m)
     if args.out:
         _dict.save_dictionary(dictionary, args.out)
     _emit({
         "kind": "tunstall",
         "model": model.name,
-        "M": m_values[0],
+        "M": m,
         "theta": list(thetas[0]),
         "size": dictionary.size,
         "codeword_width": dictionary.codeword_width,
@@ -313,7 +322,8 @@ def cmd_evaluate(args) -> int:
         if args.model is not None and _resolve_model(args.model) != model:
             raise CliError("--model %s is not the model %s of --dict %s"
                            % (args.model, model.name, args.dict))
-        _check_rate_m(dictionary.m_target, model, "--dict %s: its M" % args.dict)
+        _check_m(dictionary.m_target, model, RATE_MIN_M,
+                 "--dict %s: its M" % args.dict)
     else:
         dictionary = None
         model = _resolve_model(args.model)
@@ -326,12 +336,9 @@ def cmd_evaluate(args) -> int:
     if mode == "mc" and trials < 1:
         raise CliError("--trials must be positive, got %d" % trials)
     if dictionary is None:
-        m_values = _parse_int_list(args.M) if args.M is not None else None
-        if not m_values or len(m_values) != 1:
-            raise CliError("evaluate needs --dict or exactly one --M value")
-        _check_rate_m(m_values[0], model)
-        _, dictionary = _dict.choose_gamma(model, _resolve_grid(args, model),
-                                           m_values[0])
+        m = _one_m("evaluate", args.M)
+        _check_m(m, model, RATE_MIN_M)
+        _, dictionary = _dict.choose_gamma(model, _resolve_grid(args, model), m)
     m = dictionary.m_target
 
     rows = []
@@ -422,7 +429,7 @@ def cmd_sweep(args) -> int:
     if trials < 0:
         raise CliError("--trials must be nonnegative, got %d" % trials)
     for m in m_values:
-        _check_rate_m(m, model)
+        _check_m(m, model, RATE_MIN_M)
     out = args.out
     if not out:
         raise CliError("sweep needs --out for its CSV")

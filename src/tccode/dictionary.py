@@ -222,16 +222,6 @@ class Trie:
             below[base // k] = total
         self.offsets = offsets
         self.leaves = below[0]
-        self._arrays = None
-
-    def arrays(self):
-        """(cells, offsets) as int64 numpy arrays, for the bulk walk."""
-        if self._arrays is None:
-            import numpy as np
-
-            self._arrays = (np.array(self.cells, dtype=np.int64),
-                            np.array(self.offsets, dtype=np.int64))
-        return self._arrays
 
 
 def build_trie(segments: Iterable[Segment], k: int) -> Trie:
@@ -378,45 +368,6 @@ def unrank(trie: Trie, index: int) -> Segment:
         letters.append(cell - base)
         base = cells[cell]
     return tuple(letters)
-
-
-def walk_block(trie: Trie, letters):
-    """Descend the table along every row of a (rows, width) letter array
-    at once, for Monte-Carlo sampling.
-
-    Returns (leaf rank, depth) arrays; a row that reaches no leaf within
-    the width has rank -1 and depth width.  A letter outside 0..k-1 or with
-    no child, in any row, raises DictionaryError.
-    """
-    import numpy as np
-
-    letters = np.asarray(letters)
-    n, width = letters.shape
-    if letters.size and (letters.min() < 0 or letters.max() >= trie.k):
-        raise DictionaryError("letter outside [0, %d) in block" % trie.k)
-    cells, offsets = trie.arrays()
-    index = np.full(n, -1, dtype=np.int64)
-    depth = np.full(n, width, dtype=np.int64)
-    active = np.arange(n)
-    node = np.zeros(n, dtype=np.int64)
-    rank = np.zeros(n, dtype=np.int64)
-    for d in range(width):
-        cell = node + letters[active, d]
-        entry = cells[cell]
-        if not entry.all():
-            raise DictionaryError("letter not parseable at depth %d" % (d + 1))
-        rank += offsets[cell]
-        leaf = entry < 0
-        done = active[leaf]
-        index[done] = rank[leaf]
-        depth[done] = d + 1
-        inner = ~leaf
-        active = active[inner]
-        if not active.size:
-            break
-        node = entry[inner]
-        rank = rank[inner]
-    return index, depth
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,12 @@ def theta_floats(theta) -> List[float]:
 # is a math.fsum, so these few scalars need no arrays.
 
 def _dots(model: ExpFamilyModel, theta) -> List[float]:
-    """<theta, tau(x)> for each letter x."""
+    """<theta, tau(x)> for each letter x.  A theta whose dimension is not
+    the model's raises ModelError."""
     theta = theta_floats(theta)
+    if len(theta) != model.stat_dim:
+        raise ModelError("theta %r has dimension %d, not the %d of model %s"
+                         % (theta, len(theta), model.stat_dim, model.name))
     return [math.fsum(float(v) * t for v, t in zip(row, theta)) for row in model.tau]
 
 
@@ -119,22 +123,6 @@ def entropy_varentropy(model: ExpFamilyModel, theta) -> Tuple[float, float]:
     h = -math.fsum(px * v for px, v in zip(p, lp))
     var = math.fsum(px * v * v for px, v in zip(p, lp)) - h * h
     return h, max(var, 0.0)
-
-
-# Rows per block of sampled letters, which keeps the bulk walk's arrays small.
-BLOCK_ROWS = 4096
-
-
-def sample_blocks(model: ExpFamilyModel, theta, seed: int, rows: int, width: int):
-    """rows i.i.d. letter rows of the given width under p_theta, as arrays
-    of at most BLOCK_ROWS rows, all drawn from one generator of the seed."""
-    import numpy as np
-
-    p = probs(model, theta)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    for start in range(0, rows, BLOCK_ROWS):
-        yield rng.choice(model.alphabet_size,
-                         size=(min(BLOCK_ROWS, rows - start), width), p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,7 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
 # min(a + b, C) == min(min(a, C) + min(b, C), C) for a, b >= 0.
 # SIZE_CAP is also the one bound on M.  The CLI and the gamma search refuse
 # M >= SIZE_CAP before any output, where the counting caps below can take
-# seconds to refuse, and a dictionary below it keeps its segment ranks and
-# table offsets in the int64 arrays of the Monte-Carlo walk (Trie.arrays,
-# walk_block).
+# seconds to refuse.
 SIZE_CAP = 2 ** 62
 # Longest length one TypeCounter counts, refused before counting anything.
 MAX_LENGTH = 2 ** 15

@@ -9,15 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .dictionary import Dictionary, TCProfile, length_masses, walk_block
-from .models import (
-    ExpFamilyModel,
-    ModelError,
-    entropy_varentropy,
-    log_partition,
-    probs,
-    sample_blocks,
-)
+from .dictionary import Dictionary, DictionaryError, TCProfile, length_masses
+from .models import ExpFamilyModel, ModelError, entropy_varentropy, log_partition, probs
 from .normal import gaussian_quantile, gaussian_tail
 from .qtypes import CountingCapError, scaled_statistics
 
@@ -68,20 +61,40 @@ def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
                             m_for_rate)
 
 
+# Samples walked together by mc_rate_distribution: its arrays hold at most
+# this many entries besides the table.
+MC_BLOCK_ROWS = 4096
+
+
 def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
                          seed: int) -> RateDistribution:
-    """Empirical first-segment length distribution over sampled streams."""
+    """Empirical first-segment length distribution over sampled streams.
+
+    The samples walk the table in blocks of MC_BLOCK_ROWS, each from the
+    root.  At each depth every sample still walking draws one letter under
+    p_theta, all from one generator of the seed, so a sample draws only the
+    letters its parse reads.  A missing child raises DictionaryError.
+    """
     import numpy as np
 
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    max_len = dictionary.max_segment_length()
-    trie = dictionary.trie()
-    counts = np.zeros(max_len + 1, dtype=np.int64)
-    for letters in sample_blocks(dictionary.model, theta, seed, n_samples, max_len):
-        _, depth = walk_block(trie, letters)
-        counts += np.bincount(depth, minlength=max_len + 1)
-    masses = {ell: int(c) / n_samples for ell, c in enumerate(counts) if c}
+    k = dictionary.model.alphabet_size
+    p = np.array(probs(dictionary.model, theta))
+    cells = np.array(dictionary.trie().cells, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    ended: Dict[int, int] = {}
+    for start in range(0, n_samples, MC_BLOCK_ROWS):
+        node = np.zeros(min(MC_BLOCK_ROWS, n_samples - start), dtype=np.int64)
+        depth = 0
+        while node.size:
+            depth += 1
+            entry = cells[node + rng.choice(k, size=node.size, p=p)]
+            if not entry.all():
+                raise DictionaryError("letter not parseable at depth %d" % depth)
+            node = entry[entry > 0]
+            ended[depth] = ended.get(depth, 0) + entry.size - node.size
+    masses = {ell: c / n_samples for ell, c in ended.items() if c}
     return RateDistribution(masses, dictionary.m_target, mode="mc",
                             n_samples=n_samples)
 

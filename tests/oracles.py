@@ -275,7 +275,7 @@ def walk(trie, letters) -> Tuple[Optional[int], int]:
     needed: (leaf rank, depth) at the first leaf reached, or (None, letters
     read) when the letters run out first.  A letter outside the alphabet or
     with no child raises DictionaryError.  The scalar reference of
-    walk_block."""
+    the Monte-Carlo walk and of the converse check's co-walk."""
     cells, offsets, k = trie.cells, trie.offsets, trie.k
     node = rank = depth = 0
     for letter in letters:
@@ -472,23 +472,30 @@ def eps_rate_scan(dist, eps: float):
     return (max(exceeding), False) if exceeding else (min(support), True)
 
 
-def sampled_words(model, theta, seed: int, rows: int, width: int) -> Iterator[Segment]:
-    """The rows models.sample_blocks draws, one at a time: 4096 rows a draw
-    from one generator of the seed."""
+def sampled_words(dictionary, theta, seed: int, rows: int) -> Iterator[Segment]:
+    """The letters mc_rate_distribution draws for each of rows samples, from
+    one generator of the seed, in blocks of 4096 samples: at each depth, one
+    draw of a letter for every sample of the block whose letters so far
+    reach no leaf by the scalar walk."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    p = M.probs(model, theta)
+    k, trie = dictionary.model.alphabet_size, dictionary.trie()
+    p = M.probs(dictionary.model, theta)
     for start in range(0, rows, 4096):
-        block = rng.choice(model.alphabet_size, size=(min(4096, rows - start), width), p=p)
-        yield from map(tuple, block.tolist())
+        words = [[] for _ in range(min(4096, rows - start))]
+        walking = words
+        while walking:
+            for word, letter in zip(walking, rng.choice(k, size=len(walking), p=p).tolist()):
+                word.append(letter)
+            walking = [word for word in walking if walk(trie, word)[0] is None]
+        yield from map(tuple, words)
 
 
 def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, float]:
-    """mc_rate_distribution's masses with one scalar walk per sampled row,
-    drawing the same letters: max_segment_length per row."""
+    """mc_rate_distribution's masses with one scalar walk per sample, over
+    the letters sampled_words draws."""
     counts: Dict[int, int] = {}
-    for row in sampled_words(dictionary.model, theta, seed, n_samples,
-                             dictionary.max_segment_length()):
-        _, depth = walk(dictionary.trie(), row)
+    for word in sampled_words(dictionary, theta, seed, n_samples):
+        _, depth = walk(dictionary.trie(), word)
         counts[depth] = counts.get(depth, 0) + 1
     return {ell: c / n_samples for ell, c in counts.items()}
 

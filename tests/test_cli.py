@@ -897,6 +897,47 @@ def test_evaluate_checks_m_before_it_builds(tmp_path, capsys, monkeypatch, model
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,m", [
+    ("bernoulli", "1"),
+    ("bernoulli", str(Q.SIZE_CAP)),
+    ("five", "4"),
+], ids=["below-the-alphabet", "past-the-cap", "below-five-letters"])
+def test_build_dict_checks_m_before_it_builds(tmp_path, capsys, monkeypatch, model, m):
+    from tccode import dictionary as D
+
+    built = []
+
+    def choose_gamma(*args, **kwargs):
+        built.append(args)
+        raise D.DictionaryError("choose_gamma ran")
+
+    monkeypatch.setattr(D, "choose_gamma", choose_gamma)
+    if model == "five":
+        model = _five_letter_model(tmp_path)
+    path = tmp_path / "d.txt"
+    code, stdout, err = run(capsys, "build-dict", "--model", model, "--M", m,
+                            "--out", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("--M %s must satisfy" % m)
+    assert built == []
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("build-dict", ["--model", "bernoulli"]),
+    ("tunstall", ["--model", "bernoulli", "--theta", "0"]),
+    ("evaluate", ["--model", "bernoulli"]),
+])
+@pytest.mark.parametrize("m", [None, "64,128"])
+def test_one_dictionary_needs_exactly_one_m(capsys, command, flags, m):
+    code, stdout, err = run(capsys, command, *flags, *(["--M", m] if m else []))
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "%s needs exactly one --M value" % command
+
+
 def test_evaluate_dict_checks_the_files_m(tmp_path, capsys):
     # A 3-leaf Tunstall file is below the M >= 4 the rate prediction covers.
     path = tmp_path / "t.dict"

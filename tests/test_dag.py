@@ -1,6 +1,7 @@
 """The count-class DAG of a threshold dictionary against the explicit
-segments of the build_tc_dictionary oracle, and format-2 files against
-format-1 files of the same build."""
+segments of the build_tc_dictionary oracle, its Monte-Carlo walk against
+the scalar oracle walk, and format-2 files against format-1 files of the
+same build."""
 
 import json
 from fractions import Fraction
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
+from tccode import rates as R
 from tccode.cli import main
 
-from oracles import FRAC, format1_text, table_segments, walk
+from oracles import FRAC, format1_text, mc_length_masses, table_segments, walk
 
 
 BERN = M.bernoulli()
@@ -67,16 +69,14 @@ def test_dag_ranks_and_unranks_every_oracle_segment(build):
 
 
 @settings(max_examples=40, deadline=None)
-@given(threshold_builds(), st.integers(1, 40), st.integers(0, 3), st.integers(0))
-def test_dag_walk_block_matches_scalar_walk(build, rows, extra, seed):
+@given(threshold_builds(), st.floats(-1.0, 1.0), st.integers(1, 5000), st.integers(0))
+def test_dag_mc_masses_match_scalar_oracle(build, theta, n_samples, seed):
     model, grid, profile = build
-    dag = D.tc_dictionary(model, grid, profile).trie()
-    width = max(1, profile.max_length() - 2 + extra)
-    letters = np.random.default_rng(seed).integers(
-        0, model.alphabet_size, size=(rows, width))
-    index, depth = D.walk_block(dag, letters)
-    for row, i, ell in zip(letters, index, depth):
-        assert (i if i >= 0 else None, ell) == walk(dag, row.tolist())
+    dag = D.tc_dictionary(model, grid, profile)
+    theta = (theta,) * model.stat_dim
+    dist = R.mc_rate_distribution(dag, theta, n_samples, seed)
+    assert dist.masses == dict(sorted(mc_length_masses(dag, theta, n_samples,
+                                                       seed).items()))
 
 
 @settings(max_examples=30, deadline=None)

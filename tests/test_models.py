@@ -140,6 +140,28 @@ def test_model_validation_errors():
                          theta_box=((1, -1),))
 
 
+@pytest.mark.parametrize("model,theta", [
+    (M.quaternary(), [0.5]),
+    (M.quaternary(), 0.5),
+    (M.quaternary(), [0.5, -1.0, 2.0]),
+    (BERN, [0.5, 3.0]),
+    (TERN, []),
+])
+def test_theta_of_the_wrong_dimension_is_refused(model, theta):
+    for float_path in (M.log_partition, M.letter_log_probs, M.probs,
+                       M.entropy_varentropy):
+        with pytest.raises(M.ModelError, match="dimension"):
+            float_path(model, theta)
+    with pytest.raises(M.ModelError, match="dimension"):
+        D.length_masses(model, [(1, (1,) + (0,) * (model.alphabet_size - 1), 1)],
+                        theta)
+
+
+def test_bare_number_is_a_one_dimensional_theta():
+    assert M.probs(BERN, 0.5) == M.probs(BERN, [0.5])
+    assert M.entropy_varentropy(TERN, -1) == M.entropy_varentropy(TERN, (-1.0,))
+
+
 def test_serialization_round_trip(tmp_path):
     path = tmp_path / "model.json"
     M.save_model(TERN, path)

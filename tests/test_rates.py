@@ -127,6 +127,23 @@ def test_mc_distribution_deterministic_and_consistent():
     assert est.ci_halfwidth is not None and est.ci_halfwidth >= 0.0
 
 
+def test_mc_memory_does_not_grow_with_the_longest_segment():
+    """The walk holds the table as an int64 array (15 644 cells, 125 KB
+    here) and a few arrays of at most MC_BLOCK_ROWS entries, so 4096
+    samples stay below 2 MB however long the longest segment.  A block of
+    4096 samples at its full length of 1 721 letters would be 56 MB of
+    int64 letters alone."""
+    _, d = D.choose_gamma(BERN, GRID, 2 ** 24)
+    assert d.max_segment_length() >= 1700
+    tracemalloc.start()
+    try:
+        R.mc_rate_distribution(d, (0.0,), 4096, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_negative_mass_rejected():
     with pytest.raises(ValueError):
         R.RateDistribution({1: -0.1}, 4)

@@ -1,13 +1,11 @@
-"""The bulk walks (walk_block, Monte-Carlo sampling) and the converse
-check's co-walk of both tables against the scalar oracle walk, word by
-word."""
+"""The Monte-Carlo walk and the converse check's co-walk of both tables
+against the scalar oracle walk, sample by sample and word by word."""
 
 import itertools
 import time
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tccode import converse as C
@@ -27,36 +25,23 @@ GRID = Q.construction_grid()
 
 @st.composite
 def dictionaries(draw):
-    """Random Tunstall and threshold dictionaries over k = 2, 3, 4."""
+    """Random Tunstall dictionaries and threshold dictionaries, the latter
+    as explicit segments or as their count-class DAG, over k = 2, 3, 4."""
     model = draw(st.sampled_from([BERN, TERN, QUAT]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["tunstall", "explicit", "dag"]))
+    if kind == "tunstall":
         theta = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
                               min_size=model.stat_dim, max_size=model.stat_dim))
         return D.build_tunstall(model, theta, draw(st.integers(min_value=4,
                                                                max_value=200)))
     limit = draw(st.sampled_from([2, 5, 16, 45]))
-    return D.build_tc_dictionary(model, GRID, D.tc_leaf_profile(model, GRID, limit))
+    build = D.build_tc_dictionary if kind == "explicit" else D.tc_dictionary
+    return build(model, GRID, D.tc_leaf_profile(model, GRID, limit))
 
 
-@settings(max_examples=40, deadline=None)
-@given(dictionaries(), st.integers(min_value=1, max_value=50),
-       st.integers(min_value=0, max_value=3), st.integers(min_value=0))
-def test_walk_block_matches_scalar_walk(d, rows, extra, seed):
-    k = d.model.alphabet_size
-    # Widths below the longest segment leave some rows without a leaf.
-    width = max(1, d.max_segment_length() - 2 + extra)
-    letters = np.random.default_rng(seed).integers(0, k, size=(rows, width))
-    index, depth = D.walk_block(d.trie(), letters)
-    for row, i, ell in zip(letters, index, depth):
-        want_index, want_depth = walk(d.trie(), row.tolist())
-        assert (i if i >= 0 else None, ell) == (want_index, want_depth)
-
-
-def test_walk_block_rejects_foreign_letters():
+def test_parse_rejects_foreign_letters():
     d = D.build_tunstall(TERN, [0.3], 20)
     for bad in (-1, 3):
-        with pytest.raises(D.DictionaryError):
-            D.walk_block(d.trie(), np.array([[0, bad, 0]]))
         with pytest.raises(D.DictionaryError, match="out of range"):
             d.parse([0, bad])
 
@@ -65,11 +50,14 @@ def test_walks_reject_a_missing_child():
     d = D.Dictionary(model=BERN, grid=GRID, segments=((0, 0), (1,)), m_target=3)
     with pytest.raises(D.DictionaryError):
         d.parse([0, 1])
-    with pytest.raises(D.DictionaryError):
-        D.walk_block(d.trie(), np.array([[1, 0], [0, 1]]))
+    # At theta = 0 a quarter of the samples draw 0 then 1.
+    with pytest.raises(D.DictionaryError, match="not parseable at depth 2"):
+        R.mc_rate_distribution(d, [0.0], 64, 0)
 
 
 @settings(max_examples=15, deadline=None)
+@example(D.tc_dictionary(QUAT, GRID, D.tc_leaf_profile(QUAT, GRID, 45)),
+         [0.5, -1.0], 9000, 7)  # three blocks, the last one partial
 @given(dictionaries(), st.lists(st.floats(min_value=-3.0, max_value=3.0),
                                 min_size=2, max_size=2),
        st.integers(min_value=1, max_value=9000), st.integers(min_value=0, max_value=2 ** 32))
