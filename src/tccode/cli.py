@@ -243,6 +243,7 @@ def cmd_tunstall(args) -> int:
     if len(thetas) != 1:
         raise CliError("tunstall needs exactly one --theta value")
     m = _one_m("tunstall", args.M)
+    _check_m(m, model, 0)
     dictionary = _dict.build_tunstall(model, thetas[0], m)
     if args.out:
         _dict.save_dictionary(dictionary, args.out)

@@ -6,6 +6,7 @@ on a sequence only through its integer statistic sum."""
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -61,42 +62,157 @@ def profile_rate_distribution(profile: TCProfile, model: ExpFamilyModel, theta,
                             m_for_rate)
 
 
-# Samples walked together by mc_rate_distribution: its arrays hold at most
-# this many entries besides the table.
-MC_BLOCK_ROWS = 4096
-
-
 def mc_rate_distribution(dictionary: Dictionary, theta, n_samples: int,
                          seed: int) -> RateDistribution:
     """Empirical first-segment length distribution over sampled streams.
 
-    The samples walk the table in blocks of MC_BLOCK_ROWS, each from the
-    root.  At each depth every sample still walking draws one letter under
-    p_theta, all from one generator of the seed, so a sample draws only the
-    letters its parse reads.  A missing child raises DictionaryError.
+    The samples that reach one table row are exchangeable, so they walk on
+    as one count: at each depth every row of the frontier splits its count
+    over the letters 0..k-1, letter x taking Binomial(rest, p_x / sum of
+    p_y over y >= x) of the samples not yet placed and the last letter the
+    rest, all drawn by _binomial from one random.Random of the seed.  Shares
+    that reach a leaf end at that depth; shares that reach a row merge into
+    the next frontier.  A nonzero share at a missing child raises
+    DictionaryError.  The cost follows the rows walked, not the samples.
     """
-    import numpy as np
-
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     k = dictionary.model.alphabet_size
-    p = np.array(probs(dictionary.model, theta))
-    cells = np.array(dictionary.trie().cells, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    p = probs(dictionary.model, theta)
+    split = []
+    for x in range(k - 1):
+        tail = math.fsum(p[x:])
+        split.append(p[x] / tail if tail else 1.0)
+    cells = dictionary.trie().cells
+    rng = random.Random(int(seed))
     ended: Dict[int, int] = {}
-    for start in range(0, n_samples, MC_BLOCK_ROWS):
-        node = np.zeros(min(MC_BLOCK_ROWS, n_samples - start), dtype=np.int64)
-        depth = 0
-        while node.size:
-            depth += 1
-            entry = cells[node + rng.choice(k, size=node.size, p=p)]
-            if not entry.all():
-                raise DictionaryError("letter not parseable at depth %d" % depth)
-            node = entry[entry > 0]
-            ended[depth] = ended.get(depth, 0) + entry.size - node.size
-    masses = {ell: c / n_samples for ell, c in ended.items() if c}
+    frontier = {0: n_samples}
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt: Dict[int, int] = {}
+        stopped = 0
+        for base, rest in frontier.items():
+            for x in range(k):
+                share = rest if x == k - 1 else _binomial(rng, rest, split[x])
+                if share:
+                    rest -= share
+                    child = cells[base + x]
+                    if child > 0:
+                        nxt[child] = nxt.get(child, 0) + share
+                    elif child:
+                        stopped += share
+                    else:
+                        raise DictionaryError("letter not parseable at depth %d"
+                                              % depth)
+                    if not rest:
+                        break
+        if stopped:
+            ended[depth] = stopped
+        frontier = nxt
+    masses = {ell: c / n_samples for ell, c in ended.items()}
     return RateDistribution(masses, dictionary.m_target, mode="mc",
                             n_samples=n_samples)
+
+
+# Below this mean a binomial draw sums geometric waiting times; from it on,
+# BTRS's rejection constants hold (Hormann 1993 requires n p >= 10).
+_BTRS_MIN_MEAN = 10.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """An exact Binomial(n, p) draw from rng.
+
+    n = 1 is one Bernoulli draw; p > 1/2 is n minus the draw for 1 - p;
+    a mean n p below _BTRS_MIN_MEAN counts the successes of geometric
+    waiting times until they pass n (Devroye 1986, ch. X); a larger mean
+    takes Hormann's transformed rejection with squeeze, BTRS.  p <= 0 and
+    p >= 1 (and n = 0) draw nothing.
+    """
+    if n <= 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return 1 if rng.random() < p else 0
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < _BTRS_MIN_MEAN:
+        # Each waiting time is Geometric(p) on 1, 2, ...: P(> g) = (1 - p)^g.
+        log_q = math.log1p(-p)
+        successes = trials = 0
+        while True:
+            trials += math.floor(math.log(1.0 - rng.random()) / log_q) + 1
+            if trials > n:
+                return successes
+            successes += 1
+    return _btrs(rng, n, p)
+
+
+def _btrs(rng: random.Random, n: int, p: float) -> int:
+    """BTRS for p <= 1/2 and n p >= _BTRS_MIN_MEAN.  The acceptance test
+    takes log f(k) / f(mode) from Loader's saddle-point terms, whose float
+    error stays near one ulp of the result for any n, where lgamma's grows
+    with n log n."""
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    mode = math.floor((n + 1) * p)
+    pn, qn = (n + 2) * p, (n + 2) * q
+
+    def log_f(j: int) -> float:
+        """log f(j) up to a term free of j."""
+        return (0.5 * math.log((j + 1) * (n - j + 1))
+                - _bd0(j + 1, pn) - _bd0(n - j + 1, qn)
+                - _stirling_tail(j) - _stirling_tail(n - j))
+
+    log_f_mode = log_f(mode)
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us <= 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_f(k) - log_f_mode:
+            return k
+
+
+def _bd0(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, by its series in (x - mean) / (x + mean)
+    where x is near mean and the closed form would cancel."""
+    d = x - mean
+    if abs(d) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = d / (x + mean)
+    total, term, v2 = d * v, 2.0 * x * v, v * v
+    j = 1
+    while True:
+        term *= v2
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total = nxt
+        j += 1
+
+
+def _stirling_tail(k: int) -> float:
+    """lgamma(k + 1) minus its Stirling approximation
+    (k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2."""
+    if k < 10:
+        return math.lgamma(k + 1) - ((k + 0.5) * math.log(k + 1) - (k + 1)
+                                     + _HALF_LOG_2PI)
+    kp1sq = (k + 1) * (k + 1)
+    return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) / (k + 1)
 
 
 def eps_coding_rate(dist: RateDistribution, eps: float) -> RateEstimate:
@@ -252,12 +368,10 @@ def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:
 
 
 def task_seed(master_seed: int, *coords) -> int:
-    """Stable per-task seed derived from the master seed and coordinates."""
-    import zlib
+    """Stable per-task seed derived from the master seed and coordinates:
+    the first 8 bytes of the SHA-256 of their reprs, the same in every
+    process whatever PYTHONHASHSEED is."""
+    import hashlib
 
-    import numpy as np
-
-    material = (int(master_seed),) + tuple(
-        zlib.crc32(repr(c).encode("utf-8")) for c in coords
-    )
-    return int(np.random.SeedSequence(material).generate_state(1)[0])
+    material = repr((int(master_seed),) + coords).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")

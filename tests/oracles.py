@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -13,6 +14,7 @@ from tccode import converse as C
 from tccode import dictionary as D
 from tccode import models as M
 from tccode import qtypes as Q
+from tccode import rates as R
 from tccode.normal import gaussian_tail
 
 Segment = Tuple[int, ...]
@@ -472,31 +474,45 @@ def eps_rate_scan(dist, eps: float):
     return (max(exceeding), False) if exceeding else (min(support), True)
 
 
-def sampled_words(dictionary, theta, seed: int, rows: int) -> Iterator[Segment]:
-    """The letters mc_rate_distribution draws for each of rows samples, from
-    one generator of the seed, in blocks of 4096 samples: at each depth, one
-    draw of a letter for every sample of the block whose letters so far
-    reach no leaf by the scalar walk."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    k, trie = dictionary.model.alphabet_size, dictionary.trie()
-    p = M.probs(dictionary.model, theta)
-    for start in range(0, rows, 4096):
-        words = [[] for _ in range(min(4096, rows - start))]
-        walking = words
-        while walking:
-            for word, letter in zip(walking, rng.choice(k, size=len(walking), p=p).tolist()):
-                word.append(letter)
-            walking = [word for word in walking if walk(trie, word)[0] is None]
-        yield from map(tuple, words)
-
-
 def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, float]:
-    """mc_rate_distribution's masses with one scalar walk per sample, over
-    the letters sampled_words draws."""
+    """mc_rate_distribution's masses from the same rates._binomial draws in
+    the same order, with the frontier keyed by prefix instead of by row.
+
+    At each depth every frontier key, in order of first arrival, splits its
+    count over the letters 0..k-1 (letter x takes Binomial(rest, p_x over
+    the mass of the letters from x on), the last letter the rest), and the
+    scalar walk of the key's first prefix plus the letter decides whether a
+    share ends there, walks on or hits a missing child.  A count-class DAG
+    shares one row among the prefixes of equal letter counts, so where a
+    row has more than one parent (build_trie gives every row one) prefixes
+    merge by their letter counts instead."""
+    model, trie = dictionary.model, dictionary.trie()
+    k = model.alphabet_size
+    children = [child for child in trie.cells if child > 0]
+    shared = len(set(children)) < len(children)
+    p = M.probs(model, theta)
+    split = [p[x] / math.fsum(p[x:]) for x in range(k - 1)]
+    rng = random.Random(int(seed))
     counts: Dict[int, int] = {}
-    for word in sampled_words(dictionary, theta, seed, n_samples):
-        _, depth = walk(dictionary.trie(), word)
-        counts[depth] = counts.get(depth, 0) + 1
+    frontier = {(): [(), n_samples]}
+    while frontier:
+        nxt: Dict[tuple, list] = {}
+        for prefix, rest in frontier.values():
+            for x in range(k):
+                share = rest if x == k - 1 else R._binomial(rng, rest, split[x])
+                if not share:
+                    continue
+                rest -= share
+                word = prefix + (x,)
+                leaf, depth = walk(trie, word)
+                if leaf is not None:
+                    counts[depth] = counts.get(depth, 0) + share
+                else:
+                    nxt.setdefault(letter_counts(model, word) if shared else word,
+                                   [word, 0])[1] += share
+                if not rest:
+                    break
+        frontier = nxt
     return {ell: c / n_samples for ell, c in counts.items()}
 
 

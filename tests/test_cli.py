@@ -409,6 +409,19 @@ def test_tunstall_refuses_a_huge_m_before_building(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("model,theta,m", [("bernoulli", "0", "1"),
+                                           ("quaternary", "0.5,-1", "3")])
+def test_tunstall_names_m_below_the_alphabet(tmp_path, capsys, model, theta, m):
+    path = tmp_path / "t.txt"
+    code, out, err = run(capsys, "tunstall", "--model", model, "--theta=" + theta,
+                         "--M", m, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("--M %s must satisfy" % m)
+    assert not path.exists()
+
+
 def test_converse_check_pass_and_fail(tmp_path, capsys):
     path = tmp_path / "t.txt"
     run(capsys, "tunstall", "--model", "bernoulli", "--theta", "-1.2",
@@ -637,8 +650,8 @@ def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
     ("", "out of memory"),
 ], ids=["numpy", "bare"])
 def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, want):
-    # Monte-Carlo evaluate asks numpy for blocks of 4096 rows as wide as the
-    # longest segment; running out of memory exits 2 like any other failure.
+    # Running out of memory exits 2 like any other failure, whether the
+    # MemoryError carries numpy's message or none.
     from tccode import cli
 
     path = tmp_path / "q.txt"
@@ -1121,6 +1134,30 @@ def test_sweep_without_trials_does_not_import_numpy(tmp_path):
             "--eps", "0.1,0.2", "--out", str(tmp_path / "s.csv")]
     _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 9
+
+
+def test_sweep_with_trials_does_not_import_numpy(tmp_path):
+    # The Monte-Carlo walk splits sample counts in Python integers.
+    argv = ["sweep", "--model", "quaternary", "--theta=0.5,-1;0,0", "--M", "256,1024",
+            "--eps", "0.1,0.2", "--trials", "5000", "--out", str(tmp_path / "s.csv")]
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    rows = list(csv.DictReader((tmp_path / "s.csv").open()))
+    assert len(rows) == 8 and all(row["mc_rate"] for row in rows)
+
+
+@pytest.mark.parametrize("source", ["M", "dict"])
+def test_mc_evaluate_does_not_import_numpy(tmp_path, capsys, source):
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "ternary", "--M", "256",
+                     "--out", str(dict_path))
+    assert code == 0
+    argv = ["evaluate", "--theta=0.3;-1.5", "--eps", "0.1", "--mc", "--trials", "20000",
+            "--out", str(tmp_path / "e.json")]
+    argv += (["--model", "ternary", "--M", "256"] if source == "M"
+             else ["--dict", str(dict_path)])
+    _numpy_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    results = json.loads((tmp_path / "e.json").read_text())["results"]
+    assert [row["mode"] for row in results] == ["mc", "mc"]
 
 
 @pytest.mark.parametrize("source", ["M", "dict"])

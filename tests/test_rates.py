@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -128,11 +129,11 @@ def test_mc_distribution_deterministic_and_consistent():
 
 
 def test_mc_memory_does_not_grow_with_the_longest_segment():
-    """The walk holds the table as an int64 array (15 644 cells, 125 KB
-    here) and a few arrays of at most MC_BLOCK_ROWS entries, so 4096
-    samples stay below 2 MB however long the longest segment.  A block of
-    4096 samples at its full length of 1 721 letters would be 56 MB of
-    int64 letters alone."""
+    """The walk reads the table in place and holds one frontier dict of at
+    most min(samples, rows) entries per depth, so 4096 samples stay below
+    2 MB however long the longest segment.  4096 samples spelled out at
+    its full length of 1 721 letters would be 56 MB of int64 letters
+    alone."""
     _, d = D.choose_gamma(BERN, GRID, 2 ** 24)
     assert d.max_segment_length() >= 1700
     tracemalloc.start()
@@ -236,6 +237,67 @@ def test_sum_masses_match_composition_oracle(case):
 def test_normality_matches_enumeration_oracle(model, theta, ell):
     assert R.normality_deviation(model, theta, ell) == pytest.approx(
         normality_oracle(model, theta, ell), abs=1e-12)
+
+
+
+# ---------------------------------------------------------------------------
+# Binomial draws.
+
+# Draws per law test.
+LAW_DRAWS = 50_000
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (1, 0.3, 1), (60, 0.85, 2), (400, 0.9, 3), (1000, 0.004, 4), (30, 0.3, 5),
+    (100, 0.1, 6), (500, 0.37, 7)],
+    ids=["bernoulli", "flip-waiting", "flip-btrs", "waiting-small-p",
+         "waiting-np-9", "btrs-np-10", "btrs-np-185"])
+def test_binomial_law_on_each_branch(n, p, seed):
+    """LAW_DRAWS = N draws of _binomial(n, p) from random.Random(seed) have
+    an empirical law within total variation
+
+        sum_j sqrt(f_j (1 - f_j) / N) / 2 + sqrt(log(10^9) / (2 N))
+
+    of the Binomial(n, p) pmf f computed with math.comb.  The first term
+    bounds the expected distance (Jensen, one j at a time); one draw moves
+    the distance by at most 1/N, so by McDiarmid's inequality a correct
+    sampler exceeds the bound with probability at most 10^-9 per case.
+    The cases cover n = 1, p > 1/2 flipped onto waiting times (n p' = 9)
+    and onto BTRS (n p' = 40), waiting times at n p = 4 and 9, and BTRS at
+    n p = 10 and 185."""
+    rng = random.Random(seed)
+    counts = [0] * (n + 1)
+    for _ in range(LAW_DRAWS):
+        counts[R._binomial(rng, n, p)] += 1
+    pmf = [math.comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+    distance = 0.5 * sum(abs(c / LAW_DRAWS - f) for c, f in zip(counts, pmf))
+    bound = (0.5 * sum(math.sqrt(f * (1.0 - f) / LAW_DRAWS) for f in pmf)
+             + math.sqrt(math.log(1e9) / (2 * LAW_DRAWS)))
+    assert distance <= bound
+
+
+def test_binomial_moments_at_a_huge_count():
+    """BTRS at n = 10^15, a count no pmf table reaches: N = 20 000 draws,
+    standardized as z = (x - n p) / sqrt(n p q), have mean within
+    6 / sqrt(N) of 0 and mean square within 6 sqrt(2 / N) of 1.  Under the
+    normal approximation a correct sampler fails either with probability
+    about 2 * 10^-9.  An acceptance test through lgamma, whose float error
+    is several units at this n, fails it."""
+    n, p, draws = 10 ** 15, 0.25, 20_000
+    rng = random.Random(8)
+    sd = math.sqrt(n * p * (1.0 - p))
+    z = [(R._binomial(rng, n, p) - n * p) / sd for _ in range(draws)]
+    assert abs(math.fsum(z) / draws) <= 6.0 / math.sqrt(draws)
+    assert abs(math.fsum(v * v for v in z) / draws - 1.0) <= 6.0 * math.sqrt(2.0 / draws)
+
+
+@pytest.mark.parametrize("n, p, want", [(50, 0.0, 0), (50, -0.5, 0), (50, 1.0, 50),
+                                        (50, 1.5, 50), (0, 0.4, 0)])
+def test_binomial_edges_draw_nothing(n, p, want):
+    rng = random.Random(9)
+    state = rng.getstate()
+    assert R._binomial(rng, n, p) == want
+    assert rng.getstate() == state
 
 
 # Letter statistics 0 and 10^6: at ell=70 the table would have 7*10^7 cells

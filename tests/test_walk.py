@@ -2,6 +2,7 @@
 against the scalar oracle walk, sample by sample and word by word."""
 
 import itertools
+import math
 import time
 
 import pytest
@@ -57,14 +58,36 @@ def test_walks_reject_a_missing_child():
 
 @settings(max_examples=15, deadline=None)
 @example(D.tc_dictionary(QUAT, GRID, D.tc_leaf_profile(QUAT, GRID, 45)),
-         [0.5, -1.0], 9000, 7)  # three blocks, the last one partial
+         [0.5, -1.0], 9000, 7)
 @given(dictionaries(), st.lists(st.floats(min_value=-3.0, max_value=3.0),
                                 min_size=2, max_size=2),
-       st.integers(min_value=1, max_value=9000), st.integers(min_value=0, max_value=2 ** 32))
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=2 ** 32))
 def test_mc_masses_match_scalar_oracle(d, theta, n_samples, seed):
     theta = theta[:d.model.stat_dim]
     dist = R.mc_rate_distribution(d, theta, n_samples, seed)
     assert dist.masses == dict(sorted(mc_length_masses(d, theta, n_samples, seed).items()))
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(dictionaries(), st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                min_size=2, max_size=2),
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=2 ** 32))
+def test_mc_masses_lie_in_a_band_around_the_exact_law(d, theta, n_samples, seed):
+    """Every sample ends at some length, and the number ending at each
+    length is Binomial(n_samples, exact mass), so by Hoeffding's inequality
+    and a union bound over the L lengths each MC mass lies within
+    sqrt(log(2 L / 10^-9) / (2 n_samples)) of the exact one except with
+    probability at most 10^-9 per example."""
+    theta = theta[:d.model.stat_dim]
+    mc = R.mc_rate_distribution(d, theta, n_samples, seed)
+    exact = R.exact_rate_distribution(d, theta).masses
+    assert mc.n_samples == n_samples
+    assert sum(round(mass * n_samples) for mass in mc.masses.values()) == n_samples
+    assert set(mc.masses) <= set(exact)
+    band = math.sqrt(math.log(2 * len(exact) / 1e-9) / (2 * n_samples))
+    for ell, mass in exact.items():
+        assert abs(mc.masses.get(ell, 0.0) - mass) <= band
 
 
 @settings(max_examples=25, deadline=None)
