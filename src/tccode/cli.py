@@ -261,20 +261,19 @@ def cmd_tunstall(args) -> int:
     return 0
 
 
-def _read_letters(path: Optional[str]) -> List[int]:
-    fh = open(path, "r", encoding="utf-8") if path else sys.stdin
-    try:
-        return [int(v) for v in fh.read().split()]
-    finally:
-        if path:
-            fh.close()
+def _read_input(path: Optional[str]) -> str:
+    """The text of --input: the file at path, or stdin without one."""
+    if not path:
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def cmd_encode(args) -> int:
     if not args.dict:
         raise CliError("encode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    letters = _read_letters(args.input)
+    letters = [int(v) for v in _read_input(args.input).split()]
     indices, covered = dictionary.parse(letters)
     if covered < len(letters):
         log.warning("trailing %d letters do not complete a segment",
@@ -289,21 +288,15 @@ def cmd_decode(args) -> int:
     if not args.dict:
         raise CliError("decode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    fh = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
-    try:
-        words = [line.strip() for line in fh if line.strip()]
-    finally:
-        if args.input:
-            fh.close()
+    words = [line.strip() for line in _read_input(args.input).split("\n")
+             if line.strip()]
     width = dictionary.codeword_width
     for word in words:
         if len(word) != width or word.strip("01"):
             raise CliError("codeword %r is not %d bits" % (word, width))
     indices = [int(word, 2) for word in words]
-    if indices and max(indices) >= dictionary.size:
-        # Raises DictionaryError for the first index out of range.
-        dictionary.decode(next(i for i in indices if i >= dictionary.size))
-    # Each distinct index is unranked once.
+    # Each distinct index is unranked once, and the first out of range, in
+    # file order, raises DictionaryError.
     lines = {}
     for i in indices:
         if i not in lines:

@@ -5,12 +5,15 @@ where its quantized-type-class size exceeds the limit (first-passage rule).
 This is equivalent to the two-condition membership rule whenever the log size
 is monotone along the path, and it guarantees a complete, proper parse tree
 unconditionally; paths on which monotonicity failed are counted and reported.
-The rule is applied in one place, tc_leaf_profile, over letter-count classes.
-A node is then a leaf by its letter counts alone, so the parse tree is the
-unfolding of a DAG over count classes: class_dag builds it from the leaf
-classes, and a segment's index is its enumerative rank along it.
-build_tc_dictionary, the test oracle, expands the classes into explicit
-segments instead.
+The rule is applied in one place, ThresholdTree.raise_limit, over
+letter-count classes.  A ThresholdTree holds the leaf classes of the parse
+tree of one limit and grows in place as the limit rises: the gamma search
+raises one tree through its probes, and tc_leaf_profile is a tree raised
+once from limit 0.  A node is a leaf by its letter counts alone, so the
+parse tree is the unfolding of a DAG over count classes: class_dag builds
+it from the leaf classes, and a segment's index is its enumerative rank
+along it.  build_tc_dictionary, the test oracle, expands the classes into
+explicit segments instead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -414,10 +417,6 @@ def _bump(counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return counts[:x] + (counts[x] + 1,) + counts[x + 1:]
 
 
-# Per leaf class: (class size, number of its root paths that dipped).
-LeafPaths = Tuple[int, int]
-
-
 @dataclass
 class TCProfile:
     """Aggregate view of the threshold dictionary over letter-count classes.
@@ -431,24 +430,13 @@ class TCProfile:
     the limit reaches one of leaf_sizes.  Sizes come from TypeCounter,
     saturated at its cap: every internal size is at most the limit, below
     the cap, and so exact, while leaf_sizes may hold the cap itself for
-    leaves whose class is larger.
-
-    leaf_paths, in the order of leaf_classes, holds each class's size and
-    how many of its root paths dipped.  With the class's counts, which give
-    its lattice point t, and its multiplicity, the clean paths plus the
-    dipped ones, that is all tc_leaf_profile needs to walk on from the class
-    when a larger limit makes it internal.  walked is the number of internal
-    classes the walk that built the profile expanded.  Neither field
-    compares or prints, and a profile built by hand may leave them out.
+    leaves whose class is larger.  ThresholdTree.profile builds it.
     """
 
     leaf_classes: List[LeafClass]
     max_internal_size: int
     leaf_sizes: Tuple[int, ...]  # distinct leaf class sizes, ascending
     monotone_mismatch_leaves: int
-    leaf_paths: Optional[List[LeafPaths]] = field(
-        default=None, compare=False, repr=False)
-    walked: int = field(default=0, compare=False, repr=False)
 
     @property
     def min_leaf_size(self) -> int:
@@ -471,146 +459,149 @@ class TCProfile:
         return self.leaf_classes[-1][0]
 
 
+class ThresholdTree:
+    """The threshold parse tree of a class-size limit that only rises, held
+    by its leaf classes and raised in place.
+
+    leaves maps the letter counts of each leaf class to [class size, t,
+    clean multiplicity, dipped multiplicity]: t is the class's statistic sum
+    as a point of the counter's lattice, and its multiplicity, the number of
+    its root paths, splits into those on which no class size dipped and
+    those on which one did.  The tree starts at limit 0: the root, of size
+    0, is internal and the k one-letter classes are its leaves.
+    """
+
+    def __init__(self, model: ExpFamilyModel, grid: Grid,
+                 counter: Optional[TypeCounter] = None):
+        self.counter = counter = counter or TypeCounter(model, grid)
+        row = counter.row(1)
+        root = (0,) * model.alphabet_size
+        self.leaves: Dict[Tuple[int, ...], list] = {
+            _bump(root, x): [counter.size_of_sum(row, shift), shift, 1, 0]
+            for x, shift in enumerate(counter.shifts)}
+        self.max_internal_size = 0
+        self.leaf_count = model.alphabet_size
+
+    def raise_limit(self, limit: int, leaf_cap: Optional[int] = None) -> int:
+        """Raise the limit, an int (not a float), to limit, and return the
+        number of internal classes the walk expanded.
+
+        The first-passage rule as a dynamic program over letter-count classes,
+        linear in the number of reachable count classes rather than in the
+        number of segments; the test suite checks it against a per-sequence
+        oracle.  A class is a leaf when its size exceeds the limit.  Raising
+        it turns internal exactly the leaf classes of size at most the new
+        limit, and every path new to the tree runs through one of them.  Path
+        counts, clean and dipped, add up along paths, so the walk starts from
+        those classes alone, each at its own depth with its multiplicities,
+        adds the paths it brings to a class it starts from later or to a leaf
+        the tree keeps, and jumps over depths where it has no class.  A
+        child's t is its parent's plus the letter's shift and its size one
+        lookup in the row of its length, fetched once per depth.  The tree
+        is that of the walk from the root at the new limit.
+
+        The leaf count only grows while the walk runs.  Once it passes
+        leaf_cap the raise stops with LeafCapExceeded, and the tree is left
+        as it was: the walk writes to it only when it has finished.
+        """
+        limit = operator.index(limit)
+        counter = self.counter
+        if limit >= counter.cap:
+            # A size saturated at the cap no longer says whether it passes.
+            raise DictionaryError("limit %d needs class sizes above the counting "
+                                  "cap %d" % (limit, counter.cap))
+        if limit < self.max_internal_size:
+            raise DictionaryError("the limit of a tree only rises: limit %d is "
+                                  "below its internal class size %d"
+                                  % (limit, self.max_internal_size))
+        size_of_sum = counter.size_of_sum
+        letters = tuple(enumerate(counter.shifts))
+        # depth -> {counts: [class size, t, clean multiplicity, dipped
+        #                    multiplicity]}: the leaf classes that split,
+        # merged with the paths the walk brings to them.
+        seeds: Dict[int, Dict[Tuple[int, ...], list]] = {}
+        split = []
+        leaf_total = self.leaf_count
+        for counts, slot in self.leaves.items():
+            if slot[0] <= limit:
+                seeds.setdefault(sum(counts), {})[counts] = slot[:]
+                split.append(counts)
+                leaf_total -= slot[2] + slot[3]
+        max_internal = self.max_internal_size
+        reached: Dict[Tuple[int, ...], list] = {}  # the leaves the walk reached
+        walked = 0
+        frontier: Dict[Tuple[int, ...], list] = {}
+        depth = 0
+        while True:
+            if leaf_cap is not None and leaf_total > leaf_cap:
+                raise LeafCapExceeded(leaf_cap, walked)
+            if frontier:
+                depth += 1
+            elif seeds:
+                depth = min(seeds)
+            else:
+                break
+            children = seeds.pop(depth, {})
+            if frontier:
+                row = counter.row(depth)
+                walked += len(frontier)
+            for counts, (parent_size, parent_t, clean, dipped) in frontier.items():
+                for x, shift in letters:
+                    child = _bump(counts, x)
+                    slot = children.get(child)
+                    if slot is None:
+                        child_t = tuple(map(operator.add, parent_t, shift))
+                        slot = children[child] = [size_of_sum(row, child_t),
+                                                  child_t, 0, 0]
+                    if slot[0] < parent_size:
+                        # A dip makes every path through the parent a dipped one.
+                        slot[3] += clean + dipped
+                    else:
+                        slot[2] += clean
+                        slot[3] += dipped
+            frontier = {}
+            for child, slot in children.items():
+                if slot[0] > limit:
+                    reached[child] = slot
+                    leaf_total += slot[2] + slot[3]
+                else:
+                    frontier[child] = slot
+                    if slot[0] > max_internal:
+                        max_internal = slot[0]
+        leaves = self.leaves
+        for counts in split:
+            del leaves[counts]
+        for counts, slot in reached.items():
+            kept = leaves.setdefault(counts, slot)
+            if kept is not slot:
+                kept[2] += slot[2]
+                kept[3] += slot[3]
+        self.max_internal_size = max_internal
+        self.leaf_count = leaf_total
+        return walked
+
+    def leaf_sizes(self) -> Tuple[int, ...]:
+        """The distinct leaf class sizes, ascending."""
+        return tuple(sorted({slot[0] for slot in self.leaves.values()}))
+
+    def profile(self) -> TCProfile:
+        """The tree's TCProfile, its leaf classes sorted by length and
+        counts."""
+        return TCProfile(
+            sorted((sum(counts), counts, clean + dipped)
+                   for counts, (_, _, clean, dipped) in self.leaves.items()),
+            self.max_internal_size, self.leaf_sizes(),
+            sum(slot[3] for slot in self.leaves.values()))
+
+
 def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, limit: int,
                     leaf_cap: Optional[int] = None,
-                    counter: Optional[TypeCounter] = None,
-                    base: Optional[TCProfile] = None) -> TCProfile:
-    """The first-passage rule as a dynamic program over letter-count classes,
-    linear in the number of reachable count classes rather than in the number
-    of segments; the test suite checks it against a per-sequence oracle.
-    A class is a leaf when its size exceeds limit, an int (not a float).
-
-    Each class carries its statistic sum as a point t of the counter's
-    lattice, so a child's t is its parent's plus the letter's shift and its
-    size one lookup in the row of its length, fetched once per depth.
-
-    Given base, a profile of the same counter whose internal sizes are all
-    within the new limit, the walk extends it instead of starting at the
-    root.  Raising the limit turns internal exactly base's leaf classes of
-    size at most the new limit, and every path new to the tree runs through
-    one of them.  Path counts, clean and dipped, add up along paths, so the
-    walk starts from those classes alone, each at its own depth with base's
-    multiplicities, adds the paths it brings to a class base already holds
-    (a leaf base keeps, or a class it starts from later), and jumps over
-    depths where it has no class.  Base's other leaf classes stay leaves.
-    The result equals the walk from the root at the new limit.  The leaf
-    count only grows while the walk runs, so the cap raises
-    LeafCapExceeded no later than the walk from the root would; base is
-    read, never changed."""
-    limit = operator.index(limit)
-    counter = counter or TypeCounter(model, grid)
-    if limit >= counter.cap:
-        # A size saturated at the cap no longer says whether it passes.
-        raise DictionaryError("limit %d needs class sizes above the counting "
-                              "cap %d" % (limit, counter.cap))
-    size_of_sum = counter.size_of_sum
-    letters = tuple(enumerate(counter.shifts))
-    # depth -> {counts: [class size, t, clean multiplicity, dipped
-    #                    multiplicity]}: the internal classes the walk starts
-    # from, merged with the paths it brings to them.
-    seeds: Dict[int, Dict[Tuple[int, ...], list]] = {}
-    leaf_total = 0
-    if base is None:
-        seeds[0] = {(0,) * model.alphabet_size: [0, (0,) * model.stat_dim, 1, 0]}
-        max_internal = 0
-    else:
-        if base.leaf_paths is None or base.max_internal_size > limit:
-            raise DictionaryError("a profile extends only with its leaf paths, "
-                                  "to a limit that keeps its internal classes")
-        axes = tuple(zip(*counter.shifts))
-        for (ell, counts, mult), (size, dipped) in zip(base.leaf_classes,
-                                                       base.leaf_paths):
-            if size > limit:
-                leaf_total += mult
-            else:
-                t = tuple(sum(map(operator.mul, counts, axis)) for axis in axes)
-                seeds.setdefault(ell, {})[counts] = [size, t, mult - dipped, dipped]
-        max_internal = base.max_internal_size
-    # The leaves the walk reached, in order: depths come in increasing order
-    # and each depth's leaves are sorted by their counts.
-    leaf_classes: List[LeafClass] = []
-    leaf_paths: List[LeafPaths] = []
-    walked = 0
-    frontier: Dict[Tuple[int, ...], list] = {}
-    depth = 0
-    while True:
-        if leaf_cap is not None and leaf_total > leaf_cap:
-            raise LeafCapExceeded(leaf_cap, walked)
-        if frontier:
-            depth += 1
-        elif seeds:
-            depth = min(seeds)
-        else:
-            break
-        children = seeds.pop(depth, {})
-        if frontier:
-            row = counter.row(depth)
-            walked += len(frontier)
-        for counts, (parent_size, parent_t, clean, dipped) in frontier.items():
-            for x, shift in letters:
-                child = _bump(counts, x)
-                slot = children.get(child)
-                if slot is None:
-                    child_t = tuple(map(operator.add, parent_t, shift))
-                    slot = children[child] = [size_of_sum(row, child_t),
-                                              child_t, 0, 0]
-                if slot[0] < parent_size:
-                    # A dip makes every path through the parent a dipped one.
-                    slot[3] += clean + dipped
-                else:
-                    slot[2] += clean
-                    slot[3] += dipped
-        frontier = {}
-        leaves = []
-        for child, slot in children.items():
-            size, _, clean, dipped = slot
-            if size > limit:
-                leaves.append(child)
-                leaf_total += clean + dipped
-            else:
-                frontier[child] = slot
-                if size > max_internal:
-                    max_internal = size
-        leaves.sort()
-        for child in leaves:
-            size, _, clean, dipped = children[child]
-            leaf_classes.append((depth, child, clean + dipped))
-            leaf_paths.append((size, dipped))
-    if base is not None:
-        leaf_classes, leaf_paths = _merge_kept_leaves(base, limit, leaf_classes,
-                                                      leaf_paths)
-    return TCProfile(leaf_classes, max_internal,
-                     tuple(sorted({size for size, _ in leaf_paths})),
-                     sum(dipped for _, dipped in leaf_paths), leaf_paths, walked)
-
-
-def _merge_kept_leaves(base: TCProfile, limit: int, new_classes: List[LeafClass],
-                       new_paths: List[LeafPaths]
-                       ) -> Tuple[List[LeafClass], List[LeafPaths]]:
-    """Base's leaf classes that stay leaves at limit, merged in order with
-    the sorted leaves an extension reached.  A class in both takes the paths
-    of both; the others keep their objects, shared with base."""
-    classes: List[LeafClass] = []
-    paths: List[LeafPaths] = []
-    i, n = 0, len(new_classes)
-    for leaf, kept in zip(base.leaf_classes, base.leaf_paths):
-        if kept[0] <= limit:
-            continue
-        key = leaf[:2]
-        while i < n and new_classes[i][:2] < key:
-            classes.append(new_classes[i])
-            paths.append(new_paths[i])
-            i += 1
-        if i < n and new_classes[i][:2] == key:
-            classes.append(key + (leaf[2] + new_classes[i][2],))
-            paths.append((kept[0], kept[1] + new_paths[i][1]))
-            i += 1
-        else:
-            classes.append(leaf)
-            paths.append(kept)
-    classes += new_classes[i:]
-    paths += new_paths[i:]
-    return classes, paths
+                    counter: Optional[TypeCounter] = None) -> TCProfile:
+    """The profile of the threshold tree raised once, from limit 0 to limit;
+    LeafCapExceeded once its leaf count passes leaf_cap."""
+    tree = ThresholdTree(model, grid, counter)
+    tree.raise_limit(limit, leaf_cap)
+    return tree.profile()
 
 
 def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
@@ -679,12 +670,11 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
     probe takes for its limit n the best dictionary's leaf size nearest the
     geometric middle of [lo, hi) (the geometric middle itself before any
     probe was feasible): a leaf splits once the limit reaches its size.
-    Every probe after the first feasible one is at a limit of at least lo,
-    so it extends the best profile (tc_leaf_profile's base) from the leaf
-    classes that split instead of walking from the root, with the same
-    result; a probe over m leaves the best profile as it was.  With no
-    feasible probe, the result is the profile at limit 0.  The returned
-    gamma is the profile's, log2 of the largest internal class size.
+    The probes raise one ThresholdTree, which starts as the dictionary of
+    limit 0: every probe is at a limit of at least lo, so the tree grows
+    from the leaf classes that split, and a probe over m leaves it as it
+    was.  The returned profile is the tree's at the end, and gamma is
+    log2 of its largest internal class size.
     Every probed limit is below m and the search reads only leaf sizes below
     hi <= m, so class sizes saturated at m decide it exactly: the counter it
     builds has cap m, and a given counter needs a cap of at least m.
@@ -698,30 +688,29 @@ def choose_gamma_profile(model: ExpFamilyModel, grid: Grid, m: int,
     if m >= SIZE_CAP:
         raise DictionaryError("m must be below the class-size counting cap %d"
                               % SIZE_CAP)
-    counter = counter or TypeCounter(model, grid, cap=m)
-    best: Optional[TCProfile] = None
+    tree = ThresholdTree(model, grid, counter or TypeCounter(model, grid, cap=m))
+    sizes: Optional[Tuple[int, ...]] = None  # the leaf sizes once a probe fits
     lo, hi = 1, m
     while lo < hi:
-        if best is None:
+        if sizes is None:
             n = math.isqrt(lo * hi)
         else:
             mid = 0.5 * (math.log(lo) + math.log(hi))
-            n = min((v for v in best.leaf_sizes if v < hi),
+            n = min((v for v in sizes if v < hi),
                     key=lambda v: abs(math.log(v) - mid))
         start = perf_counter()
         try:
-            best = tc_leaf_profile(model, grid, n, leaf_cap=m,
-                                   counter=counter, base=best)
-            lo, fits, walked = best.min_leaf_size, True, best.walked
+            walked = tree.raise_limit(n, leaf_cap=m)
+            sizes = tree.leaf_sizes()
+            lo, fits = sizes[0], True
         except LeafCapExceeded as exc:
             hi, fits, walked = n, False, exc.walked
         if log.isEnabledFor(logging.DEBUG):
             log.debug("gamma probe: limit %d %s, %d classes walked, %.3f ms", n,
-                      "fits, %d leaves" % best.leaf_count if fits
+                      "fits, %d leaves" % tree.leaf_count if fits
                       else "over m=%d" % m, walked, 1e3 * (perf_counter() - start))
-    if best is None:
-        best = tc_leaf_profile(model, grid, 0, counter=counter)
-    return best.gamma, best
+    profile = tree.profile()
+    return profile.gamma, profile
 
 
 def choose_gamma(model: ExpFamilyModel, grid: Grid, m: int,

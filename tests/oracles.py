@@ -393,7 +393,8 @@ def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
 def rerun_gamma_profile(model, grid, m: int, counter=None):
     """choose_gamma_profile with every probe walking the first-passage DP
     from the root: the same bisection over the best profile's leaf sizes,
-    with no base profile to extend."""
+    with a new tree at each probe.  With no feasible probe, the result is
+    the profile at limit 0, walked by size_for_counts_leaf_profile."""
     if m < model.alphabet_size:
         raise D.DictionaryError("m must be at least the alphabet size")
     if m >= Q.SIZE_CAP:
@@ -416,7 +417,7 @@ def rerun_gamma_profile(model, grid, m: int, counter=None):
         except D.LeafCapExceeded:
             hi = n
     if best is None:
-        best = D.tc_leaf_profile(model, grid, 0, counter=counter)
+        best = size_for_counts_leaf_profile(model, grid, 0, counter=counter)
     return best.gamma, best
 
 

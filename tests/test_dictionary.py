@@ -163,37 +163,56 @@ def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
         D.tc_leaf_profile(model, GRID, cap, counter=counter)
 
 
+def _raised_or_error(tree, limit, leaf_cap):
+    """The number of classes raising tree walked, or the type of the cap
+    error it raised."""
+    return _profile_or_raised(tree.raise_limit, limit, leaf_cap)
+
+
+def _tree_state(tree):
+    """Each leaf class's [size, t, clean, dipped], and the tree's largest
+    internal size and leaf count."""
+    return tree.leaves, tree.max_internal_size, tree.leaf_count
+
+
 @settings(max_examples=100, deadline=None)
 @given(model=st.sampled_from([BERN, TERN, QUAT, FRAC, SIMPLEX]),
        side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
        origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
                        min_size=1, max_size=2),
-       limit=limits(10), step=st.integers(0, 4), nudge=st.integers(0, 15))
+       limit=limits(10), step=st.integers(0, 4), nudge=st.integers(0, 15),
+       tight_cap=st.integers(0, 3000))
 def test_extending_a_profile_equals_the_walk_from_the_root(model, side, origin,
-                                                           limit, step, nudge):
-    # Raising the limit up to about 2^step-fold and walking on from the leaf
-    # classes that split gives every TCProfile field, leaf paths included, of
-    # the walk from the root, or the same error.
+                                                           limit, step, nudge,
+                                                           tight_cap):
+    # Extending a threshold tree: raising it to limit, then trying up to
+    # about 2^step-fold more under a leaf cap that may stop it, then raising
+    # again under the full cap, walks on from the leaf classes that split.
+    # It leaves every leaf class's size, t and clean and dipped path counts,
+    # and so every TCProfile field, as one raise from limit 0 (the walk
+    # from the root) does, or the same error.
     grid = Q.Grid(side=side, origin=tuple(origin))
     counter = Q.TypeCounter(model, grid)
-    kwargs = dict(leaf_cap=3000, counter=counter)
     raised = (limit << step) + nudge
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q, "MAX_LENGTH", 80)
-        base = _profile_or_raised(D.tc_leaf_profile, model, grid, limit, **kwargs)
-        assume(not isinstance(base, type))
-        got = _profile_or_raised(D.tc_leaf_profile, model, grid, raised,
-                                 base=base, **kwargs)
-        want = _profile_or_raised(D.tc_leaf_profile, model, grid, raised,
-                                  **kwargs)
+        tree = D.ThresholdTree(model, grid, counter)
+        assume(not isinstance(_raised_or_error(tree, limit, 3000), type))
+        _raised_or_error(tree, raised, tight_cap)
+        got = _raised_or_error(tree, raised, 3000)
+        once = D.ThresholdTree(model, grid, counter)
+        want = _raised_or_error(once, raised, 3000)
     if (got, want) == (D.LeafCapExceeded, Q.CountingCapError):
-        # The extension counts base's kept leaves from the start, so it can
-        # pass the leaf cap before the walk from the root reaches a length
+        # The raised tree counts its kept leaves from the start, so it can
+        # pass the leaf cap before the walk from limit 0 reaches a length
         # past MAX_LENGTH.
         return
-    assert got == want
-    if not isinstance(want, type):
-        assert got.leaf_paths == want.leaf_paths
+    assert isinstance(got, type) == isinstance(want, type)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _tree_state(tree) == _tree_state(once)
+    assert tree.profile() == once.profile()
 
 
 @pytest.mark.parametrize("model,n,extended_n", [(BERN, 8, 10), (TERN, 5, 7),
@@ -201,10 +220,12 @@ def test_extending_a_profile_equals_the_walk_from_the_root(model, side, origin,
 def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
                                                                  extended_n):
     # The walk from the classes that split brings paths to leaf classes the
-    # base keeps, and its frontier empties before the depth of a class it
+    # tree keeps, and its frontier empties before the depth of a class it
     # starts from, so the rows it reads skip a length.
     counter = Q.TypeCounter(model, GRID)
-    base = D.tc_leaf_profile(model, GRID, n, counter=counter)
+    tree = D.ThresholdTree(model, GRID, counter)
+    tree.raise_limit(n)
+    base = copy.deepcopy(tree.leaves)
     rows = []
     real_row = Q.TypeCounter.row
 
@@ -214,29 +235,51 @@ def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q.TypeCounter, "row", row)
-        got = D.tc_leaf_profile(model, GRID, extended_n, counter=counter,
-                                base=base)
-    want = D.tc_leaf_profile(model, GRID, extended_n, counter=counter)
-    assert got == want and got.leaf_paths == want.leaf_paths
-    mult = {cls[:2]: cls[2] for cls in got.leaf_classes}
-    assert any(paths[0] > extended_n and mult[cls[:2]] > cls[2]
-               for cls, paths in zip(base.leaf_classes, base.leaf_paths))
+        walked = tree.raise_limit(extended_n)
+    once = D.ThresholdTree(model, GRID, counter)
+    walked_once = once.raise_limit(extended_n)
+    assert _tree_state(tree) == _tree_state(once)
+    assert tree.profile() == once.profile() == D.tc_leaf_profile(
+        model, GRID, extended_n, counter=counter)
+    assert any(size > extended_n and sum(tree.leaves[counts][2:]) > clean + dipped
+               for counts, (size, _, clean, dipped) in base.items())
     assert set(range(min(rows), max(rows) + 1)) - set(rows)
-    assert got.walked < want.walked
+    # Fewer than the raise from limit 0, which walks all but the root.
+    assert walked < walked_once
 
 
 def test_an_extension_over_the_cap_leaves_its_base_as_it_was():
     counter = Q.TypeCounter(BERN, GRID)
-    base = D.tc_leaf_profile(BERN, GRID, 8, counter=counter)
-    before = copy.deepcopy(base)
-    with pytest.raises(D.LeafCapExceeded):
-        D.tc_leaf_profile(BERN, GRID, 10, leaf_cap=47, counter=counter,
-                          base=base)
-    assert base == before
-    assert (base.leaf_paths, base.walked) == (before.leaf_paths, before.walked)
-    # A limit below base's internal sizes cannot be reached by extending.
-    with pytest.raises(D.DictionaryError, match="extends"):
-        D.tc_leaf_profile(BERN, GRID, 2, counter=counter, base=base)
+    tree = D.ThresholdTree(BERN, GRID, counter)
+    tree.raise_limit(8)
+    before = copy.deepcopy(tree)
+    # One cap stops the walk at its end, and the other after it has brought
+    # paths to classes that split at a later depth.
+    for limit, leaf_cap in ((10, 47), (32, 100)):
+        with pytest.raises(D.LeafCapExceeded):
+            tree.raise_limit(limit, leaf_cap=leaf_cap)
+        assert _tree_state(tree) == _tree_state(before)
+        assert tree.profile() == before.profile()
+    # A limit below the tree's internal sizes cannot be reached by raising.
+    with pytest.raises(D.DictionaryError, match="only rises"):
+        tree.raise_limit(2)
+    assert _tree_state(tree) == _tree_state(before)
+
+
+@pytest.mark.parametrize("model", [BERN, TERN, QUAT])
+def test_limit_0_has_the_k_one_letter_leaves_and_the_cap_checks(model):
+    # The tree starts at limit 0 with k leaves, so a cap below k refuses even
+    # a raise that splits no class, and a limit from the counter's cap on
+    # is refused before any walk.
+    k = model.alphabet_size
+    for limit in (0, 1):
+        with pytest.raises(D.LeafCapExceeded):
+            D.tc_leaf_profile(model, GRID, limit, leaf_cap=k - 1)
+    assert D.tc_leaf_profile(model, GRID, 0, leaf_cap=k).leaf_count == k
+    counter = Q.TypeCounter(model, GRID, cap=40)
+    for limit in (40, 41):
+        with pytest.raises(D.DictionaryError, match="cap 40"):
+            D.tc_leaf_profile(model, GRID, limit, counter=counter)
 
 
 def test_leaf_mass_normalizes():
@@ -345,19 +388,23 @@ def test_gamma_search_at_cap_m_matches_the_full_cap(model, side, origin, m):
 
 
 def _probed(search, model, grid, m):
-    """search's result or error type, and the limits it probed, with
+    """search's result or error type, the limits it raised threshold trees
+    to, and the leaves of the last tree a raise fitted (None with none), with
     MAX_LENGTH at 80."""
-    probes = []
-    real = D.tc_leaf_profile
+    probes, fitted = [], [None]
+    real = D.ThresholdTree.raise_limit
 
-    def probe(model, grid, limit, *args, **kwargs):
+    def probe(tree, limit, *args, **kwargs):
         probes.append(limit)
-        return real(model, grid, limit, *args, **kwargs)
+        walked = real(tree, limit, *args, **kwargs)
+        fitted.append(tree)
+        return walked
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Q, "MAX_LENGTH", 80)
-        patch.setattr(D, "tc_leaf_profile", probe)
-        return _profile_or_raised(search, model, grid, m), probes
+        patch.setattr(D.ThresholdTree, "raise_limit", probe)
+        got = _profile_or_raised(search, model, grid, m)
+    return got, probes, fitted[-1] and fitted[-1].leaves
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,12 +414,13 @@ def _probed(search, model, grid, m):
                        min_size=1, max_size=2),
        m=st.integers(4, 4096))
 def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
-    # Extending the best profile probes the limits the search that walks
-    # every probe from the root probes, and returns its gamma and profile.
+    # Raising one tree probes the limits the search that walks every probe
+    # from the root probes, and returns its gamma and profile, with the same
+    # size, t and clean and dipped path counts in each leaf class.
     assume(m >= model.alphabet_size)
     grid = Q.Grid(side=side, origin=tuple(origin))
-    got, got_probes = _probed(D.choose_gamma_profile, model, grid, m)
-    want, want_probes = _probed(rerun_gamma_profile, model, grid, m)
+    got, got_probes, got_leaves = _probed(D.choose_gamma_profile, model, grid, m)
+    want, want_probes, want_leaves = _probed(rerun_gamma_profile, model, grid, m)
     if want is Q.CountingCapError and got is not want:
         # A probe over m can stop on the leaf cap before the walk from the
         # root reaches a length past MAX_LENGTH; the search then goes on.
@@ -381,18 +429,18 @@ def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
     assert got_probes == want_probes
     assert got == want
     if not isinstance(want, type):
-        assert got[1].leaf_paths == want[1].leaf_paths
+        assert got_leaves == want_leaves
 
 
 def test_gamma_search_logs_each_probe_at_debug(caplog, monkeypatch):
     probes = []
-    real = D.tc_leaf_profile
+    real = D.ThresholdTree.raise_limit
 
-    def probe(model, grid, limit, *args, **kwargs):
+    def probe(tree, limit, *args, **kwargs):
         probes.append(limit)
-        return real(model, grid, limit, *args, **kwargs)
+        return real(tree, limit, *args, **kwargs)
 
-    monkeypatch.setattr(D, "tc_leaf_profile", probe)
+    monkeypatch.setattr(D.ThresholdTree, "raise_limit", probe)
     with caplog.at_level(logging.DEBUG, logger="tccode.dictionary"):
         D.choose_gamma_profile(TERN, GRID, 500)
     assert len(probes) > 2
@@ -436,19 +484,19 @@ def test_gamma_search_probes_the_limits_it_chose_past_2_47():
     grid = Q.Grid(side=Fraction(11, 2), origin=(Fraction(-1, 3),))
     m = 2 ** 52
     probes = []
-    real = D.tc_leaf_profile
+    real = D.ThresholdTree.raise_limit
 
-    def probe(model, grid, limit, *args, **kwargs):
+    def probe(tree, limit, *args, **kwargs):
         try:
-            profile = real(model, grid, limit, *args, **kwargs)
+            walked = real(tree, limit, *args, **kwargs)
         except D.LeafCapExceeded:
             probes.append((limit, None, None))
             raise
-        probes.append((limit, profile, kwargs["counter"]))
-        return profile
+        probes.append((limit, tree.profile(), tree.counter))
+        return walked
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "tc_leaf_profile", probe)
+        patch.setattr(D.ThresholdTree, "raise_limit", probe)
         got = D.choose_gamma_profile(BERN, grid, m)
     assert got == rerun_gamma_profile(BERN, grid, m)
     assert any(limit > 2 ** 47 for limit, profile, _ in probes if profile)
@@ -458,11 +506,11 @@ def test_gamma_search_probes_the_limits_it_chose_past_2_47():
             assert limit in best.leaf_sizes
         if profile is not None:
             assert profile.max_internal_size <= limit < profile.min_leaf_size
-            below = real(BERN, grid, profile.min_leaf_size - 1, counter=counter,
-                         base=profile)
+            below = D.tc_leaf_profile(BERN, grid, profile.min_leaf_size - 1,
+                                      counter=counter)
             assert below == profile
             best = profile
-    assert got[1] is best
+    assert got[1] == best
 
 
 def test_ternary_gamma_at_scale():
