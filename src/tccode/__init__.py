@@ -27,16 +27,27 @@ from .dictionary import (
 )
 from .converse import FVCode, vf_to_fv, check_event_equivalence
 from .normal import gaussian_tail, gaussian_quantile
-from .rates import (
-    RateDistribution,
-    RateEstimate,
-    AsymptoticPrediction,
-    exact_rate_distribution,
-    profile_rate_distribution,
-    mc_rate_distribution,
-    eps_coding_rate,
-    predicted_rate,
-    normality_deviation,
-)
+# The rates names import tccode.rates on first use, so that a command which
+# computes no rates does not compile it.
+_RATES_NAMES = frozenset({
+    "RateDistribution",
+    "RateEstimate",
+    "AsymptoticPrediction",
+    "exact_rate_distribution",
+    "profile_rate_distribution",
+    "mc_rate_distribution",
+    "eps_coding_rate",
+    "predicted_rate",
+    "normality_deviation",
+})
+
+
+def __getattr__(name):
+    if name in _RATES_NAMES:
+        from . import rates
+
+        return getattr(rates, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __version__ = "0.1.0"

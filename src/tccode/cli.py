@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import dictionary as _dict
 from . import models as _models
 from . import qtypes as _qtypes
-from . import rates as _rates
 from .converse import (check_event_equivalence, fv_overflow_classes,
                        fv_overflow_mass, vf_short_classes, vf_short_mass)
 from .models import entropy_varentropy
@@ -273,14 +272,23 @@ def cmd_encode(args) -> int:
     if not args.dict:
         raise CliError("encode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    letters = [int(v) for v in _read_input(args.input).split()]
-    indices, covered = dictionary.parse(letters)
-    if covered < len(letters):
+    tokens = _read_input(args.input).split()
+    # Each distinct token is read as an integer once, in first-occurrence
+    # order, so the first that is none, in file order, raises before any
+    # letter is parsed; each distinct index is formatted once.
+    letters = dict.fromkeys(tokens)
+    for token in letters:
+        letters[token] = int(token)
+    indices, covered = dictionary.parse(map(letters.__getitem__, tokens))
+    if covered < len(tokens):
         log.warning("trailing %d letters do not complete a segment",
-                    len(letters) - covered)
+                    len(tokens) - covered)
     log.info("encoded %d segments (%d letters consumed)", len(indices), covered)
     fmt = "0%db" % dictionary.codeword_width
-    _write_out("".join(format(index, fmt) + "\n" for index in indices), args.out)
+    lines = dict.fromkeys(indices)
+    for index in lines:
+        lines[index] = format(index, fmt) + "\n"
+    _write_out("".join(map(lines.__getitem__, indices)), args.out)
     return 0
 
 
@@ -288,24 +296,30 @@ def cmd_decode(args) -> int:
     if not args.dict:
         raise CliError("decode needs --dict")
     dictionary = _dict.load_dictionary(args.dict)
-    words = [line.strip() for line in _read_input(args.input).split("\n")
-             if line.strip()]
+    lines = _read_input(args.input).split("\n")
     width = dictionary.codeword_width
-    for word in words:
-        if len(word) != width or word.strip("01"):
+    # Each distinct line is checked and converted once, and then each
+    # distinct index unranked once, both in first-occurrence order: the
+    # first malformed codeword in file order raises, else the first index
+    # out of range raises DictionaryError.  A blank line decodes to nothing.
+    indices = dict.fromkeys(lines)
+    for line in indices:
+        word = line.strip()
+        if word and (len(word) != width or word.strip("01")):
             raise CliError("codeword %r is not %d bits" % (word, width))
-    indices = [int(word, 2) for word in words]
-    # Each distinct index is unranked once, and the first out of range, in
-    # file order, raises DictionaryError.
-    lines = {}
-    for i in indices:
-        if i not in lines:
-            lines[i] = " ".join(map(str, dictionary.decode(i))) + "\n"
-    _write_out("".join(lines[i] for i in indices), args.out)
+        indices[line] = int(word, 2) if word else None
+    segments = {None: ""}
+    for index in indices.values():
+        if index not in segments:
+            segments[index] = " ".join(map(str, dictionary.decode(index))) + "\n"
+    text = {line: segments[index] for line, index in indices.items()}
+    _write_out("".join(map(text.__getitem__, lines)), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    from . import rates as _rates
+
     if args.dict:
         for flag in ("M", "W", "origin"):
             if getattr(args, flag) is not None:
@@ -407,6 +421,8 @@ def cmd_sweep(args) -> int:
     swept once, a theta as first given.  residual subtracts all three predicted terms;
     residual_scaled is the model-cost view (rate minus the first two terms)
     times log2 M / log2 log2 M, whose limit is H d/2."""
+    from . import rates as _rates
+
     model = _resolve_model(args.model)
     grid = _resolve_grid(args, model)
     keyed = {}
@@ -528,6 +544,8 @@ def cmd_converse_check(args) -> int:
 
 
 def cmd_normality(args) -> int:
+    from . import rates as _rates
+
     model = _resolve_model(args.model)
     thetas = _thetas(args, model)
     ell_values = _parse_int_list(args.n) if args.n is not None else [16, 64, 256]
@@ -584,11 +602,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone when one is given."""
     parser = _Parser(prog="tccode", allow_abbrev=False,
                      description="Universal variable-to-fixed length coding toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON file of defaults for these flags")
         for word in flags.split():
@@ -603,8 +624,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=os.environ.get("TCCODE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call that starts with a command name needs that subparser alone; any
+    # other gets all of them, for the top-level help and usage errors.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _merge_config(build_parser().parse_args(argv))
+        args = _merge_config(build_parser(command).parse_args(argv))
         return _COMMANDS[args.command][0](args)
     except (CliError, _models.ModelError, _dict.DictionaryError,
             _qtypes.CountingCapError, OSError, ValueError) as exc:

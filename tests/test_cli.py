@@ -6,14 +6,18 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tccode
 from tccode import dictionary as D
+from tccode import models as M
 from tccode import qtypes as Q
 from tccode.cli import main
 
@@ -195,6 +199,49 @@ def test_encode_rejects_out_of_range_letter(tmp_path, capsys):
     assert not bits.exists()
 
 
+def test_encode_reports_the_first_bad_token_before_any_letter(tmp_path, capsys):
+    # Every token is read as an integer before any letter is parsed, so the
+    # first token that is no integer, in file order, wins over the letter 7
+    # before it, which is out of range.
+    dict_path = tmp_path / "d.txt"
+    run(capsys, "build-dict", "--model", "bernoulli", "--M", "32",
+        "--out", str(dict_path))
+    letters = tmp_path / "in.txt"
+    letters.write_text("0 7 x 1 y x\n")
+    bits = tmp_path / "bits.txt"
+    code, out, err = run(capsys, "encode", "--dict", str(dict_path),
+                         "--input", str(letters), "--out", str(bits))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "invalid literal for int() with base 10: 'x'"}
+    assert not bits.exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    ("111111\n01x\n", "codeword '01x' is not 6 bits"),
+    ("000000\n110001\n01x\n110001\n", "codeword '01x' is not 6 bits"),
+    ("000000\n111111\n110001\n111111\n", "index 63 out of range [0, 48)"),
+], ids=["malformed-after-out-of-range", "malformed-between", "first-out-of-range"])
+def test_decode_reports_malformed_codewords_before_indices(tmp_path, capsys, text,
+                                                            error):
+    # Every codeword is checked before any is unranked: the first malformed
+    # one in file order wins, and else the first index out of range.
+    dict_path = tmp_path / "d.txt"
+    code, out, _ = run(capsys, "build-dict", "--model", "bernoulli", "--M", "48",
+                       "--out", str(dict_path))
+    assert (code, json.loads(out)["size"], json.loads(out)["codeword_width"]) \
+        == (0, 48, 6)
+    bits = tmp_path / "bits.txt"
+    bits.write_text(text)
+    decoded = tmp_path / "dec.txt"
+    code, out, err = run(capsys, "decode", "--dict", str(dict_path),
+                         "--input", str(bits), "--out", str(decoded))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": error}
+    assert not decoded.exists()
+
+
 def test_encode_matches_parse_one_on_one_stream(tmp_path, capsys):
     # The one-loop walk of encode emits what parse_one, called segment after
     # segment on one stream, identifies.
@@ -222,6 +269,59 @@ def test_encode_matches_parse_one_on_one_stream(tmp_path, capsys):
     assert len(want) > 1
     assert bits.read_text() == "".join(want)
     assert dictionary.parse(letters) == ([int(w, 2) for w in want], consumed)
+
+
+@st.composite
+def _codec_cases(draw):
+    """A random threshold or Tunstall dictionary of a builtin model, a random
+    letter stream over its alphabet and a spelling of each letter."""
+    model = M.get_model(draw(st.sampled_from(["bernoulli", "ternary", "quaternary"])))
+    k = model.alphabet_size
+    m = draw(st.integers(k, 200))
+    if draw(st.booleans()):
+        dictionary = D.choose_gamma(model, Q.construction_grid(), m)[1]
+    else:
+        theta = tuple(draw(st.floats(lo, hi)) for lo, hi in model.theta_box)
+        dictionary = D.build_tunstall(model, theta, m)
+    letters = draw(st.lists(st.integers(0, k - 1), max_size=300))
+    # Tokens that differ as text but not as integers share one letter.
+    spellings = draw(st.lists(st.sampled_from(["%d", "+%d", "0%d", "00%d"]),
+                              min_size=k, max_size=k))
+    gaps = draw(st.lists(st.sampled_from([" ", "\n", "\t", "  "]),
+                         min_size=len(letters), max_size=len(letters)))
+    text = "".join(spellings[x] % x + gap for x, gap in zip(letters, gaps))
+    return dictionary, letters, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(_codec_cases())
+def test_encode_and_decode_equal_the_parse_one_loop(case):
+    # encode writes the codeword of each segment parse_one finds, one after
+    # another on one stream, and decode gives back exactly the letters they
+    # consumed, one segment per line.
+    dictionary, letters, text = case
+    stream = iter(letters)
+    codewords, segments = [], []
+    while True:
+        try:
+            result = dictionary.parse_one(stream)
+        except D.DictionaryError:
+            break
+        codewords.append(result.codeword + "\n")
+        segments.append(dictionary.decode(result.index))
+    consumed = sum(map(len, segments))
+    assert [x for segment in segments for x in segment] == letters[:consumed]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("d", "in", "bits", "dec")}
+        D.save_dictionary(dictionary, paths["d"])
+        Path(paths["in"]).write_text(text)
+        assert main(["encode", "--dict", paths["d"], "--input", paths["in"],
+                     "--out", paths["bits"]]) == 0
+        assert Path(paths["bits"]).read_text() == "".join(codewords)
+        assert main(["decode", "--dict", paths["d"], "--input", paths["bits"],
+                     "--out", paths["dec"]]) == 0
+        assert Path(paths["dec"]).read_text() == "".join(
+            " ".join(map(str, segment)) + "\n" for segment in segments)
 
 
 def test_evaluate_json(tmp_path, capsys):
@@ -652,7 +752,7 @@ def test_converse_check_builds_one_code_per_n(tmp_path, capsys, monkeypatch):
 def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, want):
     # Running out of memory exits 2 like any other failure, whether the
     # MemoryError carries numpy's message or none.
-    from tccode import cli
+    from tccode import rates as R
 
     path = tmp_path / "q.txt"
     code, _, _ = run(capsys, "build-dict", "--model", "quaternary", "--M", "64",
@@ -662,7 +762,7 @@ def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch, message, w
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli._rates, "mc_rate_distribution", exhausted)
+    monkeypatch.setattr(R, "mc_rate_distribution", exhausted)
     code, out, err = run(capsys, "evaluate", "--dict", str(path), "--mc",
                          "--trials", "1000", "--theta=0.5,-1", "--eps", "0.1")
     assert code == 2
@@ -1059,18 +1159,26 @@ def test_header_contradicting_the_file_exits_2(tmp_path, capsys, command, header
     assert not bits.exists()
 
 
-def _numpy_free(tmp_path, body: str) -> None:
-    """Run body in a fresh interpreter and fail if numpy was imported."""
+def _free_of(module: str, tmp_path, body: str) -> None:
+    """Run body in a fresh interpreter and fail if it imported module."""
     src = Path(tccode.__file__).resolve().parents[1]
     script = tmp_path / "probe.py"
-    script.write_text("import sys\n%s\nsys.exit(2 if 'numpy' in sys.modules else 0)\n"
-                      % body)
+    script.write_text("import sys\n%s\nsys.exit(2 if %r in sys.modules else 0)\n"
+                      % (body, module))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
     proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 2, "numpy was imported"
+    assert proc.returncode != 2, "%s was imported" % module
     assert proc.returncode == 0, proc.stderr
+
+
+def _numpy_free(tmp_path, body: str) -> None:
+    _free_of("numpy", tmp_path, body)
+
+
+def _rates_free(tmp_path, body: str) -> None:
+    _free_of("tccode.rates", tmp_path, body)
 
 
 def test_debug_log_shows_the_gamma_probes_and_changes_no_output(tmp_path):
@@ -1198,6 +1306,34 @@ def test_exhaustive_converse_check_does_not_import_numpy(tmp_path, capsys):
         == [(4 ** 4, True, True), (4 ** 8, True, True), (4 ** 12, True, True)]
 
 
+@pytest.mark.parametrize("command", ["build-dict", "tunstall", "encode", "decode",
+                                     "converse-check"])
+def test_commands_without_rates_do_not_import_it(tmp_path, capsys, command):
+    # Only evaluate, sweep and normality compute rates; the other commands
+    # skip compiling tccode.rates at start-up.
+    dict_path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "ternary", "--M", "256",
+                     "--out", str(dict_path))
+    assert code == 0
+    (tmp_path / "in.txt").write_text("0 1 2 2 1 0 " * 50 + "\n")
+    code, _, _ = run(capsys, "encode", "--dict", str(dict_path), "--input",
+                     str(tmp_path / "in.txt"), "--out", str(tmp_path / "bits.txt"))
+    assert code == 0
+    probe = tmp_path / "probe.out"
+    argv = {
+        "build-dict": ["build-dict", "--model", "ternary", "--M", "256"],
+        "tunstall": ["tunstall", "--model", "ternary", "--theta", "0.3", "--M", "256"],
+        "encode": ["encode", "--dict", str(dict_path),
+                   "--input", str(tmp_path / "in.txt")],
+        "decode": ["decode", "--dict", str(dict_path),
+                   "--input", str(tmp_path / "bits.txt")],
+        "converse-check": ["converse-check", "--dict", str(dict_path),
+                           "--n", "4", "--theta", "0.3"],
+    }[command] + ["--out", str(probe)]
+    _rates_free(tmp_path, "from tccode import cli\nassert cli.main(%r) == 0" % argv)
+    assert probe.read_text()
+
+
 # Each subcommand's flags besides --config: each is read by the command.
 SUBCOMMAND_FLAGS = {
     "build-dict": "model W origin M out",
@@ -1238,6 +1374,23 @@ def test_each_subparser_declares_exactly_its_flags():
     assert sorted(groups) == [["exact", "mc"], ["formula", "iterative"]]
     assert all(not sub._mutually_exclusive_groups
                for name, sub in subparsers.items() if name != "evaluate")
+
+
+def test_a_one_command_parser_is_that_command_of_the_full_parser():
+    # main builds only the subparser its command names; help and usage
+    # errors inside it are those of the parser of every command.
+    import argparse
+
+    from tccode.cli import build_parser
+
+    full = _subparsers()
+    for name in SUBCOMMAND_FLAGS:
+        parser = build_parser(name)
+        (one,) = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert list(one) == [name]
+        assert one[name].format_help() == full[name].format_help()
+        assert one[name].format_usage() == full[name].format_usage()
 
 
 def test_every_declared_flag_is_read_by_its_command():
@@ -1321,6 +1474,24 @@ def test_usage_errors_are_one_json_line(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"].startswith("tccode")
+
+
+def test_top_level_help_and_unknown_command_name_every_command(capsys):
+    # Without a known command the parser of all eight subcommands answers:
+    # --help prints its help and an unknown name its "invalid choice" line.
+    from tccode.cli import CliError, build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (build_parser().format_help(), "")
+    with pytest.raises(CliError) as want:
+        build_parser().parse_args(["nosuch"])
+    code, out, err = run(capsys, "nosuch")
+    assert (code, out, err) == (2, "", json.dumps({"error": str(want.value)}) + "\n")
+    for name in SUBCOMMAND_FLAGS:
+        assert name in str(want.value) and name in build_parser().format_help()
 
 
 def test_help_still_prints_usage(capsys):
