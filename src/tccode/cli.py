@@ -308,10 +308,12 @@ def cmd_decode(args) -> int:
         if word and (len(word) != width or word.strip("01")):
             raise CliError("codeword %r is not %d bits" % (word, width))
         indices[line] = int(word, 2) if word else None
+    names = tuple(map(str, range(dictionary.model.alphabet_size)))
     segments = {None: ""}
     for index in indices.values():
         if index not in segments:
-            segments[index] = " ".join(map(str, dictionary.decode(index))) + "\n"
+            segments[index] = " ".join(
+                map(names.__getitem__, dictionary.decode(index))) + "\n"
     text = {line: segments[index] for line, index in indices.items()}
     _write_out("".join(map(text.__getitem__, lines)), args.out)
     return 0

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 from .dictionary import (Dictionary, DictionaryError, LeafClass, Segment, Trie,
                          length_masses, prune, table_leaf_classes)
 from .models import ExpFamilyModel
+from .qtypes import lattice
 
 
 @dataclass
@@ -57,7 +58,8 @@ def fv_overflow_classes(code: FVCode) -> List[LeafClass]:
     """The pruned leaf classes shorter than n, the only ones followed by
     suffix letters: the dictionary's vf_short_classes, since pruning keeps
     every leaf shorter than n."""
-    return [c for c in table_leaf_classes(code.table) if c[0] < code.n]
+    shifts = lattice(code.model).shifts
+    return [c for c in table_leaf_classes(code.table, shifts) if c[0] < code.n]
 
 
 def vf_short_mass(dictionary: Dictionary, theta, n: int) -> float:
@@ -94,7 +96,7 @@ class EquivalenceReport:
 def check_event_equivalence(dictionary: Dictionary, n: int,
                             base_width: Optional[int] = None) -> EquivalenceReport:
     """Verify {VF parse length < n} iff {FV codeword length > base_width}
-    on all k^n words, at a cost set by the rows of the count-class DAG, not
+    on all k^n words, at a cost set by the rows of the class DAG, not
     by k^n (see _mismatched_words).
     """
     code = vf_to_fv(dictionary, n)

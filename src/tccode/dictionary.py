@@ -5,15 +5,17 @@ where its quantized-type-class size exceeds the limit (first-passage rule).
 This is equivalent to the two-condition membership rule whenever the log size
 is monotone along the path, and it guarantees a complete, proper parse tree
 unconditionally; paths on which monotonicity failed are counted and reported.
-The rule is applied in one place, ThresholdTree.raise_limit, over
-letter-count classes.  A ThresholdTree holds the leaf classes of the parse
-tree of one limit and grows in place as the limit rises: the gamma search
-raises one tree through its probes, and tc_leaf_profile is a tree raised
-once from limit 0.  A node is a leaf by its letter counts alone, so the
-parse tree is the unfolding of a DAG over count classes: class_dag builds
-it from the leaf classes, and a segment's index is its enumerative rank
-along it.  build_tc_dictionary, the test oracle, expands the classes into
-explicit segments instead.
+The rule is applied in one place, ThresholdTree.raise_limit, over classes
+(ell, t): a node's class size, and so whether it is a leaf, its subtree and
+its probability, depend only on its length ell and its statistic sum, the
+point t of the model's qtypes.lattice.  A ThresholdTree holds the leaf
+classes of the parse tree of one limit and grows in place as the limit
+rises: the gamma search raises one tree through its probes, and
+tc_leaf_profile is a tree raised once from limit 0.  The parse tree is the
+unfolding of a DAG over the classes: class_dag builds it from the leaf
+classes, and a segment's index is its enumerative rank along it.
+build_tc_dictionary, the test oracle, expands the classes into explicit
+segments instead.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import models as _models
 from .models import ExpFamilyModel
-from .qtypes import SIZE_CAP, Grid, TypeCounter, scaled_statistics
+from .qtypes import SIZE_CAP, Grid, TypeCounter, lattice
 
 log = logging.getLogger("tccode.dictionary")
 
 Segment = Tuple[int, ...]
-# (segment length, letter counts, number of segments with both).
-LeafClass = Tuple[int, Tuple[int, ...], int]
+Point = Tuple[int, ...]
+# (segment length ell, lattice point t, number of segments with both).
+LeafClass = Tuple[int, Point, int]
 
 
 class DictionaryError(ValueError):
@@ -67,8 +70,8 @@ class Dictionary:
     It is given either by its segments (Tunstall dictionaries, format-1
     files, the build_tc_dictionary oracle), whose table is their explicit
     trie, or, for a threshold dictionary, by its leaf classes alone, which
-    fix the tree because a node is a leaf by its letter counts; its table is
-    then their count-class DAG.
+    fix the tree because a node is a leaf by its class (ell, t); its table
+    is then their class DAG.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid, *, m_target: int,
@@ -85,15 +88,16 @@ class Dictionary:
         if (segments is None) == (leaf_classes is None):
             raise DictionaryError("a dictionary is given by its segments or by "
                                   "its leaf classes, exactly one of them")
+        self._shifts = lattice(model).shifts
         if segments is not None:
             segs = list(map(tuple, segments))
             if any(a > b for a, b in zip(segs, segs[1:])):
                 raise DictionaryError("segments must be in lexicographic order")
             self._trie = build_trie(segs, model.alphabet_size)
-            self._leaf_classes = table_leaf_classes(self._trie)
+            self._leaf_classes = table_leaf_classes(self._trie, self._shifts)
         else:
             self._leaf_classes = list(leaf_classes)
-            self._trie = class_dag(model.alphabet_size, self._leaf_classes)
+            self._trie = class_dag(self._shifts, self._leaf_classes)
         self.size = sum(mult for _, _, mult in self._leaf_classes)
         # ceil(log2(size)), at least one bit.
         self.codeword_width = max(1, (self.size - 1).bit_length())
@@ -107,7 +111,8 @@ class Dictionary:
         return self._trie
 
     def leaf_classes(self) -> List[LeafClass]:
-        """Sorted (length, letter counts, multiplicity) classes of the segments.
+        """Sorted (length, lattice point, multiplicity) classes of the
+        segments.
 
         The same aggregation TCProfile.leaf_classes holds for a threshold
         build; every probability mass of the dictionary is computed from it.
@@ -127,7 +132,7 @@ class Dictionary:
         # a leaf (class_dag).
         if 0 in self._trie.cells:
             raise DictionaryError("internal node with a missing child")
-        if table_leaf_classes(self._trie) != self._leaf_classes:
+        if table_leaf_classes(self._trie, self._shifts) != self._leaf_classes:
             raise DictionaryError("leaf classes disagree with the parse tree they "
                                   "describe: a multiplicity is wrong, or a class "
                                   "is missing, unreachable or out of order")
@@ -204,8 +209,8 @@ class Trie:
     point to it.  offsets[r*k + x] is the number of leaves below the letters
     before x, so the sum of the offsets along a path is the rank of its leaf,
     the index of its segment in lexicographic order.  An explicit tree has
-    one row per internal node; the count-class DAG shares one row among all
-    nodes of equal letter counts.
+    one row per internal node; the class DAG shares one row among all nodes
+    of equal length and lattice point.
     """
 
     def __init__(self, cells: List[int], k: int):
@@ -259,74 +264,73 @@ def build_trie(segments: Iterable[Segment], k: int) -> Trie:
     return Trie(cells, k)
 
 
-def class_dag(k: int, leaf_classes: Iterable[LeafClass]) -> Trie:
-    """The table of the threshold parse tree with these leaf classes: one row
-    per reachable internal count class, built level by level from the root.
-    A node is a leaf when its counts are those of a class, and internal
-    otherwise.
+def class_dag(shifts: Tuple[Point, ...], leaf_classes: Iterable[LeafClass]) -> Trie:
+    """The table of the threshold parse tree with these leaf classes, over
+    letters with these lattice shifts: one row per reachable internal class
+    (ell, t), built level by level from the root.
 
-    In a parse tree the internal classes of one depth are no more than the
-    leaf classes (each reaches a different leaf by repeating letter 0), and
-    the longest segment is no longer than the number of classes (every
-    depth adds at least k - 1 leaves), so classes that break either bound
-    raise DictionaryError before the table grows past them, as do classes
-    that leave a path without a leaf at the longest length.
+    With k' >= 2 distinct shifts and I_l the internal classes of length l,
+    a sum set in Z^d makes the classes of length l at least |I_{l-1}| + k' - 1,
+    all but |I_l| of them leaves; summed up to the longest length L, a parse
+    tree has at least 1 + (k' - 1) L leaf classes, more than the internal ones
+    of any length.  Classes that break either bound, or leave a path without
+    a leaf at length L, raise DictionaryError before the table grows past them.
     """
-    leaf_counts = set()
+    k = len(shifts)
+    leaf_keys = set()
     max_length = 0
-    for ell, counts, _ in leaf_classes:
-        leaf_counts.add(counts)
+    for ell, t, _ in leaf_classes:
+        leaf_keys.add((ell, t))
         max_length = max(max_length, ell)
-    if max_length > len(leaf_counts):
-        raise DictionaryError("%d leaf classes cannot reach length %d"
-                              % (len(leaf_counts), max_length))
-    root = (0,) * k
-    base_of = {root: 0}
+    least = 1 + (len(set(shifts)) - 1) * max_length
+    if least > len(leaf_keys):
+        raise DictionaryError("%d leaf classes cannot reach length %d: a parse "
+                              "tree that long has at least %d"
+                              % (len(leaf_keys), max_length, least))
     cells = [0] * k
-    level = [root]
+    level = {(0,) * len(shifts[0]): 0}  # the internal points of a length, by row
     depth = 0
     while level:
         depth += 1
-        children = []
-        for counts in level:
-            base = base_of[counts]
-            for x in range(k):
-                child = _bump(counts, x)
-                if child in leaf_counts:
+        children: Dict[Point, int] = {}
+        for t, base in level.items():
+            for x, shift in enumerate(shifts):
+                child = tuple(map(operator.add, t, shift))
+                if (depth, child) in leaf_keys:
                     cells[base + x] = LEAF
                     continue
-                child_base = base_of.get(child)
+                child_base = children.get(child)
                 if child_base is None:
-                    if depth >= max_length or len(children) >= len(leaf_counts):
+                    if depth >= max_length or len(children) >= len(leaf_keys):
                         raise DictionaryError("leaf classes do not describe a "
                                               "parse tree over %d letters" % k)
-                    child_base = base_of[child] = len(cells)
+                    child_base = children[child] = len(cells)
                     cells.extend([0] * k)
-                    children.append(child)
                 cells[base + x] = child_base
         level = children
     return Trie(cells, k)
 
 
-def table_leaf_classes(trie: Trie) -> List[LeafClass]:
-    """Sorted leaf classes of a table: each leaf entry adds the number of
-    root paths to its row to the class of its letter counts."""
+def table_leaf_classes(trie: Trie, shifts: Tuple[Point, ...]) -> List[LeafClass]:
+    """Sorted leaf classes of a table over the letters whose lattice shifts
+    are given: each leaf entry adds the number of root paths to its row to
+    the class of its length and lattice point."""
     k, cells = trie.k, trie.cells
-    counts_of = {0: (0,) * k}
+    key_of = {0: (0, (0,) * len(shifts[0]))}
     paths = {0: 1}
-    merged: Dict[Tuple[int, ...], int] = {}
+    merged: Dict[Tuple[int, Point], int] = {}
     for base in range(0, len(cells), k):
-        counts, n = counts_of[base], paths[base]
-        for x in range(k):
+        # Every path to a row has the same length and lattice point.
+        (ell, t), n = key_of[base], paths[base]
+        for x, shift in enumerate(shifts):
             child = cells[base + x]
+            key = ell + 1, tuple(map(operator.add, t, shift))
             if child > 0:
-                # Every path to a row has the same letter counts.
-                counts_of[child] = _bump(counts, x)
+                key_of[child] = key
                 paths[child] = paths.get(child, 0) + n
             elif child:
-                leaf = _bump(counts, x)
-                merged[leaf] = merged.get(leaf, 0) + n
-    return sorted((sum(counts), counts, n) for counts, n in merged.items())
+                merged[key] = merged.get(key, 0) + n
+    return [(ell, t, n) for (ell, t), n in sorted(merged.items())]
 
 
 def prune(trie: Trie, n: int) -> Trie:
@@ -375,29 +379,30 @@ def unrank(trie: Trie, index: int) -> Segment:
 
 # ---------------------------------------------------------------------------
 # Leaf classes, kept sorted: p_theta of a segment depends only on its length
-# and letter counts, so every mass over a leaf set is a sum over its classes.
+# and lattice point, so every mass over a leaf set is a sum over its classes.
 
 def length_masses(model: ExpFamilyModel, leaf_classes: Iterable[LeafClass],
                   theta) -> Dict[int, float]:
     """Probability mass per segment length under p_theta.
 
     The one mass routine of the package: each class adds
-    mult * p_theta(counts), and the terms are summed exactly per length.
-    log2 p_theta(counts) = ell (<theta, A / (D ell)> - psi(theta)), with A the
-    class's integer statistic sum and D the denominator of
-    qtypes.scaled_statistics; each coordinate A_i / (D ell) is one correctly
-    rounded integer division, the float of the exact rational average.
+    mult * p_theta(ell, t), and the terms are summed exactly per length.
+    log2 p_theta(ell, t) = ell (<theta, A / (D ell)> - psi(theta)), with
+    A = ell low + step t the class's integer statistic sum on the model's
+    qtypes.lattice of denominator D; each coordinate A_i / (D ell) is one
+    correctly rounded integer division, the float of the exact rational
+    average.
     """
     theta = _models.theta_floats(theta)
     psi = _models.log_partition(model, theta)
-    scale, stats, _ = scaled_statistics(model)
-    axes = [(tuple(a[i] for a in stats), t) for i, t in enumerate(theta)]
+    scale, low, step, _ = lattice(model)
+    axes = list(zip(low, step, theta))
     by_len: Dict[int, List[float]] = {}
-    for ell, counts, mult in leaf_classes:
+    for ell, t, mult in leaf_classes:
         den = scale * ell
         dot = 0.0
-        for axis, t in axes:
-            dot += sum(map(operator.mul, counts, axis)) / den * t
+        for (lo, g, th), v in zip(axes, t):
+            dot += (ell * lo + g * v) / den * th
         by_len.setdefault(ell, []).append(mult * 2.0 ** (ell * (dot - psi)))
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
@@ -413,17 +418,13 @@ def length_histogram(leaf_classes: Iterable[LeafClass]) -> Dict[int, int]:
 # Threshold construction.  Class sizes are exact integers, and so is the limit
 # they are compared with: gamma is only reported, never decided on.
 
-def _bump(counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
-    return counts[:x] + (counts[x] + 1,) + counts[x + 1:]
-
-
 @dataclass
 class TCProfile:
-    """Aggregate view of the threshold dictionary over letter-count classes.
+    """Aggregate view of the threshold dictionary over its classes.
 
-    All sequences with equal letter counts behave identically under the
-    first-passage rule once path feasibility is accounted for, so the leaf set
-    aggregates exactly into (length, counts, multiplicity) classes.  This is
+    All sequences of equal length and lattice point behave identically under
+    the first-passage rule once path feasibility is accounted for, so the leaf
+    set aggregates exactly into (length, point, multiplicity) classes.  This is
     what makes size-2^20 dictionaries evaluable without materializing them.
     The dictionary is the same for every integer limit in
     [max_internal_size, min_leaf_size); above that, it changes only where
@@ -463,22 +464,21 @@ class ThresholdTree:
     """The threshold parse tree of a class-size limit that only rises, held
     by its leaf classes and raised in place.
 
-    leaves maps the letter counts of each leaf class to [class size, t,
-    clean multiplicity, dipped multiplicity]: t is the class's statistic sum
-    as a point of the counter's lattice, and its multiplicity, the number of
-    its root paths, splits into those on which no class size dipped and
-    those on which one did.  The tree starts at limit 0: the root, of size
-    0, is internal and the k one-letter classes are its leaves.
+    leaves maps the class (ell, t) of each leaf class to [class size, clean
+    multiplicity, dipped multiplicity]: its multiplicity, the number of its
+    root paths, splits into those on which no class size dipped and those on
+    which one did.  The tree starts at limit 0: the root, of size 0, is
+    internal and the one-letter classes are its leaves.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid,
                  counter: Optional[TypeCounter] = None):
         self.counter = counter = counter or TypeCounter(model, grid)
         row = counter.row(1)
-        root = (0,) * model.alphabet_size
-        self.leaves: Dict[Tuple[int, ...], list] = {
-            _bump(root, x): [counter.size_of_sum(row, shift), shift, 1, 0]
-            for x, shift in enumerate(counter.shifts)}
+        self.leaves: Dict[Tuple[int, Point], list] = {}
+        for shift in counter.shifts:
+            self.leaves.setdefault(
+                (1, shift), [counter.size_of_sum(row, shift), 0, 0])[1] += 1
         self.max_internal_size = 0
         self.leaf_count = model.alphabet_size
 
@@ -486,19 +486,20 @@ class ThresholdTree:
         """Raise the limit, an int (not a float), to limit, and return the
         number of internal classes the walk expanded.
 
-        The first-passage rule as a dynamic program over letter-count classes,
-        linear in the number of reachable count classes rather than in the
-        number of segments; the test suite checks it against a per-sequence
+        The first-passage rule as a dynamic program over the classes (ell, t),
+        linear in the number of reachable classes rather than in the number
+        of segments; the test suite checks it against a per-sequence
         oracle.  A class is a leaf when its size exceeds the limit.  Raising
         it turns internal exactly the leaf classes of size at most the new
         limit, and every path new to the tree runs through one of them.  Path
         counts, clean and dipped, add up along paths, so the walk starts from
         those classes alone, each at its own depth with its multiplicities,
         adds the paths it brings to a class it starts from later or to a leaf
-        the tree keeps, and jumps over depths where it has no class.  A
-        child's t is its parent's plus the letter's shift and its size one
-        lookup in the row of its length, fetched once per depth.  The tree
-        is that of the walk from the root at the new limit.
+        the tree keeps, and jumps over depths where it has no class.  Each
+        depth keys its classes by t alone: a child's t is its parent's plus
+        the letter's shift and its size one lookup in the row of its length,
+        fetched once per depth.  The tree is that of the walk from the root
+        at the new limit.
 
         The leaf count only grows while the walk runs.  Once it passes
         leaf_cap the raise stops with LeafCapExceeded, and the tree is left
@@ -514,23 +515,22 @@ class ThresholdTree:
             raise DictionaryError("the limit of a tree only rises: limit %d is "
                                   "below its internal class size %d"
                                   % (limit, self.max_internal_size))
-        size_of_sum = counter.size_of_sum
-        letters = tuple(enumerate(counter.shifts))
-        # depth -> {counts: [class size, t, clean multiplicity, dipped
-        #                    multiplicity]}: the leaf classes that split,
-        # merged with the paths the walk brings to them.
-        seeds: Dict[int, Dict[Tuple[int, ...], list]] = {}
+        size_of_sum, shifts = counter.size_of_sum, counter.shifts
+        # depth -> {t: [class size, clean multiplicity, dipped multiplicity]}:
+        # the leaf classes that split, merged with the paths the walk brings
+        # to them.
+        seeds: Dict[int, Dict[Point, list]] = {}
         split = []
         leaf_total = self.leaf_count
-        for counts, slot in self.leaves.items():
+        for key, slot in self.leaves.items():
             if slot[0] <= limit:
-                seeds.setdefault(sum(counts), {})[counts] = slot[:]
-                split.append(counts)
-                leaf_total -= slot[2] + slot[3]
+                seeds.setdefault(key[0], {})[key[1]] = slot[:]
+                split.append(key)
+                leaf_total -= slot[1] + slot[2]
         max_internal = self.max_internal_size
-        reached: Dict[Tuple[int, ...], list] = {}  # the leaves the walk reached
+        reached: Dict[Tuple[int, Point], list] = {}  # the leaves the walk reached
         walked = 0
-        frontier: Dict[Tuple[int, ...], list] = {}
+        frontier: Dict[Point, list] = {}
         depth = 0
         while True:
             if leaf_cap is not None and leaf_total > leaf_cap:
@@ -545,37 +545,35 @@ class ThresholdTree:
             if frontier:
                 row = counter.row(depth)
                 walked += len(frontier)
-            for counts, (parent_size, parent_t, clean, dipped) in frontier.items():
-                for x, shift in letters:
-                    child = _bump(counts, x)
+            for t, (parent_size, clean, dipped) in frontier.items():
+                for shift in shifts:
+                    child = tuple(map(operator.add, t, shift))
                     slot = children.get(child)
                     if slot is None:
-                        child_t = tuple(map(operator.add, parent_t, shift))
-                        slot = children[child] = [size_of_sum(row, child_t),
-                                                  child_t, 0, 0]
+                        slot = children[child] = [size_of_sum(row, child), 0, 0]
                     if slot[0] < parent_size:
                         # A dip makes every path through the parent a dipped one.
-                        slot[3] += clean + dipped
+                        slot[2] += clean + dipped
                     else:
-                        slot[2] += clean
-                        slot[3] += dipped
+                        slot[1] += clean
+                        slot[2] += dipped
             frontier = {}
             for child, slot in children.items():
                 if slot[0] > limit:
-                    reached[child] = slot
-                    leaf_total += slot[2] + slot[3]
+                    reached[depth, child] = slot
+                    leaf_total += slot[1] + slot[2]
                 else:
                     frontier[child] = slot
                     if slot[0] > max_internal:
                         max_internal = slot[0]
         leaves = self.leaves
-        for counts in split:
-            del leaves[counts]
-        for counts, slot in reached.items():
-            kept = leaves.setdefault(counts, slot)
+        for key in split:
+            del leaves[key]
+        for key, slot in reached.items():
+            kept = leaves.setdefault(key, slot)
             if kept is not slot:
+                kept[1] += slot[1]
                 kept[2] += slot[2]
-                kept[3] += slot[3]
         self.max_internal_size = max_internal
         self.leaf_count = leaf_total
         return walked
@@ -585,13 +583,12 @@ class ThresholdTree:
         return tuple(sorted({slot[0] for slot in self.leaves.values()}))
 
     def profile(self) -> TCProfile:
-        """The tree's TCProfile, its leaf classes sorted by length and
-        counts."""
+        """The tree's TCProfile, its leaf classes sorted by (ell, t)."""
         return TCProfile(
-            sorted((sum(counts), counts, clean + dipped)
-                   for counts, (_, _, clean, dipped) in self.leaves.items()),
+            [(ell, t, clean + dipped)
+             for (ell, t), (_, clean, dipped) in sorted(self.leaves.items())],
             self.max_internal_size, self.leaf_sizes(),
-            sum(slot[3] for slot in self.leaves.values()))
+            sum(slot[2] for slot in self.leaves.values()))
 
 
 def tc_leaf_profile(model: ExpFamilyModel, grid: Grid, limit: int,
@@ -608,24 +605,25 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
                         m_target: Optional[int] = None) -> Dictionary:
     """The threshold dictionary whose leaf classes the profile holds.
 
-    A node is a leaf or internal according to its letter counts alone, so
+    A node is a leaf or internal according to its class (ell, t) alone, so
     the dictionary is the profile expanded: descending from the root, a node
-    whose counts are those of a leaf class is a segment, and any other node
-    is expanded.  Segments emerge in lexicographic order.  gamma and the
+    whose class is a leaf class is a segment, and any other node is
+    expanded.  Segments emerge in lexicographic order.  gamma and the
     mismatch count are the profile's.
     """
-    leaf_counts = {counts for _, counts, _ in profile.leaf_classes}
+    leaf_keys = {(ell, t) for ell, t, _ in profile.leaf_classes}
     max_length = profile.max_length()
-    k = model.alphabet_size
+    # Letters pushed in reverse so the smallest is expanded first.
+    letters = tuple(enumerate(lattice(model).shifts))[::-1]
     segments: List[Segment] = []
-    stack = [((), (0,) * k)]
+    stack = [((), (0,) * model.stat_dim)]
     while stack:
-        path, counts = stack.pop()
-        if counts in leaf_counts:
+        path, t = stack.pop()
+        if (len(path), t) in leaf_keys:
             segments.append(path)
         elif len(path) < max_length:
-            # Letters pushed in reverse so the smallest is expanded first.
-            stack.extend((path + (x,), _bump(counts, x)) for x in reversed(range(k)))
+            stack.extend((path + (x,), tuple(map(operator.add, t, shift)))
+                         for x, shift in letters)
         else:
             raise DictionaryError("profile does not describe a parse tree of "
                                   "model %s" % model.name)
@@ -640,7 +638,7 @@ def build_tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
 def tc_dictionary(model: ExpFamilyModel, grid: Grid, profile: TCProfile,
                   m_target: Optional[int] = None) -> Dictionary:
     """The threshold dictionary whose leaf classes the profile holds, given
-    by those classes alone: its table is their count-class DAG."""
+    by those classes alone: its table is their class DAG."""
     return Dictionary(
         model, grid, leaf_classes=profile.leaf_classes,
         m_target=m_target if m_target is not None else profile.leaf_count,
@@ -758,10 +756,12 @@ def build_tunstall(model: ExpFamilyModel, theta, m: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one JSON header line, then the dictionary.  Format 2, for a
+# Serialization: one JSON header line, then the dictionary.  Format 3, for a
 # threshold dictionary, lists one leaf class per line as
-# `ell c_0 ... c_{k-1} mult`; format 1, for a Tunstall dictionary, one segment
-# per line.  Format-1 threshold files still load.
+# `ell t_1 ... t_d mult`; format 1, for a Tunstall dictionary, one segment
+# per line.  Threshold files of format 1 and of format 2, which listed
+# letter-count classes as `ell c_0 ... c_{k-1} mult`, still load, and are
+# written back as format 3.
 
 KINDS = ("tc", "tunstall")
 
@@ -773,7 +773,7 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 def dictionary_to_text(dictionary: Dictionary) -> str:
     explicit = dictionary.kind == "tunstall"
     header = {
-        "format": 1 if explicit else 2,
+        "format": 1 if explicit else 3,
         "kind": dictionary.kind,
         "gamma": dictionary.gamma,
         "m_target": dictionary.m_target,
@@ -791,8 +791,8 @@ def dictionary_to_text(dictionary: Dictionary) -> str:
     if explicit:
         lines.extend(" ".join(map(str, seg)) for seg in dictionary.segments)
     else:
-        lines.extend(" ".join(map(str, (ell,) + counts + (mult,)))
-                     for ell, counts, mult in dictionary.leaf_classes())
+        lines.extend(" ".join(map(str, (ell,) + t + (mult,)))
+                     for ell, t, mult in dictionary.leaf_classes())
     return "\n".join(lines) + "\n"
 
 
@@ -805,12 +805,36 @@ def load_dictionary(path) -> Dictionary:
         return dictionary_from_text(fh.read())
 
 
-def _class_line(fields: List[str], k: int) -> LeafClass:
-    ell, *counts, mult = map(int, fields)
-    if len(counts) != k or min(counts) < 0 or ell != sum(counts) or ell < 1:
-        raise DictionaryError("leaf class %r is not a length, %d letter counts "
-                              "summing to it and a multiplicity" % (" ".join(fields), k))
-    return ell, tuple(counts), mult
+def _class_line(fields: List[str], span: Point) -> LeafClass:
+    """A format-3 line: a length, a lattice point in its box and a
+    multiplicity."""
+    ell, *t, mult = map(int, fields)
+    if (len(t) != len(span) or ell < 1
+            or not all(0 <= v <= ell * s for v, s in zip(t, span))):
+        raise DictionaryError("leaf class %r is not a length ell, %d lattice "
+                              "coordinates in 0 .. ell * %s and a multiplicity"
+                              % (" ".join(fields), len(span), list(span)))
+    return ell, tuple(t), mult
+
+
+def _format2_classes(body: List[List[str]], shifts: Tuple[Point, ...]
+                     ) -> List[LeafClass]:
+    """The leaf classes of format-2 lines, letter-count classes in strictly
+    ascending order: each count vector moved to its lattice point, and the
+    classes of one point merged."""
+    merged: Dict[Tuple[int, Point], int] = {}
+    last: list = []
+    for fields in body:
+        ell, *counts, mult = line = list(map(int, fields))
+        if (len(counts) != len(shifts) or min(counts) < 0 or ell != sum(counts)
+                or ell < 1 or mult < 1 or line[:-1] <= last):
+            raise DictionaryError("leaf class %r is not a length, %d letter counts "
+                                  "summing to it and a multiplicity, after the "
+                                  "class before it" % (" ".join(fields), len(shifts)))
+        last = line[:-1]
+        t = tuple(sum(map(operator.mul, counts, axis)) for axis in zip(*shifts))
+        merged[ell, t] = merged.get((ell, t), 0) + mult
+    return [(ell, t, n) for (ell, t), n in sorted(merged.items())]
 
 
 def dictionary_from_text(text: str) -> Dictionary:
@@ -823,24 +847,30 @@ def dictionary_from_text(text: str) -> Dictionary:
         if not isinstance(header, dict):
             raise DictionaryError("header is not a JSON object")
         fmt, kind = header.get("format"), header.get("kind")
-        if type(fmt) is not int or fmt not in (1, 2):
+        if type(fmt) is not int or fmt not in (1, 2, 3):
             raise DictionaryError("unsupported format version %r" % (fmt,))
         if kind not in KINDS:
             raise DictionaryError("unknown dictionary kind %r" % (kind,))
-        if fmt == 2 and kind != "tc":
-            raise DictionaryError("a format-2 file holds a threshold (tc) "
-                                  "dictionary, not %r" % (kind,))
+        if fmt != 1 and kind != "tc":
+            raise DictionaryError("a format-%d file holds a threshold (tc) "
+                                  "dictionary, not %r" % (fmt, kind))
         model = _models.model_from_dict(header["model"])
         grid = Grid(
             side=Fraction(header["grid"]["W"]),
             origin=tuple(Fraction(v) for v in header["grid"]["origin"]),
         )
         body = [line.split() for line in lines[1:] if line]
-        k = model.alphabet_size
+        shifts = lattice(model).shifts
+        span = tuple(map(max, zip(*shifts)))
+        classes = None
+        if fmt == 2:
+            classes = _format2_classes(body, shifts)
+        elif fmt == 3:
+            classes = [_class_line(f, span) for f in body]
         dictionary = Dictionary(
             model, grid,
             segments=[tuple(map(int, f)) for f in body] if fmt == 1 else None,
-            leaf_classes=[_class_line(f, k) for f in body] if fmt == 2 else None,
+            leaf_classes=classes,
             m_target=int(header["m_target"]),
             gamma=None if header["gamma"] is None else float(header["gamma"]),
             kind=kind,

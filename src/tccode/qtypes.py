@@ -10,13 +10,15 @@ construction, placed in its cell by TypeCounter.cell alone.  Class sizes are
 exact counts saturated at a counter's cap, obtained by counting the
 sequences per statistic sum one letter at a time in Python integers and
 keeping only the sums and cells whose count is at most the cap.
-scaled_statistics is the one scaling of the rational letter statistics onto
-that lattice; the normality diagnostic in rates convolves float masses over
-the same sums.
+lattice() is the one scaling of the rational letter statistics onto that
+lattice, and a model's alone: threshold classes are keyed by their length and
+lattice point, and the normality diagnostic in rates convolves float masses
+over the same points.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -104,15 +106,24 @@ def cell_center(model: ExpFamilyModel, grid: Grid, ell: int, idx: CellIndex
     )
 
 
-def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
-                      ) -> Tuple[int, Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-    """(D, letter statistics times D, origin times D): D is the least common
-    denominator of both, so every statistic sum is an integer vector."""
-    scale = math.lcm(*(v.denominator for row in model.tau for v in row),
-                     *(o.denominator for o in origin))
-    return (scale,
-            tuple(tuple(int(v * scale) for v in row) for row in model.tau),
-            tuple(int(o * scale) for o in origin))
+Lattice = collections.namedtuple("Lattice", "scale low step shifts")
+
+
+def lattice(model: ExpFamilyModel) -> Lattice:
+    """The integer lattice of the model's statistic sums, which no grid
+    moves.  scale D is the least common denominator of the letter
+    statistics, so a_x = D tau(x) is an integer vector; on axis i, low_i is
+    min_x a_{x,i}, step_i the gcd of the a_{x,i} - low_i (1 where all are
+    0), and letter x moves the lattice point t by shifts[x] = (a_x - low) /
+    step.  A sequence of length l at t has statistic sum A = l low + step t,
+    in units of 1/D."""
+    scale = math.lcm(*(v.denominator for row in model.tau for v in row))
+    stats = [[int(v * scale) for v in row] for row in model.tau]
+    low = tuple(map(min, zip(*stats)))
+    step = tuple(math.gcd(*(a - lo for a in axis)) or 1
+                 for axis, lo in zip(zip(*stats), low))
+    return Lattice(scale, low, step, tuple(
+        tuple((a - lo) // g for a, lo, g in zip(row, low, step)) for row in stats))
 
 
 # Class sizes saturate at a counter's cap, SIZE_CAP unless it is given one.
@@ -125,7 +136,8 @@ def scaled_statistics(model: ExpFamilyModel, origin: Sequence[Fraction] = ()
 SIZE_CAP = 2 ** 62
 # Longest length one TypeCounter counts, refused before counting anything.
 MAX_LENGTH = 2 ** 15
-# Most statistic sums in the box of one length, refused before counting.
+# Most statistic sums in the box of one length while the reached sums are
+# kept as bits, refused before counting.
 MAX_BOX = 2 ** 25
 # Most sums and row cells one TypeCounter may count, over all its lengths.
 MAX_ENTRIES = 2 ** 20
@@ -154,13 +166,12 @@ class TypeCounter:
     """Quantized-type-class sizes for one (model, grid) pair, exact up to cap
     and saturated there.  A search for at most m leaves needs cap >= m.
 
-    The letter statistics and the grid origin are scaled by one common
-    denominator D, so a letter's statistic is an integer vector a_x and a
-    statistic sum of length l, on axis i, is A_i = l low_i + g_i t_i for
-    t_i = 0 .. l span_i, where low_i = min_x a_{x,i} and g_i is the gcd of the
-    differences a_{x,i} - low_i.  The lattice point t is the one integer form
-    of a sum, in counting and in construction: letter x moves it by
-    shifts[x] = (a_x - low) / g, and cell() places it in cell
+    A statistic sum of length l is the point t of the model's lattice(), on
+    axis i t_i = 0 .. l span_i, which stands for A_i = l low_i + g_i t_i.  The
+    lattice point is the one integer form of a sum, in counting and in
+    construction: letter x moves it by shifts[x].  The sums and the grid
+    origin are scaled by one common denominator D, a multiple of the
+    lattice's own, and cell() places t in cell
     j_i = ceil((A_i - O_i l) / (D W)) - 1 with O_i = D origin_i, which is
     monotone along each axis.
 
@@ -181,9 +192,10 @@ class TypeCounter:
     reaches the same corner of the box of l, so every corner is a letter's
     shift, and those shifts carry a full box of l onto the full box of l + 1.
 
-    Counting refuses a length above MAX_LENGTH, or one whose box holds more
-    than MAX_BOX sums, before it counts anything, and stops once the sums and
-    row cells it has counted pass MAX_ENTRIES; each raises CountingCapError.
+    Counting refuses a length above MAX_LENGTH, or, while the bit set is
+    kept, one whose box holds more than MAX_BOX sums, before it counts
+    anything, and stops once the sums and row cells it has counted pass
+    MAX_ENTRIES; each raises CountingCapError.
     """
 
     def __init__(self, model: ExpFamilyModel, grid: Grid, cap: int = SIZE_CAP):
@@ -193,21 +205,18 @@ class TypeCounter:
         self.grid = grid
         self.cap = cap
         d = model.stat_dim
-        scale, stats, self._origin = scaled_statistics(
-            model, [grid.origin_at(i) for i in range(d)])
+        scale, low, step, self.shifts = lattice(model)
+        origin = [grid.origin_at(i) for i in range(d)]
+        denominator = math.lcm(scale, *(o.denominator for o in origin))
+        to_common = denominator // scale
+        self._origin = tuple(int(o * denominator) for o in origin)
         # Cell width D*W = cell_den / cell_num in units of the integer sums.
         self._cell_num = grid.side.denominator
-        self._cell_den = scale * grid.side.numerator
-        low = [min(a[i] for a in stats) for i in range(d)]
-        # A statistic constant along an axis has gcd 0; its axis has one sum.
-        step = [math.gcd(*(a[i] - low[i] for a in stats)) or 1 for i in range(d)]
-        self._low = tuple(low)
-        # Each letter's move of t: a sequence's t adds its letters' shifts.
-        self.shifts = tuple(tuple((a[i] - low[i]) // step[i] for i in range(d))
-                            for a in stats)
-        self._span = tuple(max(s[i] for s in self.shifts) for i in range(d))
+        self._cell_den = denominator * grid.side.numerator
+        self._low = tuple(to_common * lo for lo in low)
+        self._span = tuple(map(max, zip(*self.shifts)))
         # t_i moves the cell's numerator by g_i * cell_num per lattice step.
-        self._cell_step = tuple(g * self._cell_num for g in step)
+        self._cell_step = tuple(to_common * g * self._cell_num for g in step)
         # Reached sums of the latest length as bits, None once they fill the
         # box for good.  Axis i > 0 is widths[i] bits wide, the last axis a
         # multiple of 8, so every line of the last axis starts on a byte.
@@ -275,7 +284,8 @@ class TypeCounter:
                 "counting at ell=%d would pass the longest length, the cap %d; "
                 "use a smaller M, a wider grid side W, or a grid that does not "
                 "isolate an extreme statistic" % (ell, MAX_LENGTH))
-        if math.prod(ell * s + 1 for s in self._span) > MAX_BOX:
+        if (self._reach is not None
+                and math.prod(ell * s + 1 for s in self._span) > MAX_BOX):
             raise CountingCapError(
                 "counting at ell=%d would pass the most sums of one length, "
                 "the cap %d; use a smaller M or a model whose statistics span "

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from .dictionary import Dictionary, DictionaryError, TCProfile, length_masses
 from .models import ExpFamilyModel, ModelError, entropy_varentropy, log_partition, probs
 from .normal import gaussian_quantile, gaussian_tail
-from .qtypes import CountingCapError, scaled_statistics
+from .qtypes import CountingCapError, lattice
 
 
 @dataclass
@@ -311,15 +311,14 @@ NORMALITY_MAX_CELLS = 2 ** 22
 
 def _sum_masses(model: ExpFamilyModel, theta, ell: int):
     """(masses, low, D): masses[j] is the probability under p_theta that a
-    length-ell sequence has statistic sum (j + ell * low) / D, with D and
-    the integer letter statistics from qtypes.scaled_statistics.  Each letter
-    adds k shifted, weighted copies: TypeCounter's convolution, in floats."""
+    length-ell sequence has statistic sum (j + ell * low) / D, on the
+    integer sums of the model's qtypes.lattice.  Each letter adds k shifted,
+    weighted copies: TypeCounter's convolution, in floats."""
     import numpy as np
 
-    scale, stats, _ = scaled_statistics(model)
-    low = np.min(stats, axis=0)
-    shifts = np.array(stats) - low
-    span = shifts.max(axis=0).tolist()
+    scale, low, step, shifts = lattice(model)
+    shifts = [[v * g for v, g in zip(shift, step)] for shift in shifts]
+    span = [max(axis) for axis in zip(*shifts)]
     cells = math.prod(s * ell + 1 for s in span)
     adds = ell * cells * model.alphabet_size
     if adds > NORMALITY_MAX_ADDS or cells > NORMALITY_MAX_CELLS:
@@ -334,7 +333,7 @@ def _sum_masses(model: ExpFamilyModel, theta, ell: int):
             window = tuple(slice(a, a + n) for a, n in zip(shift, masses.shape))
             grown[window] += px * masses
         masses = grown
-    return masses, low, scale
+    return masses, np.array(low), scale
 
 
 def normality_deviation(model: ExpFamilyModel, theta, ell: int) -> float:

@@ -1,5 +1,6 @@
 """Small-instance oracles shared by the tests; exponential, not for library use."""
 
+import functools
 import itertools
 import json
 import math
@@ -78,14 +79,25 @@ def suff_stat_of_counts(model, counts) -> Tuple[Fraction, ...]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _shifts(model) -> Tuple[Tuple[int, ...], ...]:
+    return Q.lattice(model).shifts
+
+
+def lattice_point(model, counts) -> Tuple[int, ...]:
+    """The lattice point t of the sequences with these letter counts: each
+    letter adds its shift once per occurrence."""
+    return tuple(sum(map(operator.mul, counts, axis)) for axis in zip(*_shifts(model)))
+
+
 def size_for_counts(counter, counts) -> int:
     """Size of the class of the sequences with these letter counts, from the
     counter's row of their length: their statistic sum t adds each letter's
     shift once per occurrence."""
     if len(counts) != counter.model.alphabet_size or min(counts) < 0:
         raise M.ModelError("counts must be nonnegative, one per letter")
-    t = tuple(sum(map(operator.mul, counts, axis)) for axis in zip(*counter.shifts))
-    return counter.size_of_sum(counter.row(sum(counts)), t)
+    return counter.size_of_sum(counter.row(sum(counts)),
+                               lattice_point(counter.model, counts))
 
 
 def row_sizes(counter, ell: int) -> Dict[Tuple[int, ...], int]:
@@ -253,17 +265,21 @@ def enumerate_complete_trees(k: int, max_leaves: int) -> Iterator[Tuple[Segment,
             yield segs
 
 
-def merge_classes(rows) -> List[Tuple[int, Tuple[int, ...], int]]:
-    """Sum the multiplicities of equal (length, counts) rows; sorted."""
+def merge_classes(model, rows) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """(length, letter counts, multiplicity) rows as leaf classes: each
+    count vector moved to its lattice point, and the multiplicities of equal
+    (length, point) summed; sorted."""
     merged: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for ell, counts, mult in rows:
-        merged[(ell, counts)] = merged.get((ell, counts), 0) + mult
-    return sorted((ell, counts, mult) for (ell, counts), mult in merged.items())
+        key = ell, lattice_point(model, counts)
+        merged[key] = merged.get(key, 0) + mult
+    return sorted((ell, t, mult) for (ell, t), mult in merged.items())
 
 
 def leaf_classes_of(model, segments) -> List[Tuple[int, Tuple[int, ...], int]]:
     """Leaf classes of an explicit segment list, segment by segment."""
-    return merge_classes((len(s), letter_counts(model, s), 1) for s in segments)
+    return merge_classes(model, ((len(s), letter_counts(model, s), 1)
+                                 for s in segments))
 
 
 def leaf_mass(dictionary, theta) -> float:
@@ -315,11 +331,27 @@ def table_segments(trie) -> Tuple[Segment, ...]:
 
 def format1_text(dictionary) -> str:
     """The dictionary's file in format 1, one segment per line, as build-dict
-    wrote threshold dictionaries before format 2."""
+    wrote threshold dictionaries before format 2 and format 3."""
     header_line, *_ = D.dictionary_to_text(dictionary).splitlines()
     header = dict(json.loads(header_line), format=1)
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     lines.extend(" ".join(map(str, seg)) for seg in dictionary.segments)
+    return "\n".join(lines) + "\n"
+
+
+def format2_text(dictionary) -> str:
+    """The threshold dictionary's file in format 2, one letter-count class
+    `ell c_0 ... c_{k-1} mult` per line, as build-dict wrote threshold
+    dictionaries before format 3."""
+    header_line, *_ = D.dictionary_to_text(dictionary).splitlines()
+    header = dict(json.loads(header_line), format=2)
+    merged: Dict[Tuple[int, ...], int] = {}
+    for seg in dictionary.segments:
+        key = (len(seg),) + letter_counts(dictionary.model, seg)
+        merged[key] = merged.get(key, 0) + 1
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines.extend(" ".join(map(str, key + (mult,)))
+                 for key, mult in sorted(merged.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -335,7 +367,8 @@ def segment_length_masses(dictionary, theta) -> Dict[int, float]:
 
 def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
     """length_masses class by class through the rational average statistic:
-    float(Fraction) coordinates in counts_log_prob."""
+    float(Fraction) coordinates in counts_log_prob.  Its classes are
+    (length, letter counts, multiplicity)."""
     by_len: Dict[int, list] = {}
     for ell, counts, mult in leaf_classes:
         by_len.setdefault(ell, []).append(
@@ -343,11 +376,12 @@ def fraction_length_masses(model, leaf_classes, theta) -> Dict[int, float]:
     return {ell: math.fsum(ps) for ell, ps in by_len.items()}
 
 
-def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
-                                 counter=None):
-    """tc_leaf_profile with each child's size looked up from its whole count
-    vector by size_for_counts, and one leaf row per parent edge
-    merged at the end."""
+def size_for_counts_leaves(model, grid, limit: int, leaf_cap=None, counter=None):
+    """The leaves of the threshold tree of limit, walked over letter-count
+    classes with each child's size looked up from its whole count vector by
+    size_for_counts, one leaf row per parent edge, merged at the end by
+    (length, lattice point): ({(ell, t): [size, clean, dipped]}, largest
+    internal size)."""
     limit = operator.index(limit)
     counter = counter or Q.TypeCounter(model, grid)
     if limit >= counter.cap:
@@ -356,9 +390,8 @@ def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
     k = model.alphabet_size
     frontier = {(0,) * k: [1, 0]}
     sizes = {(0,) * k: 0}
-    leaf_classes = []
-    leaf_total = mismatch_total = max_internal = 0
-    leaf_sizes = set()
+    leaves: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+    leaf_total = max_internal = 0
     depth = 0
     while frontier:
         nxt, nxt_sizes = {}, {}
@@ -373,12 +406,13 @@ def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
                 c_clean = 0 if child_dips else clean
                 c_dipped = dipped + (clean if child_dips else 0)
                 if size > limit:
-                    leaf_classes.append((depth + 1, child, clean + dipped))
+                    slot = leaves.setdefault(
+                        (depth + 1, lattice_point(model, child)), [size, 0, 0])
+                    slot[1] += c_clean
+                    slot[2] += c_dipped
                     leaf_total += clean + dipped
-                    mismatch_total += c_dipped
                     if leaf_cap is not None and leaf_total > leaf_cap:
                         raise D.LeafCapExceeded(leaf_cap)
-                    leaf_sizes.add(size)
                 else:
                     slot = nxt.setdefault(child, [0, 0])
                     slot[0] += c_clean
@@ -386,8 +420,19 @@ def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
                     max_internal = max(max_internal, size)
         frontier, sizes = nxt, nxt_sizes
         depth += 1
-    return D.TCProfile(merge_classes(leaf_classes), max_internal,
-                       tuple(sorted(leaf_sizes)), mismatch_total)
+    return leaves, max_internal
+
+
+def size_for_counts_leaf_profile(model, grid, limit: int, leaf_cap=None,
+                                 counter=None):
+    """tc_leaf_profile from the leaves of size_for_counts_leaves."""
+    leaves, max_internal = size_for_counts_leaves(model, grid, limit, leaf_cap,
+                                                  counter)
+    return D.TCProfile(
+        [(ell, t, clean + dipped)
+         for (ell, t), (_, clean, dipped) in sorted(leaves.items())],
+        max_internal, tuple(sorted({slot[0] for slot in leaves.values()})),
+        sum(slot[2] for slot in leaves.values()))
 
 
 def rerun_gamma_profile(model, grid, m: int, counter=None):
@@ -483,10 +528,10 @@ def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, 
     count over the letters 0..k-1 (letter x takes Binomial(rest, p_x over
     the mass of the letters from x on), the last letter the rest), and the
     scalar walk of the key's first prefix plus the letter decides whether a
-    share ends there, walks on or hits a missing child.  A count-class DAG
-    shares one row among the prefixes of equal letter counts, so where a
+    share ends there, walks on or hits a missing child.  A class DAG shares
+    one row among the prefixes of equal length and lattice point, so where a
     row has more than one parent (build_trie gives every row one) prefixes
-    merge by their letter counts instead."""
+    merge by their lattice points instead."""
     model, trie = dictionary.model, dictionary.trie()
     k = model.alphabet_size
     children = [child for child in trie.cells if child > 0]
@@ -509,7 +554,8 @@ def mc_length_masses(dictionary, theta, n_samples: int, seed: int) -> Dict[int, 
                 if leaf is not None:
                     counts[depth] = counts.get(depth, 0) + share
                 else:
-                    nxt.setdefault(letter_counts(model, word) if shared else word,
+                    nxt.setdefault(lattice_point(model, letter_counts(model, word))
+                                   if shared else word,
                                    [word, 0])[1] += share
                 if not rest:
                     break

@@ -883,6 +883,26 @@ def test_malformed_dictionary_exits_2(tmp_path, capsys, corrupt):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("line", ["4 4", "4 1 4 13", "4 -1 13", "4 13 13"],
+                         ids=["too-few-fields", "too-many-fields", "point-below-0",
+                              "point-past-the-box"])
+def test_malformed_format3_line_exits_2(tmp_path, capsys, line):
+    # A ternary class line is `ell t mult`, with t in 0 .. 3 ell.
+    path = tmp_path / "d.txt"
+    code, _, _ = run(capsys, "build-dict", "--model", "ternary", "--M", "256",
+                     "--out", str(path))
+    assert code == 0
+    first, _, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([first, line] + lines) + "\n")
+    bits = tmp_path / "bits.txt"
+    bits.write_text("00000000\n")
+    code, out, err = run(capsys, "decode", "--dict", str(path), "--input", str(bits))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "leaf class %r" % line in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("codeword", ["11", "0_1", "111"])
 def test_decode_rejects_bad_codewords(tmp_path, capsys, codeword):
     # Five segments: three-bit codewords, of which 101..111 index nothing.
@@ -1137,7 +1157,7 @@ def test_only_the_in_place_writer_opens_files_for_writing():
 ], ids=["width", "kind", "tunstall-classes", "tunstall-width", "tunstall-kind"])
 def test_header_contradicting_the_file_exits_2(tmp_path, capsys, command, header):
     # A codeword width other than ceil(log2 size), a kind that is neither
-    # tc nor tunstall, and leaf classes (format 2) under another kind.
+    # tc nor tunstall, and leaf classes (format 3) under another kind.
     path = tmp_path / "d.txt"
     argv = ["--model", "bernoulli", "--M", "32", "--out", str(path)]
     if command == "tunstall":
@@ -1638,10 +1658,10 @@ def test_converse_check_decides_the_mass_identity_on_the_classes(tmp_path, capsy
 
     real = C.table_leaf_classes
 
-    def one_more(trie):
-        classes = real(trie)
-        ell, counts, mult = classes[-1]
-        return classes[:-1] + [(ell, counts, mult + 1)]
+    def one_more(trie, shifts):
+        classes = real(trie, shifts)
+        ell, t, mult = classes[-1]
+        return classes[:-1] + [(ell, t, mult + 1)]
 
     monkeypatch.setattr(C, "table_leaf_classes", one_more)
     out = tmp_path / "c.json"

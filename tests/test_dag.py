@@ -1,6 +1,6 @@
-"""The count-class DAG of a threshold dictionary against the explicit
-segments of the build_tc_dictionary oracle, its Monte-Carlo walk against
-the scalar oracle walk, and format-2 files against format-1 files of the
+"""The class DAG of a threshold dictionary against the explicit segments
+of the build_tc_dictionary oracle, its Monte-Carlo walk against the scalar
+oracle walk, and format-3 files against format-1 and format-2 files of the
 same build."""
 
 import json
@@ -18,7 +18,8 @@ from tccode import qtypes as Q
 from tccode import rates as R
 from tccode.cli import main
 
-from oracles import FRAC, format1_text, mc_length_masses, table_segments, walk
+from oracles import (FRAC, format1_text, format2_text, mc_length_masses,
+                     table_segments, walk)
 
 
 BERN = M.bernoulli()
@@ -26,8 +27,9 @@ TERN = M.ternary()
 QUAT = M.quaternary()
 GRID = Q.construction_grid()
 # Threshold files written before format 2 existed: build-dict at M = 64, 128
-# and 256 on the construction grid.
+# and 256 on the construction grid; and one written before format 3.
 FORMAT1_FILES = sorted((Path(__file__).parent / "data").glob("*.format1.dict"))
+FORMAT2_FILE = Path(__file__).parent / "data" / "quaternary-256.format2.dict"
 
 
 @st.composite
@@ -54,7 +56,8 @@ def threshold_builds(draw):
 def test_dag_ranks_and_unranks_every_oracle_segment(build):
     model, grid, profile = build
     explicit = D.build_tc_dictionary(model, grid, profile)
-    dag = D.class_dag(model.alphabet_size, profile.leaf_classes)
+    shifts = Q.lattice(model).shifts
+    dag = D.class_dag(shifts, profile.leaf_classes)
     assert dag.leaves == explicit.size
     for index, seg in enumerate(explicit.segments):
         assert walk(dag, seg) == (index, len(seg))
@@ -62,9 +65,9 @@ def test_dag_ranks_and_unranks_every_oracle_segment(build):
         assert D.unrank(dag, index) == seg
     assert table_segments(dag) == explicit.segments
     # The DAG's path multiplicities are the profile's leaf classes.
-    assert D.table_leaf_classes(dag) == profile.leaf_classes
-    assert D.table_leaf_classes(explicit.trie()) == profile.leaf_classes
-    # Internal count classes are shared: never more rows than the tree's.
+    assert D.table_leaf_classes(dag, shifts) == profile.leaf_classes
+    assert D.table_leaf_classes(explicit.trie(), shifts) == profile.leaf_classes
+    # Internal classes are shared: never more rows than the tree's.
     assert len(dag.cells) <= len(explicit.trie().cells)
 
 
@@ -85,7 +88,7 @@ def test_pruned_dag_matches_pruned_segments(build, n):
     # Pruning the DAG at depth n cuts every segment to its first n letters.
     model, grid, profile = build
     explicit = D.build_tc_dictionary(model, grid, profile)
-    pruned = D.prune(D.class_dag(model.alphabet_size, profile.leaf_classes), n)
+    pruned = D.prune(D.class_dag(Q.lattice(model).shifts, profile.leaf_classes), n)
     want = tuple(sorted({seg[:n] for seg in explicit.segments}))
     assert table_segments(pruned) == want
     assert table_segments(D.prune(explicit.trie(), n)) == want
@@ -110,16 +113,19 @@ def test_format1_and_format2_files_code_alike(tmp_path_factory, build, seed,
     tmp_path = tmp_path_factory.mktemp("formats")
     explicit = D.build_tc_dictionary(model, grid, profile)
     by_classes = D.tc_dictionary(model, grid, profile)
-    paths = tmp_path / "f1.dict", tmp_path / "f2.dict"
+    paths = tmp_path / "f1.dict", tmp_path / "f2.dict", tmp_path / "f3.dict"
     paths[0].write_text(format1_text(explicit))
-    D.save_dictionary(by_classes, paths[1])
-    assert [json.loads(p.read_text().splitlines()[0])["format"] for p in paths] == [1, 2]
+    paths[1].write_text(format2_text(explicit))
+    D.save_dictionary(by_classes, paths[2])
+    assert ([json.loads(p.read_text().splitlines()[0])["format"] for p in paths]
+            == [1, 2, 3])
     letters = np.random.default_rng(seed).integers(
         0, model.alphabet_size, size=length).tolist()
-    one, two = (_round_trip(tmp_path, p, letters, p.stem) for p in paths)
-    assert one == two
-    assert two[1] == [str(x) for x in letters[:len(two[1])]]
-    assert D.load_dictionary(paths[1]).segments == explicit.segments
+    one, two, three = (_round_trip(tmp_path, p, letters, p.stem) for p in paths)
+    assert one == two == three
+    assert three[1] == [str(x) for x in letters[:len(three[1])]]
+    for path in paths:
+        assert D.load_dictionary(path).segments == explicit.segments
 
 
 @pytest.mark.parametrize("path", FORMAT1_FILES, ids=lambda p: p.name)
@@ -141,7 +147,7 @@ def test_paper_scale_dictionary_without_segments():
     # 16 704 028 segments: the DAG has a few thousand rows.
     _, profile = D.choose_gamma_profile(QUAT, GRID, 2 ** 24)
     d = D.tc_dictionary(QUAT, GRID, profile, m_target=2 ** 24)
-    assert (len(profile.leaf_classes), d.size) == (3429, 16704028)
+    assert (len(profile.leaf_classes), d.size) == (1773, 16704028)
     d.check_structure()
     assert len(d.trie().cells) < 10 ** 5
     letters = np.random.default_rng(1).integers(0, 4, size=5000).tolist()
@@ -152,15 +158,36 @@ def test_paper_scale_dictionary_without_segments():
 
 
 @pytest.mark.parametrize("path", FORMAT1_FILES, ids=lambda p: p.name)
-def test_a_threshold_dictionary_writes_format2_however_given(path):
+def test_a_threshold_dictionary_writes_format3_however_given(path):
     # A threshold dictionary given by its segments (a format-1 file, the
-    # build_tc_dictionary oracle) writes the same format-2 text as one given
+    # build_tc_dictionary oracle) writes the same format-3 text as one given
     # by its leaf classes; format1_text rewrites the file it was loaded from.
     old = D.load_dictionary(path)
     by_classes = D.Dictionary(old.model, old.grid, m_target=old.m_target,
                               leaf_classes=old.leaf_classes(), gamma=old.gamma,
                               monotone_mismatches=old.monotone_mismatches)
     text = D.dictionary_to_text(old)
-    assert json.loads(text.splitlines()[0])["format"] == 2
+    assert json.loads(text.splitlines()[0])["format"] == 3
     assert text == D.dictionary_to_text(by_classes)
     assert format1_text(old) == path.read_text()
+
+
+def test_a_format2_file_loads_parses_as_its_format3_build_and_resaves_as_format3(
+        tmp_path):
+    # Its 20 letter-count classes merge into 16 classes (ell, t).
+    old = D.load_dictionary(FORMAT2_FILE)
+    new = tmp_path / "new.dict"
+    assert main(["build-dict", "--model", "quaternary", "--M", str(old.m_target),
+                 "--out", str(new)]) == 0
+    fresh = D.load_dictionary(new)
+    assert len(FORMAT2_FILE.read_text().splitlines()) - 1 == 20
+    assert len(old.leaf_classes()) == 16
+    assert old.leaf_classes() == fresh.leaf_classes()
+    letters = np.random.default_rng(3).integers(0, 4, size=3000).tolist()
+    assert old.parse(letters) == fresh.parse(letters)
+    assert (_round_trip(tmp_path, FORMAT2_FILE, letters, "old")
+            == _round_trip(tmp_path, new, letters, "new"))
+    resaved = tmp_path / "resaved.dict"
+    D.save_dictionary(old, resaved)
+    assert json.loads(resaved.read_text().splitlines()[0])["format"] == 3
+    assert resaved.read_text() == new.read_text()

@@ -15,11 +15,13 @@ from tccode import models as M
 from tccode import qtypes as Q
 from tccode import rates as R
 
-from oracles import (FRAC, SIMPLEX, enumerate_complete_trees,
-                     first_passage_oracle, format1_text, fraction_length_masses,
-                     leaf_classes_of, leaf_mass, letter_counts,
+from oracles import (CUBE, FRAC, SIMPLEX, composition_count,
+                     enumerate_complete_trees, first_passage_oracle,
+                     format1_text, format2_text, fraction_length_masses,
+                     lattice_point, leaf_classes_of, leaf_mass, letter_counts,
                      rerun_gamma_profile, segment_length_masses,
-                     size_for_counts, size_for_counts_leaf_profile)
+                     size_for_counts, size_for_counts_leaf_profile,
+                     size_for_counts_leaves)
 
 
 BERN = M.bernoulli()
@@ -150,6 +152,42 @@ def test_leaf_profile_matches_size_for_counts_oracle(model, side, origin, limit)
     assert got == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from([BERN, TERN, QUAT, FRAC, SIMPLEX, CUBE]),
+       side=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+       origin=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+                       min_size=1, max_size=3),
+       limit=limits(10))
+def test_lattice_classes_are_the_count_classes_merged(model, side, origin, limit):
+    # Keying each class by (ell, t) gives the leaves of the walk over
+    # letter-count classes merged by (ell, t): every size and clean and
+    # dipped path count, and the largest internal size, or the same error.
+    # Where the tree has at most 2000 segments and the composition oracle
+    # is cheap (at most 5000 count vectors at the longest length), each
+    # index unranks from the class DAG to the oracle's segment of that rank.
+    grid = Q.Grid(side=side, origin=tuple(origin))
+    counter = Q.TypeCounter(model, grid)
+    tree = D.ThresholdTree(model, grid, counter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "MAX_LENGTH", 80)
+        got = _raised_or_error(tree, limit, 3000)
+        want = _profile_or_raised(size_for_counts_leaves, model, grid, limit,
+                                  leaf_cap=3000, counter=counter)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert (tree.leaves, tree.max_internal_size) == want
+    profile = tree.profile()
+    if (profile.leaf_count > 2000
+            or composition_count(profile.max_length(), model.alphabet_size) > 5000):
+        return
+    segments, _ = first_passage_oracle(model, grid, limit,
+                                       max_depth=profile.max_length(),
+                                       max_nodes=10 ** 4)
+    dag = D.class_dag(Q.lattice(model).shifts, profile.leaf_classes)
+    assert [D.unrank(dag, index) for index in range(dag.leaves)] == list(segments)
+
+
 @pytest.mark.parametrize("model", [BERN, TERN, QUAT])
 def test_leaf_profile_matches_oracle_at_a_limit_below_the_cap(model):
     # With the cap one above the limit every leaf size reads the cap itself.
@@ -170,7 +208,7 @@ def _raised_or_error(tree, limit, leaf_cap):
 
 
 def _tree_state(tree):
-    """Each leaf class's [size, t, clean, dipped], and the tree's largest
+    """Each leaf class's [size, clean, dipped], and the tree's largest
     internal size and leaf count."""
     return tree.leaves, tree.max_internal_size, tree.leaf_count
 
@@ -188,7 +226,7 @@ def test_extending_a_profile_equals_the_walk_from_the_root(model, side, origin,
     # Extending a threshold tree: raising it to limit, then trying up to
     # about 2^step-fold more under a leaf cap that may stop it, then raising
     # again under the full cap, walks on from the leaf classes that split.
-    # It leaves every leaf class's size, t and clean and dipped path counts,
+    # It leaves every leaf class's size and clean and dipped path counts,
     # and so every TCProfile field, as one raise from limit 0 (the walk
     # from the root) does, or the same error.
     grid = Q.Grid(side=side, origin=tuple(origin))
@@ -241,8 +279,8 @@ def test_extension_merges_into_kept_leaves_and_jumps_over_depths(model, n,
     assert _tree_state(tree) == _tree_state(once)
     assert tree.profile() == once.profile() == D.tc_leaf_profile(
         model, GRID, extended_n, counter=counter)
-    assert any(size > extended_n and sum(tree.leaves[counts][2:]) > clean + dipped
-               for counts, (size, _, clean, dipped) in base.items())
+    assert any(size > extended_n and sum(tree.leaves[key][1:]) > clean + dipped
+               for key, (size, clean, dipped) in base.items())
     assert set(range(min(rows), max(rows) + 1)) - set(rows)
     # Fewer than the raise from limit 0, which walks all but the root.
     assert walked < walked_once
@@ -340,7 +378,8 @@ def test_next_size_above_gamma_exceeds_m(model, m):
     # size; a threshold there must blow past the leaf budget.
     counter = Q.TypeCounter(model, GRID)
     gamma, profile = D.choose_gamma_profile(model, GRID, m, counter=counter)
-    leaf_sizes = {size_for_counts(counter, c) for _, c, _ in profile.leaf_classes}
+    leaf_sizes = {counter.size_of_sum(counter.row(ell), t)
+                  for ell, t, _ in profile.leaf_classes}
     assert tuple(sorted(leaf_sizes)) == profile.leaf_sizes
     nxt = profile.min_leaf_size
     assert math.log2(nxt) > gamma
@@ -416,7 +455,7 @@ def _probed(search, model, grid, m):
 def test_gamma_search_matches_the_rerun_oracle(model, side, origin, m):
     # Raising one tree probes the limits the search that walks every probe
     # from the root probes, and returns its gamma and profile, with the same
-    # size, t and clean and dipped path counts in each leaf class.
+    # size and clean and dipped path counts in each leaf class.
     assume(m >= model.alphabet_size)
     grid = Q.Grid(side=side, origin=tuple(origin))
     got, got_probes, got_leaves = _probed(D.choose_gamma_profile, model, grid, m)
@@ -541,8 +580,9 @@ def test_leaf_cap():
 
 
 def test_expansion_rejects_a_foreign_profile():
-    # A ternary node never has a bernoulli leaf's counts, so the expansion
-    # stops at the profile's longest segment instead of descending forever.
+    # A ternary node of letter 2 repeated has t = 3 ell, above every
+    # bernoulli leaf's t <= ell, so the expansion stops at the profile's
+    # longest segment instead of descending forever.
     profile = D.tc_leaf_profile(BERN, GRID, 11)
     with pytest.raises(D.DictionaryError):
         D.build_tc_dictionary(TERN, GRID, profile)
@@ -696,9 +736,13 @@ def _mass_cases(draw):
 @example((QUAT, [2.0, -2.0], [(40_000, (1, 39_997, 1, 1), 2 ** 54 - 1)]))
 def test_length_masses_equal_fraction_oracle(case):
     # Integer statistic sums divided once per coordinate give the same bits
-    # as the float of each class's rational average statistic.
+    # as the float of each class's rational average statistic.  The classes
+    # are drawn by letter counts, each passed to length_masses at its
+    # lattice point.
     model, theta, classes = case
-    assert D.length_masses(model, classes, theta) == \
+    points = [(ell, lattice_point(model, counts), mult)
+              for ell, counts, mult in classes]
+    assert D.length_masses(model, points, theta) == \
         fraction_length_masses(model, classes, theta)
 
 
@@ -821,13 +865,19 @@ def test_corrupted_files_load_or_raise_dictionary_error(text):
 
 def _format2_text(model=TERN, m=256):
     _, profile = D.choose_gamma_profile(model, GRID, m)
+    return format2_text(D.build_tc_dictionary(model, GRID, profile, m_target=m))
+
+
+def _format3_text(model=TERN, m=256):
+    _, profile = D.choose_gamma_profile(model, GRID, m)
     return D.dictionary_to_text(D.tc_dictionary(model, GRID, profile, m_target=m))
 
 
-def _edit_format2(edit, model=TERN):
-    """A format-2 file with its header and class lines, parsed to integers,
-    changed by edit(header, classes)."""
-    header_line, *lines = _format2_text(model).splitlines()
+def _edit_format2(edit, model=TERN, text=_format2_text):
+    """A format-2 file (or another file of leaf-class lines, from text) with
+    its header and class lines, parsed to integers, changed by
+    edit(header, classes)."""
+    header_line, *lines = text(model).splitlines()
     header = json.loads(header_line)
     classes = [[int(v) for v in line.split()] for line in lines]
     edit(header, classes)
@@ -925,6 +975,56 @@ def test_corrupted_format2_files_raise(how):
     text = _edit_format2(_FORMAT2_CORRUPTIONS[how])
     assert text != _format2_text()
     with pytest.raises(D.DictionaryError):
+        D.dictionary_from_text(text)
+
+
+def _add_point(key_of):
+    """Add a format-3 class [ell, t] of multiplicity 1 in sorted place, and
+    count it in size."""
+    def edit(header, classes):
+        classes.append(list(key_of(classes)) + [1])
+        classes.sort(key=lambda c: c[:-1])
+        header["size"] += 1
+    return edit
+
+
+# Ternary M=256 classes are [ell, t, mult], with shifts 0, 1 and 3.
+_FORMAT3_CORRUPTIONS = dict(
+    {how: _FORMAT2_CORRUPTIONS[how] for how in (
+        "mult-up", "mult-down", "mult-size-unchanged", "mult-zero", "drop-class",
+        "drop-last-class", "duplicate-class", "swap-lines", "size",
+        "m-target-below-size", "codeword-width", "kind-tunstall", "kind-unknown",
+        "no-classes")},
+    **{
+        # Letter 0 does not move t: the class below the first leaf.
+        "add-unreachable-class": _add_point(lambda c: [c[0][0] + 1, c[0][1]]),
+        "add-internal-class": _add_point(lambda c: next(
+            [1, t] for t in (0, 1, 3) if [1, t] not in [x[:2] for x in c])),
+        "point-short": _line(0, lambda c: c[:1] + c[2:]),
+        "point-long": _line(0, lambda c: c[:1] + [0] + c[1:]),
+        "point-negative": _line(0, lambda c: [c[0], -1, c[2]]),
+        "point-past-the-box": _line(0, lambda c: [c[0], 3 * c[0] + 1, c[2]]),
+        "length-off": _line(0, lambda c: [c[0] + 1] + c[1:]),
+        "format-2": _header("format", 2),
+    })
+
+
+@pytest.mark.parametrize("how", sorted(_FORMAT3_CORRUPTIONS))
+def test_corrupted_format3_files_raise(how):
+    assert D.dictionary_from_text(_edit_format2(lambda h, c: None,
+                                                text=_format3_text)).size > 0
+    text = _edit_format2(_FORMAT3_CORRUPTIONS[how], text=_format3_text)
+    assert text != _format3_text()
+    with pytest.raises(D.DictionaryError):
+        D.dictionary_from_text(text)
+
+
+def test_format3_classes_past_the_longest_possible_length_fail_fast():
+    # One class cannot end a tree of length 10^6; the DAG is never built.
+    header_line = _format3_text(BERN, 64).splitlines()[0]
+    header = dict(json.loads(header_line), size=1, codeword_width=1)
+    text = json.dumps(header) + "\n1000000 500000 1\n"
+    with pytest.raises(D.DictionaryError, match="cannot reach"):
         D.dictionary_from_text(text)
 
 

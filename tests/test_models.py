@@ -45,8 +45,9 @@ def test_varentropy_zero_at_uniform():
 
 
 def test_sequence_log_prob_matches_product():
-    # One class of length 5, counts (3, 2): the mass of one such sequence.
-    mass = D.length_masses(BERN, [(5, (3, 2), 1)], [-2.0])[5]
+    # One class of length 5 and lattice point 2 (three 0s and two 1s): the
+    # mass of one such sequence.
+    mass = D.length_masses(BERN, [(5, (2,), 1)], [-2.0])[5]
     assert math.log2(mass) == pytest.approx(3 * math.log2(0.8) + 2 * math.log2(0.2),
                                             abs=1e-12)
 
@@ -81,8 +82,7 @@ def test_mle_moment_matching(tau):
 @given(st.floats(min_value=-3.0, max_value=3.0),
        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=20))
 def test_sequence_prob_normalizes_per_letter(theta, seq):
-    counts = (seq.count(0), seq.count(1))
-    mass = D.length_masses(BERN, [(len(seq), counts, 1)], [theta])[len(seq)]
+    mass = D.length_masses(BERN, [(len(seq), (seq.count(1),), 1)], [theta])[len(seq)]
     direct = sum(float(M.letter_log_probs(BERN, [theta])[x]) for x in seq)
     assert math.log2(mass) == pytest.approx(direct, abs=1e-9)
 
@@ -153,8 +153,7 @@ def test_theta_of_the_wrong_dimension_is_refused(model, theta):
         with pytest.raises(M.ModelError, match="dimension"):
             float_path(model, theta)
     with pytest.raises(M.ModelError, match="dimension"):
-        D.length_masses(model, [(1, (1,) + (0,) * (model.alphabet_size - 1), 1)],
-                        theta)
+        D.length_masses(model, [(1, (0,) * model.stat_dim, 1)], theta)
 
 
 def test_bare_number_is_a_one_dimensional_theta():

@@ -153,6 +153,26 @@ def test_wide_span_fails_before_allocating(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_the_box_cap_binds_only_while_reached_sums_are_kept():
+    # Quaternary's shifts are the corners of the unit square, so its reached
+    # sums fill the box at ell = 1 and are dropped: no box past the cap of
+    # 2^10 sums (ell >= 32) holds a bit set.  The simplex never reaches its
+    # far corner, keeps its bit set and is refused at ell = 32.
+    grid = Q.construction_grid()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "MAX_BOX", 2 ** 10)
+        quaternary = Q.TypeCounter(QUAT, grid)
+        for ell in range(1, 41):
+            quaternary.row(ell)
+        simplex = Q.TypeCounter(SIMPLEX, grid)
+        for ell in range(1, 32):
+            simplex.row(ell)
+        with pytest.raises(Q.CountingCapError, match=r"ell=32 .*cap 1024;"):
+            simplex.row(32)
+    assert row_sizes(quaternary, 40) == _capped(composition_row(QUAT, grid, 40),
+                                                Q.SIZE_CAP)
+
+
 def _capped(row, cap):
     return {idx: min(n, cap) for idx, n in row.items()}
 
